@@ -14,12 +14,14 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import io as fio
 from .curves import BuiltinSpec, ParamInterval, build_builtin, build_sampled
 from .legendre import (
+    CROSS_TOL,
     astroid_frontal,
     check_ell_kappa_relation,
     circle_frontal,
@@ -40,7 +42,6 @@ from .mates import (
     solve_lambda,
     special_operator,
     verify_mate_curvature,
-    CROSS_TOL,
 )
 from .planar import constant_fn, linear_fn, rotate_j
 from .svgplot import render_svg
@@ -67,18 +68,23 @@ _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))
 def parse_angle(text) -> float:
     """Angle literal: decimal radians or pi expressions like pi/2, -pi, 2pi."""
     if isinstance(text, (int, float)):
-        return float(text)
-    s = text.strip().lower()
-    m = _ANGLE_RE.match(s)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        coeff = float(m.group(2)) if m.group(2) else 1.0
-        div = float(m.group(3)) if m.group(3) else 1.0
-        return sign * coeff * math.pi / div
-    try:
-        return float(s)
-    except ValueError:
-        raise ValueError(f"cannot parse angle {text!r}") from None
+        value = float(text)
+    else:
+        s = text.strip().lower()
+        m = _ANGLE_RE.match(s)
+        if m:
+            sign = -1.0 if m.group(1) == "-" else 1.0
+            coeff = float(m.group(2)) if m.group(2) else 1.0
+            div = float(m.group(3)) if m.group(3) else 1.0
+            value = sign * coeff * math.pi / div
+        else:
+            try:
+                value = float(s)
+            except ValueError:
+                raise ValueError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
+    return value
 
 
 @dataclass
@@ -146,7 +152,9 @@ def parse_job(argv) -> JobSpec:
 
     job_file = {}
     if ns.job:
-        job_file = json.loads(open(ns.job).read())
+        job_file = json.loads(Path(ns.job).read_text())
+        if not isinstance(job_file, dict):
+            raise ValueError(f"{ns.job}: job file must hold a JSON object, got {type(job_file).__name__}")
 
     def pick(flag, key, default):
         if flag is not None:

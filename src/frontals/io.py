@@ -66,11 +66,22 @@ def read_csv_columns(path):
     """(header, dict of column arrays) from a numeric CSV with a header row."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
         rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.array([[float(v) for v in row] for row in rows])
+    values = []
+    for k, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: data row {k} has {len(row)} fields, the header has {len(header)}")
+        try:
+            values.append([float(v) for v in row])
+        except ValueError:
+            raise ValueError(f"{path}: data row {k} holds a non-numeric value") from None
+    data = np.array(values)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: data row {int(np.argmin(finite)) + 1} holds a non-finite value")
     return header, {name: data[:, i] for i, name in enumerate(header)}
 
 

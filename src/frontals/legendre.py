@@ -11,7 +11,7 @@ beta zeros are the singular points of gamma, ell zeros its inflections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,14 +68,23 @@ class LegendreCurve:
 
     @property
     def leg_tol(self) -> float:
-        scale = LEG_TOL_ANALYTIC if self.gamma.kind == "analytic" else LEG_TOL_SAMPLED
-        speeds = self.gamma.speeds()
-        return scale * max(float(np.max(speeds)), 1e-12)
+        return _leg_tol(self.gamma.kind, self.gamma.speeds())
+
+
+def _leg_tol(kind: str, speeds: np.ndarray) -> float:
+    """Tangency tolerance of a curve of the given kind from its grid speeds."""
+    scale = LEG_TOL_ANALYTIC if kind == "analytic" else LEG_TOL_SAMPLED
+    return scale * max(float(np.max(speeds)), 1e-12)
+
+
+def _tangency_residual(g1: np.ndarray, nu: np.ndarray) -> float:
+    """max |gamma' . nu| over grid samples of gamma' and nu."""
+    return float(np.max(np.abs(np.sum(g1 * nu, axis=-1))))
 
 
 def tangency_residual(lc: LegendreCurve) -> float:
     ts = lc.interval.grid
-    return float(np.max(np.abs(np.sum(lc.gamma.d1(ts) * lc.nu(ts), axis=-1))))
+    return _tangency_residual(lc.gamma.d1(ts), lc.nu(ts))
 
 
 def frontal_from_normal(gamma: CurveModel, nu, nu_d1=None, nu_d2=None) -> LegendreCurve:
@@ -124,6 +133,8 @@ class CurvaturePair:
     beta_d1: np.ndarray
     beta_d2: np.ndarray
     periodic: bool
+    # field name -> spline evaluator, built on first use (see _field_fn)
+    _splines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_samples(cls, grid, ell, beta, periodic: bool) -> "CurvaturePair":
@@ -149,11 +160,18 @@ class CurvaturePair:
         sp = CubicSpline(self.grid, values)
         return lambda t: sp(np.asarray(t, dtype=float))
 
+    def _field_fn(self, name: str) -> Callable:
+        """Spline of one sampled field ("beta", "ell_d1", ...), built once."""
+        fn = self._splines.get(name)
+        if fn is None:
+            fn = self._splines[name] = self._spline(getattr(self, name))
+        return fn
+
     def ell_fn(self) -> Callable:
-        return self._spline(self.ell)
+        return self._field_fn("ell")
 
     def beta_fn(self) -> Callable:
-        return self._spline(self.beta)
+        return self._field_fn("beta")
 
     @property
     def sing_tol(self) -> float:
@@ -183,13 +201,13 @@ def legendre_curvature(lc: LegendreCurve) -> CurvaturePair:
     Raises TangencyError when the input violates gamma' . nu = 0, and checks
     that gamma' is reconstructed by beta * mu.
     """
-    tol = lc.leg_tol
-    res = tangency_residual(lc)
+    ts = lc.interval.grid
+    g1, nu = lc.gamma.d1(ts), lc.nu(ts)
+    tol = _leg_tol(lc.gamma.kind, np.linalg.norm(g1, axis=-1))
+    res = _tangency_residual(g1, nu)
     if res > tol:
         raise TangencyError(f"gamma' . nu residual {res:.3g} exceeds {tol:.3g}")
-    ts = lc.interval.grid
-    mu = lc.mu(ts)
-    g1 = lc.gamma.d1(ts)
+    mu = rotate_j(nu)
     ell = np.sum(lc.nu_d1(ts) * mu, axis=-1)
     beta = np.sum(g1 * mu, axis=-1)
     recon = float(np.max(np.linalg.norm(g1 - beta[:, None] * mu, axis=-1)))
@@ -305,15 +323,7 @@ def _classify_witness(w: dict, scales: dict) -> str:
 
 
 def _witness_at(cp: CurvaturePair, t0: float) -> dict:
-    fns = {
-        "beta": cp._spline(cp.beta),
-        "beta_d1": cp._spline(cp.beta_d1),
-        "beta_d2": cp._spline(cp.beta_d2),
-        "ell": cp._spline(cp.ell),
-        "ell_d1": cp._spline(cp.ell_d1),
-        "ell_d2": cp._spline(cp.ell_d2),
-    }
-    w = {k: float(f(t0)) for k, f in fns.items()}
+    w = {k: float(cp._field_fn(k)(t0)) for k in ("beta", "beta_d1", "beta_d2", "ell", "ell_d1", "ell_d2")}
     w["wronskian"] = w["ell_d2"] * w["beta_d1"] - w["ell_d1"] * w["beta_d2"]
     return w
 
@@ -361,6 +371,23 @@ def _refine_zero(cp: CurvaturePair, i_lo: int, i_hi: int) -> float:
     return float(res.x)
 
 
+def _candidate_cells(beta: np.ndarray, below: np.ndarray, periodic: bool):
+    """Cells i (samples i, i + 1) where beta changes sign between
+    above-threshold samples, and above-threshold samples where |beta| has a
+    strict local minimum.  Periodic grids wrap at the seam; open grids test
+    endpoints one-sided.  The asymmetric < / <= tie-break makes an
+    equal-valued pair of neighbors yield one minimum.
+    """
+    crossing = ~below & ~np.roll(below, -1) & (beta * np.roll(beta, -1) < 0)
+    mag = np.abs(beta)
+    left_ok = mag < np.roll(mag, 1)
+    right_ok = mag <= np.roll(mag, -1)
+    if not periodic:
+        crossing[-1] = False
+        left_ok[0] = right_ok[-1] = True
+    return np.flatnonzero(crossing), np.flatnonzero(~below & left_ok & right_ok)
+
+
 def _zero_candidates(cp: CurvaturePair) -> list[float]:
     """Refined locations where beta vanishes.
 
@@ -373,19 +400,15 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
     beta = cp.beta
     n = len(beta)
     below = np.abs(beta) <= tol
+    beta_fn = cp.beta_fn()
+    h = cp.grid[1] - cp.grid[0]
+    t_start = cp.grid[0]
     candidates: list[float] = []
 
     idx = np.flatnonzero(below)
     if len(idx):
-        clusters = []
-        start = prev = idx[0]
-        for i in idx[1:]:
-            if i == prev + 1:
-                prev = i
-            else:
-                clusters.append((start, prev))
-                start = prev = i
-        clusters.append((start, prev))
+        gaps = np.flatnonzero(np.diff(idx) > 1)
+        clusters = list(zip(idx[np.r_[0, gaps + 1]].tolist(), idx[np.r_[gaps, len(idx) - 1]].tolist()))
         # A periodic grid may split one zero across the seam.
         if cp.periodic and len(clusters) > 1 and clusters[0][0] == 0 and clusters[-1][1] == n - 1:
             first = clusters.pop(0)
@@ -393,28 +416,12 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
             clusters.append((last[0], first[1] + n))
         candidates.extend(_refine_zero(cp, i_lo, i_hi) for i_lo, i_hi in clusters)
 
-    beta_fn = cp.beta_fn()
-    n_pairs = n if cp.periodic else n - 1
-    h = cp.grid[1] - cp.grid[0]
-    t_start = cp.grid[0]
-    for i in range(n_pairs):
-        j = (i + 1) % n
-        if below[i] or below[j]:
-            continue
-        if beta[i] * beta[j] < 0:
-            lo, hi = t_start + i * h, t_start + (i + 1) * h
-            candidates.append(float(brentq(lambda t: float(beta_fn(t)), lo, hi, xtol=1e-12)))
+    crossings, minima = _candidate_cells(beta, below, cp.periodic)
+    for i in crossings:
+        lo, hi = t_start + i * h, t_start + (i + 1) * h
+        candidates.append(float(brentq(lambda t: float(beta_fn(t)), lo, hi, xtol=1e-12)))
 
-    for i in range(n):
-        if below[i]:
-            continue
-        left = beta[(i - 1) % n] if (cp.periodic or i > 0) else None
-        right = beta[(i + 1) % n] if (cp.periodic or i < n - 1) else None
-        # asymmetric tie-break so an equal-valued pair yields one candidate
-        left_ok = left is None or abs(beta[i]) < abs(left)
-        right_ok = right is None or abs(beta[i]) <= abs(right)
-        if not (left_ok and right_ok) or (left is None and right is None):
-            continue
+    for i in minima:
         lo = t_start + (i - 1) * h
         hi = t_start + (i + 1) * h
         if not cp.periodic:
@@ -480,12 +487,13 @@ def inflection_points(cp: CurvaturePair) -> np.ndarray:
     if cp.periodic:
         ell = np.concatenate([ell, ell[:1]])
         grid = np.concatenate([grid, [cp.interval_end]])
+    # Cell i joins samples i and i + 1; a sample where ell is exactly 0 is a zero itself.
+    a, b = ell[:-1], ell[1:]
     zeros = []
-    for i in range(len(grid) - 1):
-        a, b = float(ell[i]), float(ell[i + 1])
-        if a == 0.0:
+    for i in np.flatnonzero((a == 0.0) | (a * b < 0)):
+        if a[i] == 0.0:
             zeros.append(float(grid[i]))
-        elif a * b < 0:
+        else:
             zeros.append(float(brentq(lambda t: float(ell_fn(t)), grid[i], grid[i + 1], xtol=1e-12)))
     if not cp.periodic and len(ell) and float(ell[-1]) == 0.0:
         zeros.append(float(grid[-1]))

@@ -38,6 +38,7 @@ from .curves import (
     FD_TOL,
 )
 from .legendre import (
+    CROSS_TOL,
     CurvaturePair,
     LegendreCurve,
     frontal_from_normal,
@@ -49,7 +50,6 @@ from .planar import ScalarFn, add_fns, constant_fn, frame_field, negate_fn
 # cos(tau) must stay this far from zero for the explicit ODE direction.
 ANGLE_TOL = 1e-6
 ODE_TOL_SCALE = 1e-7
-CROSS_TOL = 1e-6
 MATE_TOL_ANALYTIC = 1e-6
 MATE_TOL_SAMPLED = 1e-3
 # Advisory threshold: a scale function this small never separates the mate
@@ -646,7 +646,7 @@ class RegularMateData:
     report: RegularBertrandReport
 
 
-def _longest_regular_run(grid: np.ndarray, mask: np.ndarray):
+def _longest_regular_run(mask: np.ndarray):
     best = (0, -1)
     start = None
     for i, ok in enumerate(mask):
@@ -688,7 +688,7 @@ def regular_to_legendre_mates(
         idx = np.flatnonzero(rng)
         i_lo, i_hi = int(idx[0]), int(idx[-1])
     else:
-        i_lo, i_hi = _longest_regular_run(ts, mask)
+        i_lo, i_hi = _longest_regular_run(mask)
     if i_hi - i_lo + 1 < 16:
         raise SingularCurveError("regular subinterval is too short to evaluate")
 

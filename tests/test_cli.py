@@ -159,6 +159,49 @@ class TestRunJob:
         assert cli.main(["curvature", "--curve", "circle:r=1"]) == 1
 
 
+class TestMalformedInput:
+    """Malformed input exits 2 with a frontals message, never a traceback."""
+
+    @staticmethod
+    def assert_rejected(argv, capsys, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_job_file_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(["circle:r=1"]))
+        self.assert_rejected(["curvature", "--job", str(path)], capsys, f"{path}: job file must hold a JSON object")
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_angle_flag(self, theta, capsys):
+        argv = ["mate", "--curve", "circle:r=1", f"--theta={theta}", "--tau", "0"]
+        self.assert_rejected(argv, capsys, "is not finite")
+
+    def test_non_finite_angle_in_job_file(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"curve": "circle:r=1", "theta": float("nan"), "tau": 0}))
+        self.assert_rejected(["mate", "--job", str(path)], capsys, "angle nan is not finite")
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,nan,0", "data row 2 holds a non-finite value"),
+        ("0.5,1,-inf", "data row 2 holds a non-finite value"),
+        ("0.5,1", "data row 2 has 2 fields, the header has 3"),
+        ("0.5,1,0,7", "data row 2 has 4 fields, the header has 3"),
+        ("0.5,one,0", "data row 2 holds a non-numeric value"),
+    ])
+    def test_malformed_csv_row(self, tmp_path, capsys, row, message):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"t,x,y\n0,1,0\n{row}\n1,0,1\n")
+        self.assert_rejected(["curvature", "--curve", f"csv:{path}"], capsys, f"{path}: {message}")
+
+    def test_empty_csv(self, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        path.write_text("")
+        self.assert_rejected(["curvature", "--curve", f"csv:{path}"], capsys, f"{path}: no data rows")
+
+
 class TestCsvRoundTrip:
     def test_full_precision_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

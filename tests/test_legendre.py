@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from frontals import curves, legendre
 from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin
 from frontals.legendre import (
     CurvaturePair,
     TangencyError,
+    _candidate_cells,
     astroid_frontal,
     check_ell_kappa_relation,
     circle_frontal,
@@ -33,6 +35,11 @@ TWO_PI = 2.0 * math.pi
 def synthetic_pair(ell_fn, beta_fn, t0=-1.0, t1=1.0, n=1024):
     grid = np.linspace(t0, t1, n)
     return CurvaturePair.from_samples(grid, ell_fn(grid), beta_fn(grid), periodic=False)
+
+
+def periodic_pair(ell_fn, beta_fn, n=1024):
+    grid = np.arange(n) * (TWO_PI / n)
+    return CurvaturePair.from_samples(grid, ell_fn(grid), beta_fn(grid), periodic=True)
 
 
 def test_circle_curvature_pair():
@@ -190,6 +197,105 @@ def test_synthetic_inconclusive():
     reports = classify_singularities(pair)
     assert len(reports) == 1
     assert reports[0].kind == INCONCLUSIVE
+
+
+def candidate_cells_loop(beta, below, periodic):
+    """Per-sample loops equivalent to _candidate_cells, as its reference."""
+    n = len(beta)
+    crossings = [
+        i for i in range(n if periodic else n - 1)
+        if not (below[i] or below[(i + 1) % n]) and beta[i] * beta[(i + 1) % n] < 0
+    ]
+    minima = []
+    for i in range(n):
+        if below[i]:
+            continue
+        left = beta[(i - 1) % n] if (periodic or i > 0) else None
+        right = beta[(i + 1) % n] if (periodic or i < n - 1) else None
+        left_ok = left is None or abs(beta[i]) < abs(left)
+        right_ok = right is None or abs(beta[i]) <= abs(right)
+        if left_ok and right_ok:
+            minima.append(i)
+    return crossings, minima
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_candidate_cells_match_loop_reference(periodic):
+    # small integers make ties, sub-threshold samples and sign changes common,
+    # at the seam and endpoints too
+    for seed in range(200):
+        beta = np.random.default_rng(seed).integers(-3, 4, size=16).astype(float)
+        below = np.abs(beta) <= 0.5
+        crossings, minima = _candidate_cells(beta, below, periodic)
+        assert (crossings.tolist(), minima.tolist()) == candidate_cells_loop(beta, below, periodic)
+
+
+def test_sign_change_across_periodic_seam():
+    # beta = sin(t - phi) vanishes half a cell before 2 pi, between the last
+    # sample and the first; the other zero lies half a cell before pi.
+    h = TWO_PI / 1024
+    phi = TWO_PI - h / 2
+    pair = periodic_pair(lambda t: np.ones_like(t), lambda t: np.sin(t - phi))
+    reports = classify_singularities(pair)
+    assert [r.kind for r in reports] == [CUSP_3_2, CUSP_3_2]
+    assert np.allclose([r.t0 for r in reports], [math.pi - h / 2, TWO_PI - h / 2], rtol=0.0, atol=1e-9)
+
+
+def test_beta_zero_on_a_grid_sample():
+    # 1025 samples on [-1, 1] put t = 0 exactly on sample 512
+    pair = synthetic_pair(lambda t: np.ones_like(t), lambda t: t, n=1025)
+    assert pair.beta[512] == 0.0
+    reports = classify_singularities(pair)
+    assert len(reports) == 1
+    assert reports[0].t0 == 0.0 and reports[0].kind == CUSP_3_2
+
+
+def test_equal_neighbouring_minima_give_one_candidate(monkeypatch):
+    # |beta| takes the same value on samples 511 and 512, either side of its
+    # zero; the tie-break flags only one of them for refinement.
+    n = 1024
+    grid = np.linspace(-1.0, 1.0, n)
+    beta = ((np.arange(n) - (n - 1) / 2) * (grid[1] - grid[0])) ** 2
+    assert beta[511] == beta[512]
+    pair = CurvaturePair.from_samples(grid, np.ones(n), beta, periodic=False)
+    solves = []
+    minimize = legendre.minimize_scalar
+    monkeypatch.setattr(legendre, "minimize_scalar", lambda *a, **k: solves.append(a) or minimize(*a, **k))
+    reports = classify_singularities(pair)
+    assert len(solves) == 1
+    assert len(reports) == 1
+    assert abs(reports[0].t0) <= 1e-9 and reports[0].kind == CUSP_4_3
+
+
+def test_inflection_on_grid_samples():
+    # ell = t has an exact zero on sample 512 of 1025, ell = t - 1 on the
+    # last sample of the open grid
+    pair = synthetic_pair(lambda t: t, lambda t: np.ones_like(t), n=1025)
+    assert pair.ell[512] == 0.0
+    assert inflection_points(pair).tolist() == [0.0]
+    pair = synthetic_pair(lambda t: t - 1.0, lambda t: np.ones_like(t), n=1025)
+    assert inflection_points(pair).tolist() == [1.0]
+
+
+def test_inflection_across_periodic_seam():
+    h = TWO_PI / 1024
+    pair = periodic_pair(lambda t: np.sin(t - (TWO_PI - h / 2)), lambda t: np.ones_like(t))
+    assert np.allclose(inflection_points(pair), [math.pi - h / 2, TWO_PI - h / 2], rtol=0.0, atol=1e-9)
+
+
+def test_scan_builds_each_spline_once(monkeypatch):
+    pair = legendre_curvature(astroid_frontal())
+    builds = []
+    for module in (curves, legendre):
+        spline = module.CubicSpline
+        monkeypatch.setattr(module, "CubicSpline", lambda *a, _s=spline, **k: builds.append(a) or _s(*a, **k))
+    first = classify_singularities(pair), inflection_points(pair)
+    assert 0 < len(builds) <= 6
+    builds.clear()
+    second = classify_singularities(pair), inflection_points(pair)
+    assert builds == []
+    assert [r.t0 for r in first[0]] == [r.t0 for r in second[0]]
+    assert np.array_equal(first[1], second[1])
 
 
 def test_inflection_points():
