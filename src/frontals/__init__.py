@@ -7,7 +7,7 @@ parallels, evolutes, involutes, their angular deformations, and general
 direction-framed mates with an exact inverse operation.
 """
 
-from .planar import AngleFn, ScalarFn, UnitVec2, Vec2, constant_fn, dot, frame_from_angle, linear_fn, rotate_j
+from .planar import ScalarFn, constant_fn, linear_fn, rotate_j
 from .curves import (
     BuiltinSpec,
     CurveModel,

@@ -33,14 +33,14 @@ from .legendre import (
     tangency_residual,
 )
 from .mates import (
+    SPECIAL_OPERATORS,
     MateConfig,
     check_regular_bertrand,
-    build_mate,
     inverse_mate,
     mate_tol,
     ode_tol,
-    solve_lambda,
-    special_operator,
+    operator_config,
+    solve_mate,
     verify_mate_curvature,
 )
 from .planar import constant_fn, linear_fn, rotate_j
@@ -49,13 +49,7 @@ from .svgplot import render_svg
 OPERATORS = (
     "curvature",
     "mate",
-    "evolute",
-    "involute",
-    "parallel",
-    "evolutoid",
-    "involutoid",
-    "nvolute",
-    "tvolute",
+    *SPECIAL_OPERATORS,
     "cusps",
     "roundtrip",
     "check-regular",
@@ -84,6 +78,39 @@ def parse_angle(text) -> float:
                 raise ValueError(f"cannot parse angle {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"angle {text!r} is not finite")
+    return value
+
+
+# Job-file key -> (flag, JSON kinds a job file may give, argparse options).
+# A job file's value is converted and checked as its flag would be.
+_FIELDS = {
+    "curve": ("--curve", ("string",),
+              {"help": "builtin spec (circle:r=1, astroid, ellipse:a=2,b=1, line:dx=1) or csv:path"}),
+    "theta": ("--theta", ("string", "number"), {"help": "angle of the translation direction (pi literals ok)"}),
+    "tau": ("--tau", ("string", "number"), {"help": "angle of the coincident field seen from the mate"}),
+    "lambda0": ("--lambda0", ("string", "number"),
+                {"type": float, "help": "initial / constant value of the scale function"}),
+    "lambda_slope": ("--lambda-slope", ("string", "number"),
+                     {"type": float, "help": "slope for a linear scale function (check-regular)"}),
+    "mode": ("--mode", ("string",), {"choices": ["ode", "algebraic", "auto"]}),
+    "samples": ("--samples", ("string", "integer"), {"type": int, "dest": "n_samples"}),
+    "periodic": ("--periodic", ("string",), {"choices": ["auto", "yes", "no"], "help": "csv ingestion periodicity"}),
+}
+_JSON_KINDS = {"string": str, "integer": int, "number": (int, float)}
+
+
+def _job_value(path, key: str, value):
+    """A job-file value, converted and checked against its flag's choices."""
+    _, kinds, opts = _FIELDS[key]
+    where = f"{path}: field {key!r}"
+    if isinstance(value, bool) or not isinstance(value, tuple(_JSON_KINDS[k] for k in kinds)):
+        raise ValueError(f"{where} must be a {' or '.join(kinds)}, got {type(value).__name__}")
+    try:
+        value = (parse_angle if key in ("theta", "tau") else opts.get("type", str))(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if value not in opts.get("choices", [value]):
+        raise ValueError(f"{where} must be one of {', '.join(opts['choices'])}, got {value!r}")
     return value
 
 
@@ -135,15 +162,8 @@ def parse_job(argv) -> JobSpec:
     sub = parser.add_subparsers(dest="operator", required=True)
     for name in OPERATORS:
         p = sub.add_parser(name)
-        p.add_argument("--curve", help="builtin spec (circle:r=1, astroid, ellipse:a=2,b=1, line:dx=1) or csv:path")
-        p.add_argument("--theta", help="angle of the translation direction (pi literals ok)")
-        p.add_argument("--tau", help="angle of the coincident field seen from the mate")
-        p.add_argument("--lambda0", type=float, help="initial / constant value of the scale function")
-        p.add_argument("--lambda-slope", type=float, dest="lambda_slope",
-                       help="slope for a linear scale function (check-regular)")
-        p.add_argument("--mode", choices=["ode", "algebraic", "auto"])
-        p.add_argument("--samples", type=int, dest="n_samples")
-        p.add_argument("--periodic", choices=["auto", "yes", "no"], help="csv ingestion periodicity")
+        for flag, _, opts in _FIELDS.values():
+            p.add_argument(flag, **opts)
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--svg", help="output SVG path")
         p.add_argument("--json-report", dest="json_report", help="output JSON report path")
@@ -156,14 +176,18 @@ def parse_job(argv) -> JobSpec:
         if not isinstance(job_file, dict):
             raise ValueError(f"{ns.job}: job file must hold a JSON object, got {type(job_file).__name__}")
 
-    def pick(flag, key, default):
+    def pick(key, default):
+        flag = getattr(ns, _FIELDS[key][2].get("dest", key))
         if flag is not None:
             return flag
-        if key in job_file and job_file[key] is not None:
-            return job_file[key]
+        if job_file.get(key) is not None:
+            return _job_value(ns.job, key, job_file[key])
         return default
 
-    outputs = dict(job_file.get("outputs", {}))
+    outputs = job_file.get("outputs", {})
+    if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
+        raise ValueError(f"{ns.job}: field 'outputs' must be an object of path strings")
+    outputs = dict(outputs)
     if ns.out:
         outputs["csv"] = ns.out
     if ns.svg:
@@ -171,21 +195,21 @@ def parse_job(argv) -> JobSpec:
     if ns.json_report:
         outputs["json_report"] = ns.json_report
 
-    curve = pick(ns.curve, "curve", None)
+    curve = pick("curve", None)
     if not curve:
         parser.error("a curve is required (--curve or job file)")
-    theta = pick(ns.theta, "theta", None)
-    tau = pick(ns.tau, "tau", None)
+    theta = pick("theta", None)
+    tau = pick("tau", None)
     spec = JobSpec(
         curve=curve,
         operator=ns.operator,
         theta=None if theta is None else parse_angle(theta),
         tau=None if tau is None else parse_angle(tau),
-        lambda0=float(pick(ns.lambda0, "lambda0", 0.0)),
-        lambda_slope=float(pick(ns.lambda_slope, "lambda_slope", 0.0)),
-        mode=pick(ns.mode, "mode", "auto"),
-        n_samples=int(pick(ns.n_samples, "samples", 1024)),
-        periodic=pick(ns.periodic, "periodic", "auto"),
+        lambda0=pick("lambda0", 0.0),
+        lambda_slope=pick("lambda_slope", 0.0),
+        mode=pick("mode", "auto"),
+        n_samples=pick("samples", 1024),
+        periodic=pick("periodic", "auto"),
         outputs=outputs,
     )
     _validate_job(spec)
@@ -195,14 +219,10 @@ def parse_job(argv) -> JobSpec:
 def _validate_job(spec: JobSpec) -> None:
     if spec.operator not in OPERATORS:
         raise ValueError(f"unknown operator {spec.operator!r}")
-    needs_theta = {"evolutoid", "nvolute"}
-    needs_tau = {"involutoid", "tvolute"}
-    if spec.operator in needs_theta and spec.theta is None:
-        raise ValueError(f"{spec.operator} requires --theta")
-    if spec.operator in needs_tau and spec.tau is None:
-        raise ValueError(f"{spec.operator} requires --tau")
-    if spec.operator == "mate" and (spec.theta is None or spec.tau is None):
-        raise ValueError("mate requires --theta and --tau")
+    if spec.operator in SPECIAL_OPERATORS:
+        operator_config(spec.operator, spec.theta, spec.tau)
+    if spec.operator in ("mate", "roundtrip") and (spec.theta is None or spec.tau is None):
+        raise ValueError(f"{spec.operator} requires --theta and --tau")
     if spec.operator == "mate" and spec.mode == "algebraic":
         if abs(math.cos(spec.tau)) > 1e-6:
             raise ValueError("algebraic mode requires cos(tau) = 0")
@@ -274,6 +294,8 @@ def _curvature_checks(lc, pair) -> dict:
 
 
 def _mate_config(spec: JobSpec) -> MateConfig:
+    if spec.operator in SPECIAL_OPERATORS:
+        return operator_config(spec.operator, spec.theta, spec.tau, spec.lambda0)
     return MateConfig(
         theta=constant_fn(spec.theta),
         tau=constant_fn(spec.tau),
@@ -284,7 +306,7 @@ def _mate_config(spec: JobSpec) -> MateConfig:
 
 def _mate_checks(mp, extent: float, kind: str) -> dict:
     checks = {}
-    _check(checks, "lambda_residual", mp.lam.residual, ode_tol_from_pair(mp))
+    _check(checks, "lambda_residual", mp.lam.residual, ode_tol(mp.source_curvature))
     _check(checks, "direction_coincidence", mp.direction_residual, mate_tol(extent, kind))
     _check(checks, "mate_tangency", mp.mate_tangency_residual, mp.mate.leg_tol)
     cross = verify_mate_curvature(mp)
@@ -295,10 +317,6 @@ def _mate_checks(mp, extent: float, kind: str) -> dict:
         cross.tolerance,
     )
     return checks
-
-
-def ode_tol_from_pair(mp) -> float:
-    return ode_tol(legendre_curvature(mp.source))
 
 
 def run_job(spec: JobSpec) -> RunReport:
@@ -337,14 +355,7 @@ def run_job(spec: JobSpec) -> RunReport:
             if "csv" in spec.outputs and spec.operator != "plot":
                 fio.write_pair_csv(spec.outputs["csv"], pair)
         else:
-            if spec.operator in ("mate", "roundtrip"):
-                cfg = _mate_config(spec)
-                lam = solve_lambda(pair, cfg, extent=lc.gamma.extent)
-                mp = build_mate(lc, cfg, lam, pair=pair)
-            else:
-                mp = special_operator(
-                    lc, spec.operator, theta=spec.theta, tau=spec.tau, lambda0=spec.lambda0
-                )
+            mp = solve_mate(lc, _mate_config(spec), pair, spec.operator)
             checks.update(_mate_checks(mp, lc.gamma.extent, lc.gamma.kind))
             if spec.operator == "roundtrip":
                 back = inverse_mate(mp)

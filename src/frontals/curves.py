@@ -24,6 +24,8 @@ FD_TOL = 1e-5
 REG_TOL_SCALE = 1e-7
 GEOM_TOL_SCALE = 1e-9
 MIN_SAMPLES = 16
+# 4x the largest grid measured (65536); peak memory is about 35 MiB at 16384.
+MAX_SAMPLES = 2**18
 UNIFORM_RTOL = 1e-9
 
 
@@ -49,6 +51,8 @@ class ParamInterval:
             raise ValueError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
         if self.n_samples < MIN_SAMPLES:
             raise ValueError(f"need at least {MIN_SAMPLES} samples, got {self.n_samples}")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"at most {MAX_SAMPLES} samples are supported, got {self.n_samples}")
 
     @property
     def length(self) -> float:
@@ -248,22 +252,20 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
     return model
 
 
-def _periodic_spline(ts: np.ndarray, values: np.ndarray, t_end: float) -> CubicSpline:
-    ts_ext = np.concatenate([ts, [t_end]])
-    vals_ext = np.concatenate([values, values[:1]], axis=0)
-    return CubicSpline(ts_ext, vals_ext, bc_type="periodic")
+def spline_fn(grid: np.ndarray, values: np.ndarray, periodic: bool, t_end: float) -> Callable:
+    """Cubic-spline evaluator of samples on `grid` (axis 0 of `values`).
 
-
-def _spline_eval(spline, interval: ParamInterval):
-    if not interval.periodic:
+    A periodic grid covers [grid[0], t_end) without the closing sample: the
+    spline closes at t_end and wraps t to t0 + mod(t - t0, t_end - t0).
+    """
+    if not periodic:
+        spline = CubicSpline(grid, values)
         return lambda t: spline(np.asarray(t, dtype=float))
-    t0, period = interval.t_start, interval.length
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return spline(t0 + np.mod(t - t0, period))
-
-    return f
+    spline = CubicSpline(
+        np.concatenate([grid, [t_end]]), np.concatenate([values, values[:1]], axis=0), bc_type="periodic"
+    )
+    t0, period = grid[0], t_end - grid[0]
+    return lambda t: spline(t0 + np.mod(np.asarray(t, dtype=float) - t0, period))
 
 
 def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
@@ -292,11 +294,7 @@ def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
     t_end = ts[-1] + h if periodic else ts[-1]
     interval = ParamInterval(float(ts[0]), float(t_end), len(ts), periodic)
 
-    if periodic:
-        splines = [_periodic_spline(ts, v, t_end) for v in (points, d1g, d2g, d3g)]
-    else:
-        splines = [CubicSpline(ts, v) for v in (points, d1g, d2g, d3g)]
-    pos_f, d1_f, d2_f, d3_f = (_spline_eval(sp, interval) for sp in splines)
+    pos_f, d1_f, d2_f, d3_f = (spline_fn(ts, v, periodic, t_end) for v in (points, d1g, d2g, d3g))
 
     return CurveModel(
         kind="sampled",
@@ -330,6 +328,17 @@ def arclength_maps(c: CurveModel):
     return s_of_t, t_of_s, total
 
 
+def speed_derivatives(g1, g2, g3=None):
+    """Speed v = |gamma'| and its derivative vd from the first two
+    derivatives of gamma; given the third as well, also the second
+    derivative vdd of the speed."""
+    v = np.linalg.norm(g1, axis=-1)
+    vd = np.sum(g1 * g2, axis=-1) / v
+    if g3 is None:
+        return v, vd
+    return v, vd, (np.sum(g2 * g2, axis=-1) + np.sum(g1 * g3, axis=-1) - vd**2) / v
+
+
 def arclength_reparametrize(c: CurveModel) -> CurveModel:
     """Unit-speed version of a regular curve on [0, total_length]."""
     _, t_of_s, total = arclength_maps(c)
@@ -356,8 +365,7 @@ def arclength_reparametrize(c: CurveModel) -> CurveModel:
     def d2(s):
         t = param(s)
         g1, g2 = c.d1(t), c.d2(t)
-        v = np.linalg.norm(g1, axis=-1)
-        vd = np.sum(g1 * g2, axis=-1) / v
+        v, vd = speed_derivatives(g1, g2)
         tp = 1.0 / v
         tpp = -vd / v**3
         return g2 * (tp**2)[..., None] + g1 * tpp[..., None]
@@ -365,9 +373,7 @@ def arclength_reparametrize(c: CurveModel) -> CurveModel:
     def d3(s):
         t = param(s)
         g1, g2, g3 = c.d1(t), c.d2(t), c.d3(t)
-        v = np.linalg.norm(g1, axis=-1)
-        vd = np.sum(g1 * g2, axis=-1) / v
-        vdd = (np.sum(g2 * g2, axis=-1) + np.sum(g1 * g3, axis=-1) - vd**2) / v
+        v, vd, vdd = speed_derivatives(g1, g2, g3)
         tp = 1.0 / v
         tpp = -vd / v**3
         tppp = (3.0 * vd**2 - vdd * v) / v**5

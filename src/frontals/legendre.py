@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py patches this name
 from scipy.optimize import brentq, minimize_scalar
 
 from .curves import (
@@ -26,8 +26,8 @@ from .curves import (
     BuiltinSpec,
     fd_chain,
     regular_curvature,
-    _periodic_spline,
-    _spline_eval,
+    speed_derivatives,
+    spline_fn,
 )
 from .planar import rotate_j
 
@@ -95,13 +95,8 @@ def frontal_from_normal(gamma: CurveModel, nu, nu_d1=None, nu_d2=None) -> Legend
         ts = interval.grid
         samples = np.asarray(nu(ts), dtype=float)
         d1g, d2g = fd_chain(samples, interval.step, interval.periodic, orders=2)
-        if interval.periodic:
-            sp1 = _periodic_spline(ts, d1g, interval.t_end)
-            sp2 = _periodic_spline(ts, d2g, interval.t_end)
-        else:
-            sp1, sp2 = CubicSpline(ts, d1g), CubicSpline(ts, d2g)
-        nu_d1 = nu_d1 or _spline_eval(sp1, interval)
-        nu_d2 = nu_d2 or _spline_eval(sp2, interval)
+        nu_d1 = nu_d1 or spline_fn(ts, d1g, interval.periodic, interval.t_end)
+        nu_d2 = nu_d2 or spline_fn(ts, d2g, interval.periodic, interval.t_end)
     return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, nu_d2=nu_d2, interval=interval)
 
 
@@ -113,12 +108,7 @@ def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("normal samples deviate from unit length beyond 1e-6")
     nu_samples = nu_samples / norms[:, None]
-    ts = interval.grid
-    if interval.periodic:
-        sp = _periodic_spline(ts, nu_samples, interval.t_end)
-    else:
-        sp = CubicSpline(ts, nu_samples)
-    return frontal_from_normal(gamma, _spline_eval(sp, interval))
+    return frontal_from_normal(gamma, spline_fn(interval.grid, nu_samples, interval.periodic, interval.t_end))
 
 
 @dataclass(frozen=True)
@@ -151,20 +141,11 @@ class CurvaturePair:
         h = self.grid[1] - self.grid[0]
         return self.grid[-1] + h if self.periodic else self.grid[-1]
 
-    def _spline(self, values) -> Callable:
-        if self.periodic:
-            sp = _periodic_spline(self.grid, values, self.interval_end)
-            t0 = self.grid[0]
-            period = self.interval_end - t0
-            return lambda t: sp(t0 + np.mod(np.asarray(t, dtype=float) - t0, period))
-        sp = CubicSpline(self.grid, values)
-        return lambda t: sp(np.asarray(t, dtype=float))
-
     def _field_fn(self, name: str) -> Callable:
         """Spline of one sampled field ("beta", "ell_d1", ...), built once."""
         fn = self._splines.get(name)
         if fn is None:
-            fn = self._splines[name] = self._spline(getattr(self, name))
+            fn = self._splines[name] = spline_fn(self.grid, getattr(self, name), self.periodic, self.interval_end)
         return fn
 
     def ell_fn(self) -> Callable:
@@ -233,15 +214,12 @@ def from_regular(c: CurveModel) -> LegendreCurve:
 
     def nu_d1(t):
         g1, g2 = c.d1(t), c.d2(t)
-        v = np.linalg.norm(g1, axis=-1)
-        vd = np.sum(g1 * g2, axis=-1) / v
+        v, vd = speed_derivatives(g1, g2)
         return rotate_j(g2) / v[..., None] - rotate_j(g1) * (vd / v**2)[..., None]
 
     def nu_d2(t):
         g1, g2, g3 = c.d1(t), c.d2(t), c.d3(t)
-        v = np.linalg.norm(g1, axis=-1)
-        vd = np.sum(g1 * g2, axis=-1) / v
-        vdd = (np.sum(g2 * g2, axis=-1) + np.sum(g1 * g3, axis=-1) - vd**2) / v
+        v, vd, vdd = speed_derivatives(g1, g2, g3)
         return (
             rotate_j(g3) / v[..., None]
             - 2.0 * rotate_j(g2) * (vd / v**2)[..., None]

@@ -56,15 +56,19 @@ MATE_TOL_SAMPLED = 1e-3
 # from its source anywhere on the curve.
 LAMBDA_ZERO_SCALE = 1e-10
 
-SPECIAL_OPERATORS = (
-    "parallel",
-    "evolute",
-    "involute",
-    "evolutoid",
-    "involutoid",
-    "nvolute",
-    "tvolute",
-)
+_HALF_PI = math.pi / 2.0
+# Named mate constructions: name -> ((theta, tau) from the given angles, the
+# angle the construction requires).  Evolute and evolutoid solve pointwise.
+OPERATOR_TABLE = {
+    "parallel": (lambda theta, tau: (0.0, 0.0), None),  # lambda = lambda0
+    "evolute": (lambda theta, tau: (0.0, _HALF_PI), None),
+    "involute": (lambda theta, tau: (_HALF_PI, 0.0), None),
+    "evolutoid": (lambda theta, tau: (theta, _HALF_PI), "theta"),
+    "involutoid": (lambda theta, tau: (_HALF_PI, tau), "tau"),
+    "nvolute": (lambda theta, tau: (theta, theta + _HALF_PI), "theta"),
+    "tvolute": (lambda theta, tau: (tau + _HALF_PI, tau), "tau"),
+}
+SPECIAL_OPERATORS = tuple(OPERATOR_TABLE)
 
 
 class DenominatorError(ValueError):
@@ -305,6 +309,7 @@ class MatePair:
     mate: LegendreCurve
     config: MateConfig
     lam: LambdaSolution
+    source_curvature: CurvaturePair  # the pair the scale function was solved on
     mate_curvature: CurvaturePair
     direction_residual: float
     mate_tangency_residual: float
@@ -366,6 +371,7 @@ def build_mate(
         mate=mate_lc,
         config=config,
         lam=lam,
+        source_curvature=pair,
         mate_curvature=mcurv,
         direction_residual=dir_res,
         mate_tangency_residual=tan_res,
@@ -397,52 +403,23 @@ def verify_mate_curvature(mp: MatePair, tolerance: float = CROSS_TOL) -> CrossCh
     )
 
 
-def special_operator(
-    lc: LegendreCurve,
-    which: str,
-    theta: float | None = None,
-    tau: float | None = None,
-    lambda0: float = 0.0,
-) -> MatePair:
-    """Named mate constructions as (theta, tau) instantiations.
-
-    parallel            theta = 0,            tau = 0        (lambda = lambda0)
-    evolute             theta = 0,            tau = pi/2     (pointwise)
-    involute            theta = pi/2,         tau = 0
-    evolutoid(theta)    theta = theta,        tau = pi/2     (pointwise)
-    involutoid(tau)     theta = pi/2,         tau = tau
-    nvolute(theta)      theta = theta,        tau = theta + pi/2
-    tvolute(tau)        theta = tau + pi/2,   tau = tau
-    """
-    half_pi = math.pi / 2.0
-    if which == "parallel":
-        cfg = MateConfig(constant_fn(0.0), constant_fn(0.0), lambda0)
-    elif which == "evolute":
-        cfg = MateConfig(constant_fn(0.0), constant_fn(half_pi), lambda0)
-    elif which == "involute":
-        cfg = MateConfig(constant_fn(half_pi), constant_fn(0.0), lambda0)
-    elif which == "evolutoid":
-        if theta is None:
-            raise ValueError("evolutoid needs theta")
-        cfg = MateConfig(constant_fn(theta), constant_fn(half_pi), lambda0)
-    elif which == "involutoid":
-        if tau is None:
-            raise ValueError("involutoid needs tau")
-        cfg = MateConfig(constant_fn(half_pi), constant_fn(tau), lambda0)
-    elif which == "nvolute":
-        if theta is None:
-            raise ValueError("nvolute needs theta")
-        cfg = MateConfig(constant_fn(theta), constant_fn(theta + half_pi), lambda0)
-    elif which == "tvolute":
-        if tau is None:
-            raise ValueError("tvolute needs tau")
-        cfg = MateConfig(constant_fn(tau + half_pi), constant_fn(tau), lambda0)
-    else:
+def operator_config(which: str, theta: float | None = None, tau: float | None = None,
+                    lambda0: float = 0.0) -> MateConfig:
+    """MateConfig of a named construction (see OPERATOR_TABLE)."""
+    if which not in OPERATOR_TABLE:
         raise ValueError(f"unknown operator {which!r}; expected one of {SPECIAL_OPERATORS}")
+    rule, required = OPERATOR_TABLE[which]
+    if required is not None and {"theta": theta, "tau": tau}[required] is None:
+        raise ValueError(f"{which} needs {required}: it requires --{required} or {required}=")
+    th, ta = rule(theta, tau)
+    return MateConfig(constant_fn(th), constant_fn(ta), lambda0)
 
-    pair = legendre_curvature(lc)
+
+def solve_mate(lc: LegendreCurve, config: MateConfig, pair: CurvaturePair, which: str = "mate") -> MatePair:
+    """Solve lambda on `pair`, the curvature pair of lc, and build the mate;
+    `which` names the construction in the error of a failed pointwise solve."""
     try:
-        lam = solve_lambda(pair, cfg, extent=lc.gamma.extent)
+        lam = solve_lambda(pair, config, extent=lc.gamma.extent)
     except DenominatorError as exc:
         if which in ("evolute", "evolutoid"):
             raise DenominatorError(
@@ -451,7 +428,19 @@ def special_operator(
                 locations=exc.locations,
             ) from exc
         raise
-    return build_mate(lc, cfg, lam, pair=pair)
+    return build_mate(lc, config, lam, pair=pair)
+
+
+def special_operator(
+    lc: LegendreCurve,
+    which: str,
+    theta: float | None = None,
+    tau: float | None = None,
+    lambda0: float = 0.0,
+) -> MatePair:
+    """Named mate construction `which` (a key of OPERATOR_TABLE) on lc."""
+    cfg = operator_config(which, theta, tau, lambda0)
+    return solve_mate(lc, cfg, legendre_curvature(lc), which)
 
 
 def inverse_mate(mp: MatePair) -> MatePair:
@@ -540,7 +529,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair, extent: float | None = None):
         lambda0=float(lam_sum[0]),
         mode="auto",
     )
-    pair1 = legendre_curvature(mp12.source)
+    pair1 = mp12.source_curvature
     lam_d1 = mp12.lam.lam_d1 + mp23.lam.lam_d1
     residual = condition_residual(pair1, cfg, lam_sum, lam_d1)
     wrap = None
@@ -574,6 +563,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair, extent: float | None = None):
         mate=mp23.mate,
         config=cfg,
         lam=lam,
+        source_curvature=pair1,
         mate_curvature=mate_curvature(pair1, cfg, lam),
         direction_residual=dir_res,
         mate_tangency_residual=mp23.mate_tangency_residual,
@@ -671,7 +661,7 @@ def regular_to_legendre_mates(
     angles shift by pi/2 with a sign correction from the sign of beta, and
     the result is cross-validated through the regular-branch checker.
     """
-    pair = legendre_curvature(mp.source)
+    pair = mp.source_curvature
     pair_bar = mp.mate_curvature
     mask = (np.abs(pair.beta) > pair.sing_tol) & (np.abs(pair_bar.beta) > pair_bar.sing_tol)
     ts = pair.grid

@@ -1,83 +1,19 @@
-"""Flat 2D kernel: vectors, the quarter-turn rotation, and angle-framed
-direction fields shared by every other module.
+"""Flat 2D kernel: the quarter-turn rotation, angle-framed direction fields
+and the scalar functions (angles, scales) shared by every other module.
 
-All types are immutable values. Angles are plain radians and are never
-wrapped mod 2*pi: downstream formulas difference two angle functions and
-wrapping would corrupt their derivatives.
+Points and directions are numpy arrays of shape (..., 2).  Angles are plain
+radians and are never wrapped mod 2*pi: downstream formulas difference two
+angle functions and wrapping would corrupt their derivatives.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 ArrayLike = Union[float, np.ndarray]
-
-# Unit-vector admission: drift below RENORM_TOL is kept verbatim, drift up to
-# UNIT_TOL is silently renormalized, anything beyond is rejected.  Keeps frame
-# drift from compounding through operator chains.
-UNIT_TOL = 1e-9
-RENORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Vec2:
-    """A point or direction in the Euclidean plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite components ({self.x}, {self.y})")
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
-@dataclass(frozen=True)
-class UnitVec2:
-    """A direction on the unit circle, validated on construction."""
-
-    dir: Vec2
-
-    def __post_init__(self):
-        n = self.dir.norm()
-        drift = abs(n - 1.0)
-        if drift <= RENORM_TOL:
-            return
-        if drift <= UNIT_TOL:
-            object.__setattr__(self, "dir", Vec2(self.dir.x / n, self.dir.y / n))
-            return
-        raise ValueError(f"|dir| = {n!r} deviates from 1 beyond {UNIT_TOL}")
-
-    @property
-    def x(self) -> float:
-        return self.dir.x
-
-    @property
-    def y(self) -> float:
-        return self.dir.y
 
 
 @dataclass(frozen=True)
@@ -90,10 +26,6 @@ class ScalarFn:
 
     eval: Callable[[ArrayLike], ArrayLike]
     deriv: Callable[[ArrayLike], ArrayLike]
-
-
-# Angle functions are ScalarFns whose values are radians.
-AngleFn = ScalarFn
 
 
 def constant_fn(value: float) -> ScalarFn:
@@ -126,42 +58,15 @@ def negate_fn(fn: ScalarFn) -> ScalarFn:
     return ScalarFn(eval=lambda t: -fn.eval(t), deriv=lambda t: -fn.deriv(t))
 
 
-def rotate_j(a):
-    """Anti-clockwise rotation by pi/2: (x, y) -> (-y, x).
-
-    Accepts a Vec2, a UnitVec2, or an array of shape (..., 2).
-    """
-    if isinstance(a, UnitVec2):
-        return UnitVec2(Vec2(-a.dir.y, a.dir.x))
-    if isinstance(a, Vec2):
-        return Vec2(-a.y, a.x)
+def rotate_j(a) -> np.ndarray:
+    """Anti-clockwise rotation by pi/2 of (..., 2) arrays: (x, y) -> (-y, x)."""
     arr = np.asarray(a, dtype=float)
     return np.stack((-arr[..., 1], arr[..., 0]), axis=-1)
 
 
-def dot(a, b):
-    """Euclidean inner product; Vec2s or (..., 2) arrays."""
-    if isinstance(a, Vec2) and isinstance(b, Vec2):
-        return a.x * b.x + a.y * b.y
-    return np.sum(np.asarray(a, dtype=float) * np.asarray(b, dtype=float), axis=-1)
-
-
-def norm(a) -> ArrayLike:
-    if isinstance(a, Vec2):
-        return a.norm()
-    return np.sqrt(dot(a, a))
-
-
-def frame_from_angle(base_nu: UnitVec2, theta: float) -> UnitVec2:
-    """Direction cos(theta) * nu + sin(theta) * mu, where mu = rotate_j(nu)."""
-    nu = base_nu.dir
-    mu = rotate_j(nu)
-    c, s = math.cos(theta), math.sin(theta)
-    return UnitVec2(Vec2(c * nu.x + s * mu.x, c * nu.y + s * mu.y))
-
-
 def frame_field(nu: np.ndarray, theta: ArrayLike) -> np.ndarray:
-    """Vectorized frame_from_angle over an (n, 2) field of unit normals."""
+    """cos(theta) * nu + sin(theta) * mu, where mu = rotate_j(nu), over an
+    (..., 2) field of unit normals."""
     nu = np.asarray(nu, dtype=float)
     mu = rotate_j(nu)
     c = np.cos(theta)

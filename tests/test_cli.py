@@ -1,13 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from frontals import cli, legendre, mates
 from frontals import io as fio
 from frontals.cli import JobSpec, main, parse_angle, parse_job, run_job
-from frontals.curves import build_sampled
-from frontals.legendre import astroid_frontal
+from frontals.curves import MAX_SAMPLES, build_sampled
+from frontals.legendre import astroid_frontal, circle_frontal
 from frontals.svgplot import render_svg
 
 
@@ -45,6 +47,18 @@ class TestParsing:
     def test_missing_operator_parameter(self):
         with pytest.raises(ValueError, match="requires"):
             parse_job(["evolutoid", "--curve", "circle:r=1"])
+
+    def test_every_named_operator_is_a_subcommand(self):
+        for name, (_, required) in mates.OPERATOR_TABLE.items():
+            angles = [] if required is None else [f"--{required}", "pi/4"]
+            assert parse_job([name, "--curve", "circle:r=1", *angles]).operator == name
+
+    @pytest.mark.parametrize("name", ["evolutoid", "involutoid", "nvolute", "tvolute"])
+    def test_missing_angle_message_is_shared(self, name, capsys):
+        with pytest.raises(ValueError, match="requires") as exc:
+            mates.special_operator(circle_frontal(1.0), name)
+        assert main([name, "--curve", "circle:r=1"]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     def test_job_file_with_flag_override(self, tmp_path):
         job = {"curve": "circle:r=2", "theta": "pi/2", "tau": 0, "lambda0": 0.1, "samples": 256}
@@ -128,6 +142,20 @@ class TestRunJob:
         report = run_job(JobSpec(curve="circle:r=1", operator=operator, n_samples=512, **extra))
         assert report.passed, report.checks
 
+    @pytest.mark.parametrize("argv", [
+        ["roundtrip", "--curve", "astroid", "--theta", "pi/2", "--tau", "0", "--lambda0", "0.75"],
+        ["evolute", "--curve", "ellipse:a=2,b=1"],
+    ])
+    def test_one_source_pair_per_job(self, monkeypatch, argv):
+        """The source pair is computed once; the second call is the direct
+        measurement on the mate that the curvature cross-check compares."""
+        calls = []
+        counted = lambda lc, _f=legendre.legendre_curvature: calls.append(lc) or _f(lc)
+        for module in (cli, legendre, mates):
+            monkeypatch.setattr(module, "legendre_curvature", counted)
+        assert main(argv) == 0
+        assert len(calls) == 2
+
     def test_outputs_are_deterministic(self, tmp_path):
         blobs = []
         for tag in ("a", "b"):
@@ -200,6 +228,31 @@ class TestMalformedInput:
         path = tmp_path / "curve.csv"
         path.write_text("")
         self.assert_rejected(["curvature", "--curve", f"csv:{path}"], capsys, f"{path}: no data rows")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("curve", 5, "field 'curve' must be a string, got int"),
+        ("theta", [1], "field 'theta' must be a string or number, got list"),
+        ("lambda0", [1], "field 'lambda0' must be a string or number, got list"),
+        ("outputs", 3, "field 'outputs' must be an object of path strings"),
+        ("periodic", "maybe", "field 'periodic' must be one of auto, yes, no, got 'maybe'"),
+        ("samples", True, "field 'samples' must be a string or integer, got bool"),
+        ("samples", "abc", "field 'samples': invalid literal for int()"),
+    ])
+    def test_job_file_field_type(self, tmp_path, capsys, field, value, message):
+        job = {"curve": "circle:r=1", "theta": "pi/2", "tau": 0, field: value}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        self.assert_rejected(["mate", "--job", str(path)], capsys, f"{path}: {message}")
+
+    def test_sample_count_above_bound(self, capsys):
+        tracemalloc.start()
+        try:
+            self.assert_rejected(["cusps", "--curve", "circle:r=1", "--samples", "2000000000"], capsys,
+                                 f"at most {MAX_SAMPLES} samples are supported, got 2000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # rejected before any grid is allocated
 
 
 class TestCsvRoundTrip:

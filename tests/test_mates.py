@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frontals import mates
 from frontals.curves import BuiltinSpec, ParamInterval, build_builtin
 from frontals.legendre import (
     astroid_frontal,
@@ -19,6 +20,7 @@ from frontals.mates import (
     compose_mates,
     inverse_mate,
     mate_curvature,
+    regular_to_legendre_mates,
     solve_lambda,
     special_operator,
     verify_mate_curvature,
@@ -403,6 +405,18 @@ class TestInverseAndCompose:
         rep = compose_mates(ev, inv)
         assert isinstance(rep, IdentityReport)
         assert rep.passed
+
+    def test_pairs_carry_their_source_curvature(self, monkeypatch):
+        lc = circle_frontal(1.0)
+        p1 = special_operator(lc, "parallel", lambda0=0.3)
+        p2 = special_operator(p1.mate, "parallel", lambda0=0.45)
+        back = inverse_mate(p1)
+        assert back.source_curvature is p1.mate_curvature
+        # composing and converting reuse the carried pairs
+        monkeypatch.setattr(mates, "legendre_curvature", lambda lc: pytest.fail("source pair recomputed"))
+        comp = compose_mates(p1, p2)
+        assert comp.source_curvature is p1.source_curvature
+        assert regular_to_legendre_mates(comp).report.is_mate
 
     def test_compose_rejects_unchained_pairs(self):
         lc = circle_frontal(1.0)
