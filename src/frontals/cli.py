@@ -33,6 +33,8 @@ from .legendre import (
     tangency_residual,
 )
 from .mates import (
+    ANGLE_TOL,
+    ODE_TOL_SCALE,
     SPECIAL_OPERATORS,
     MateConfig,
     check_regular_bertrand,
@@ -55,6 +57,8 @@ OPERATORS = (
     "check-regular",
     "plot",
 )
+# Subcommands that solve for a mate.
+MATE_OPERATORS = ("mate", "roundtrip", *SPECIAL_OPERATORS)
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?$")
 
@@ -219,12 +223,11 @@ def parse_job(argv) -> JobSpec:
 def _validate_job(spec: JobSpec) -> None:
     if spec.operator not in OPERATORS:
         raise ValueError(f"unknown operator {spec.operator!r}")
-    if spec.operator in SPECIAL_OPERATORS:
-        operator_config(spec.operator, spec.theta, spec.tau)
     if spec.operator in ("mate", "roundtrip") and (spec.theta is None or spec.tau is None):
         raise ValueError(f"{spec.operator} requires --theta and --tau")
-    if spec.operator == "mate" and spec.mode == "algebraic":
-        if abs(math.cos(spec.tau)) > 1e-6:
+    if spec.operator in MATE_OPERATORS:
+        tau = float(_mate_config(spec).tau.eval(0.0))  # a named operator checks its angles here
+        if spec.mode == "algebraic" and abs(math.cos(tau)) > ANGLE_TOL:
             raise ValueError("algebraic mode requires cos(tau) = 0")
 
 
@@ -295,13 +298,8 @@ def _curvature_checks(lc, pair) -> dict:
 
 def _mate_config(spec: JobSpec) -> MateConfig:
     if spec.operator in SPECIAL_OPERATORS:
-        return operator_config(spec.operator, spec.theta, spec.tau, spec.lambda0)
-    return MateConfig(
-        theta=constant_fn(spec.theta),
-        tau=constant_fn(spec.tau),
-        lambda0=spec.lambda0,
-        mode=spec.mode,
-    )
+        return operator_config(spec.operator, spec.theta, spec.tau, spec.lambda0, spec.mode)
+    return MateConfig(constant_fn(spec.theta), constant_fn(spec.tau), spec.lambda0, spec.mode)
 
 
 def _mate_checks(mp, extent: float, kind: str) -> dict:
@@ -334,7 +332,7 @@ def run_job(spec: JobSpec) -> RunReport:
         report = check_regular_bertrand(
             lc.gamma, constant_fn(spec.theta or 0.0), constant_fn(spec.tau or 0.0), lam
         )
-        _check(checks, "mate_condition", report.cond1_residual, 1e-7)
+        _check(checks, "mate_condition", report.cond1_residual, ODE_TOL_SCALE)
         # hinge residual: zero when the second condition stays above reg_tol
         shortfall = max(0.0, lc.gamma.reg_tol - float(np.min(np.abs(report.cond2_value))))
         _check(checks, "mate_regularity", shortfall, 0.0)

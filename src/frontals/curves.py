@@ -1,4 +1,4 @@
-"""Parametrized plane curves with derivatives up to third order.
+"""Parametrized plane curves with derivatives up to second order.
 
 Closed-form builtins (line, circle, ellipse, astroid), uniformly sampled
 curves differentiated with a 4th-order scheme, arc-length reparametrization
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -104,14 +104,10 @@ def fd_d1(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     return out
 
 
-def fd_chain(values: np.ndarray, h: float, periodic: bool, orders: int = 3):
-    """Successive applications of fd_d1; returns (d1, ..., d_orders)."""
-    outs = []
-    cur = np.asarray(values, dtype=float)
-    for _ in range(orders):
-        cur = fd_d1(cur, h, periodic)
-        outs.append(cur)
-    return tuple(outs)
+def fd_chain(values: np.ndarray, h: float, periodic: bool):
+    """(d1, d2) by two successive applications of fd_d1."""
+    d1 = fd_d1(values, h, periodic)
+    return d1, fd_d1(d1, h, periodic)
 
 
 def check_fn_consistency(fn: ScalarFn, grid: np.ndarray, periodic: bool = False) -> float:
@@ -126,9 +122,9 @@ def check_fn_consistency(fn: ScalarFn, grid: np.ndarray, periodic: bool = False)
 
 @dataclass(frozen=True)
 class CurveModel:
-    """Evaluator of a plane curve with derivatives up to order 3.
+    """Evaluator of a plane curve with derivatives up to second order.
 
-    `position` and `d1`..`d3` accept scalars or arrays of parameters and
+    `position`, `d1` and `d2` accept scalars or arrays of parameters and
     return arrays of shape (..., 2).  Immutable after construction.
     """
 
@@ -136,9 +132,9 @@ class CurveModel:
     position: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
     interval: ParamInterval
     extent: float = field(default=0.0)  # bounding-box diagonal over the grid
+    d3: Optional[Callable] = None  # unused: nothing in frontals fills or reads it
 
     @property
     def reg_tol(self) -> float:
@@ -186,7 +182,6 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
             _vectorize_xy(lambda t: x0 + dx * t, lambda t: y0 + dy * t),
             _vectorize_xy(lambda t: np.full_like(t, dx), lambda t: np.full_like(t, dy)),
             zero,
-            zero,
         )
     if name == "circle":
         r = p.get("r", 1.0)
@@ -197,7 +192,6 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
             _vectorize_xy(lambda t: cx + r * np.cos(t), lambda t: cy + r * np.sin(t)),
             _vectorize_xy(lambda t: -r * np.sin(t), lambda t: r * np.cos(t)),
             _vectorize_xy(lambda t: -r * np.cos(t), lambda t: -r * np.sin(t)),
-            _vectorize_xy(lambda t: r * np.sin(t), lambda t: -r * np.cos(t)),
         )
     if name == "ellipse":
         a, b = p.get("a", 2.0), p.get("b", 1.0)
@@ -208,7 +202,6 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
             _vectorize_xy(lambda t: cx + a * np.cos(t), lambda t: cy + b * np.sin(t)),
             _vectorize_xy(lambda t: -a * np.sin(t), lambda t: b * np.cos(t)),
             _vectorize_xy(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t)),
-            _vectorize_xy(lambda t: a * np.sin(t), lambda t: -b * np.cos(t)),
         )
     if name == "astroid":
         a = p.get("a", 1.0)
@@ -224,24 +217,19 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
                 lambda t: -3 * a * (np.cos(t) ** 3 - 2 * np.cos(t) * np.sin(t) ** 2),
                 lambda t: 3 * a * (2 * np.sin(t) * np.cos(t) ** 2 - np.sin(t) ** 3),
             ),
-            _vectorize_xy(
-                lambda t: -3 * a * (2 * np.sin(t) ** 3 - 7 * np.cos(t) ** 2 * np.sin(t)),
-                lambda t: 3 * a * (2 * np.cos(t) ** 3 - 7 * np.sin(t) ** 2 * np.cos(t)),
-            ),
         )
     raise ValueError(f"unknown builtin curve {name!r}")
 
 
 def build_builtin(spec: BuiltinSpec) -> CurveModel:
     """Analytic CurveModel with exact closed-form derivatives."""
-    position, d1, d2, d3 = _builtin_callables(spec.name, spec.params)
+    position, d1, d2 = _builtin_callables(spec.name, spec.params)
     pts = position(spec.interval.grid)
     model = CurveModel(
         kind="analytic",
         position=position,
         d1=d1,
         d2=d2,
-        d3=d3,
         interval=spec.interval,
         extent=_bbox_diagonal(pts),
     )
@@ -290,18 +278,17 @@ def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
     if np.max(np.abs(dts - h)) > UNIFORM_RTOL * h:
         raise ValueError("parameter grid is not uniform")
 
-    d1g, d2g, d3g = fd_chain(points, h, periodic)
+    d1g, d2g = fd_chain(points, h, periodic)
     t_end = ts[-1] + h if periodic else ts[-1]
     interval = ParamInterval(float(ts[0]), float(t_end), len(ts), periodic)
 
-    pos_f, d1_f, d2_f, d3_f = (spline_fn(ts, v, periodic, t_end) for v in (points, d1g, d2g, d3g))
+    pos_f, d1_f, d2_f = (spline_fn(ts, v, periodic, t_end) for v in (points, d1g, d2g))
 
     return CurveModel(
         kind="sampled",
         position=pos_f,
         d1=d1_f,
         d2=d2_f,
-        d3=d3_f,
         interval=interval,
         extent=_bbox_diagonal(points),
     )
@@ -328,15 +315,11 @@ def arclength_maps(c: CurveModel):
     return s_of_t, t_of_s, total
 
 
-def speed_derivatives(g1, g2, g3=None):
+def speed_derivatives(g1, g2):
     """Speed v = |gamma'| and its derivative vd from the first two
-    derivatives of gamma; given the third as well, also the second
-    derivative vdd of the speed."""
+    derivatives of gamma."""
     v = np.linalg.norm(g1, axis=-1)
-    vd = np.sum(g1 * g2, axis=-1) / v
-    if g3 is None:
-        return v, vd
-    return v, vd, (np.sum(g2 * g2, axis=-1) + np.sum(g1 * g3, axis=-1) - vd**2) / v
+    return v, np.sum(g1 * g2, axis=-1) / v
 
 
 def arclength_reparametrize(c: CurveModel) -> CurveModel:
@@ -370,25 +353,11 @@ def arclength_reparametrize(c: CurveModel) -> CurveModel:
         tpp = -vd / v**3
         return g2 * (tp**2)[..., None] + g1 * tpp[..., None]
 
-    def d3(s):
-        t = param(s)
-        g1, g2, g3 = c.d1(t), c.d2(t), c.d3(t)
-        v, vd, vdd = speed_derivatives(g1, g2, g3)
-        tp = 1.0 / v
-        tpp = -vd / v**3
-        tppp = (3.0 * vd**2 - vdd * v) / v**5
-        return (
-            g3 * (tp**3)[..., None]
-            + g2 * (3.0 * tp * tpp)[..., None]
-            + g1 * tppp[..., None]
-        )
-
     return CurveModel(
         kind=c.kind,
         position=position,
         d1=d1,
         d2=d2,
-        d3=d3,
         interval=interval,
         extent=c.extent,
     )
@@ -418,7 +387,6 @@ def restrict(c: CurveModel, t0: float, t1: float, n_samples: int | None = None) 
         position=c.position,
         d1=c.d1,
         d2=c.d2,
-        d3=c.d3,
         interval=interval,
         extent=_bbox_diagonal(pts),
     )

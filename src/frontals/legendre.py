@@ -25,6 +25,7 @@ from .curves import (
     build_builtin,
     BuiltinSpec,
     fd_chain,
+    fd_d1,
     regular_curvature,
     speed_derivatives,
     spline_fn,
@@ -55,13 +56,13 @@ class TangencyError(ValueError):
 
 @dataclass(frozen=True)
 class LegendreCurve:
-    """A curve model with a unit normal field and its first two derivatives."""
+    """A curve model with a unit normal field and its first derivative."""
 
     gamma: CurveModel
     nu: Callable[[np.ndarray], np.ndarray]
     nu_d1: Callable[[np.ndarray], np.ndarray]
-    nu_d2: Callable[[np.ndarray], np.ndarray]
     interval: ParamInterval
+    nu_d2: Optional[Callable] = None  # unused: nothing in frontals fills or reads it
 
     def mu(self, ts) -> np.ndarray:
         return rotate_j(self.nu(ts))
@@ -87,17 +88,14 @@ def tangency_residual(lc: LegendreCurve) -> float:
     return _tangency_residual(lc.gamma.d1(ts), lc.nu(ts))
 
 
-def frontal_from_normal(gamma: CurveModel, nu, nu_d1=None, nu_d2=None) -> LegendreCurve:
-    """LegendreCurve from a normal callable; missing derivatives are
-    differenced from grid samples of nu."""
+def frontal_from_normal(gamma: CurveModel, nu) -> LegendreCurve:
+    """LegendreCurve from a normal callable; nu' is differenced from grid
+    samples of nu."""
     interval = gamma.interval
-    if nu_d1 is None or nu_d2 is None:
-        ts = interval.grid
-        samples = np.asarray(nu(ts), dtype=float)
-        d1g, d2g = fd_chain(samples, interval.step, interval.periodic, orders=2)
-        nu_d1 = nu_d1 or spline_fn(ts, d1g, interval.periodic, interval.t_end)
-        nu_d2 = nu_d2 or spline_fn(ts, d2g, interval.periodic, interval.t_end)
-    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, nu_d2=nu_d2, interval=interval)
+    ts = interval.grid
+    d1g = fd_d1(np.asarray(nu(ts), dtype=float), interval.step, interval.periodic)
+    nu_d1 = spline_fn(ts, d1g, interval.periodic, interval.t_end)
+    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, interval=interval)
 
 
 def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
@@ -132,8 +130,8 @@ class CurvaturePair:
         ell = np.asarray(ell, dtype=float)
         beta = np.asarray(beta, dtype=float)
         h = grid[1] - grid[0]
-        ell_d1, ell_d2 = fd_chain(ell, h, periodic, orders=2)
-        beta_d1, beta_d2 = fd_chain(beta, h, periodic, orders=2)
+        ell_d1, ell_d2 = fd_chain(ell, h, periodic)
+        beta_d1, beta_d2 = fd_chain(beta, h, periodic)
         return cls(grid, ell, beta, ell_d1, ell_d2, beta_d1, beta_d2, periodic)
 
     @property
@@ -217,16 +215,7 @@ def from_regular(c: CurveModel) -> LegendreCurve:
         v, vd = speed_derivatives(g1, g2)
         return rotate_j(g2) / v[..., None] - rotate_j(g1) * (vd / v**2)[..., None]
 
-    def nu_d2(t):
-        g1, g2, g3 = c.d1(t), c.d2(t), c.d3(t)
-        v, vd, vdd = speed_derivatives(g1, g2, g3)
-        return (
-            rotate_j(g3) / v[..., None]
-            - 2.0 * rotate_j(g2) * (vd / v**2)[..., None]
-            + rotate_j(g1) * ((2.0 * vd**2 / v**3 - vdd / v**2))[..., None]
-        )
-
-    return LegendreCurve(gamma=c, nu=nu, nu_d1=nu_d1, nu_d2=nu_d2, interval=c.interval)
+    return LegendreCurve(gamma=c, nu=nu, nu_d1=nu_d1, interval=c.interval)
 
 
 def negate_normal(lc: LegendreCurve) -> LegendreCurve:
@@ -235,7 +224,6 @@ def negate_normal(lc: LegendreCurve) -> LegendreCurve:
         gamma=lc.gamma,
         nu=lambda t: -lc.nu(t),
         nu_d1=lambda t: -lc.nu_d1(t),
-        nu_d2=lambda t: -lc.nu_d2(t),
         interval=lc.interval,
     )
 
@@ -531,11 +519,7 @@ def circle_frontal(r: float, n_samples: int = 1024, center=(0.0, 0.0)) -> Legend
         t = np.asarray(t, dtype=float)
         return np.stack((-np.sin(t), np.cos(t)), axis=-1)
 
-    def nu_d2(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack((-np.cos(t), -np.sin(t)), axis=-1)
-
-    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, nu_d2=nu_d2, interval=interval)
+    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, interval=interval)
 
 
 def astroid_frontal(n_samples: int = 1024, scale: float = 1.0) -> LegendreCurve:
@@ -552,8 +536,4 @@ def astroid_frontal(n_samples: int = 1024, scale: float = 1.0) -> LegendreCurve:
         t = np.asarray(t, dtype=float)
         return np.stack((np.cos(t), -np.sin(t)), axis=-1)
 
-    def nu_d2(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack((-np.sin(t), -np.cos(t)), axis=-1)
-
-    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, nu_d2=nu_d2, interval=interval)
+    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, interval=interval)

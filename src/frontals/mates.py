@@ -55,6 +55,9 @@ MATE_TOL_SAMPLED = 1e-3
 # Advisory threshold: a scale function this small never separates the mate
 # from its source anywhere on the curve.
 LAMBDA_ZERO_SCALE = 1e-10
+# Relative gap between lambda at the period end and lambda[0] within which
+# lambda closes over the period.
+CLOSURE_RTOL = 1e-9
 
 _HALF_PI = math.pi / 2.0
 # Named mate constructions: name -> ((theta, tau) from the given angles, the
@@ -214,9 +217,7 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
             wrap = None
         # A nonconstant theta can break the period even on a periodic pair;
         # wrap the difference stencil only when lambda actually closes.
-        lam_scale = max(1.0, float(np.max(np.abs(lam))))
-        closes = wrap is not None and abs(wrap - float(lam[0])) <= 1e-9 * lam_scale
-        lam_d1 = fd_d1(lam, h, periodic=closes)
+        lam_d1 = fd_d1(lam, h, periodic=_closes(lam, wrap))
         residual = condition_residual(pair, config, lam, lam_d1)
         return LambdaSolution(
             grid=ts,
@@ -294,11 +295,15 @@ def mate_curvature(pair: CurvaturePair, config: MateConfig, lam: LambdaSolution)
     return CurvaturePair.from_samples(ts, ell_bar, beta_bar, _mate_is_periodic(pair, lam))
 
 
-def _mate_is_periodic(pair: CurvaturePair, lam: LambdaSolution) -> bool:
-    if not pair.periodic or lam.wrap_value is None:
+def _closes(lam: np.ndarray, wrap: Optional[float]) -> bool:
+    """Whether lambda's value `wrap` at the period end returns to lam[0]."""
+    if wrap is None:
         return False
-    scale = max(1.0, float(np.max(np.abs(lam.lam))))
-    return abs(lam.wrap_value - float(lam.lam[0])) <= 1e-9 * scale
+    return abs(wrap - float(lam[0])) <= CLOSURE_RTOL * max(1.0, float(np.max(np.abs(lam))))
+
+
+def _mate_is_periodic(pair: CurvaturePair, lam: LambdaSolution) -> bool:
+    return pair.periodic and _closes(lam.lam, lam.wrap_value)
 
 
 @dataclass(frozen=True)
@@ -327,15 +332,15 @@ def build_mate(
     lc: LegendreCurve,
     config: MateConfig,
     lam: LambdaSolution,
-    pair: Optional[CurvaturePair] = None,
+    pair: CurvaturePair,
 ) -> MatePair:
-    """Assemble the mate curve gamma + lambda v with its rotated normal.
+    """Assemble the mate curve gamma + lambda v with its rotated normal;
+    `pair` is the curvature pair of lc that lam was solved on.
 
     The mate's position derivatives come from the sampled-curve difference
     scheme, so later cross-checks against the curvature formulas compare two
     genuinely different computation paths.
     """
-    pair = pair if pair is not None else legendre_curvature(lc)
     tol = ode_tol(pair)
     worst = float(np.max(lam.residual))
     if worst > tol:
@@ -404,7 +409,7 @@ def verify_mate_curvature(mp: MatePair, tolerance: float = CROSS_TOL) -> CrossCh
 
 
 def operator_config(which: str, theta: float | None = None, tau: float | None = None,
-                    lambda0: float = 0.0) -> MateConfig:
+                    lambda0: float = 0.0, mode: str = "auto") -> MateConfig:
     """MateConfig of a named construction (see OPERATOR_TABLE)."""
     if which not in OPERATOR_TABLE:
         raise ValueError(f"unknown operator {which!r}; expected one of {SPECIAL_OPERATORS}")
@@ -412,7 +417,7 @@ def operator_config(which: str, theta: float | None = None, tau: float | None = 
     if required is not None and {"theta": theta, "tau": tau}[required] is None:
         raise ValueError(f"{which} needs {required}: it requires --{required} or {required}=")
     th, ta = rule(theta, tau)
-    return MateConfig(constant_fn(th), constant_fn(ta), lambda0)
+    return MateConfig(constant_fn(th), constant_fn(ta), lambda0, mode)
 
 
 def solve_mate(lc: LegendreCurve, config: MateConfig, pair: CurvaturePair, which: str = "mate") -> MatePair:

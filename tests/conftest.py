@@ -2,8 +2,8 @@
 
 The generator picks a normal field nu = (cos(phi), sin(phi)) from a random
 angle function phi and a random trig-polynomial beta, so every derived
-quantity (d1..d3 of gamma, nu and its derivatives) is available in closed
-form; only the position itself needs one accurate cumulative integration.
+quantity (d1 and d2 of gamma, nu and nu') is available in closed form; only
+the position itself needs one accurate cumulative integration.
 """
 
 import numpy as np
@@ -25,19 +25,15 @@ def _trig_poly(c0, cos_coeffs, sin_coeffs):
         t = np.asarray(t, dtype=float)[..., None]
         return np.sum(ks * (-cos_coeffs * np.sin(ks * t) + sin_coeffs * np.cos(ks * t)), axis=-1)
 
-    def deriv2(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        return np.sum(ks**2 * (-cos_coeffs * np.cos(ks * t) - sin_coeffs * np.sin(ks * t)), axis=-1)
-
-    return value, deriv, deriv2
+    return value, deriv
 
 
 def random_frontal(seed: int, n: int = 512) -> LegendreCurve:
     """Deterministic random Legendre fixture on [0, 2*pi], non-periodic."""
     rng = np.random.default_rng(seed)
     winding = int(rng.integers(-2, 3))
-    phi_t, phi_d, phi_dd = _trig_poly(0.0, rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3))
-    beta, beta_d, beta_dd = _trig_poly(
+    phi_t, phi_d = _trig_poly(0.0, rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3))
+    beta, beta_d = _trig_poly(
         float(rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
     )
 
@@ -46,9 +42,6 @@ def random_frontal(seed: int, n: int = 512) -> LegendreCurve:
 
     def ell(t):
         return winding + phi_d(t)
-
-    def ell_d(t):
-        return phi_dd(t)
 
     def nu(t):
         p = phi(t)
@@ -61,19 +54,11 @@ def random_frontal(seed: int, n: int = 512) -> LegendreCurve:
     def nu_d1(t):
         return ell(t)[..., None] * mu(t)
 
-    def nu_d2(t):
-        return ell_d(t)[..., None] * mu(t) - (ell(t) ** 2)[..., None] * nu(t)
-
     def d1(t):
         return beta(t)[..., None] * mu(t)
 
     def d2(t):
         return beta_d(t)[..., None] * mu(t) - (beta(t) * ell(t))[..., None] * nu(t)
-
-    def d3(t):
-        return (beta_dd(t) - beta(t) * ell(t) ** 2)[..., None] * mu(t) - (
-            2.0 * beta_d(t) * ell(t) + beta(t) * ell_d(t)
-        )[..., None] * nu(t)
 
     interval = ParamInterval(0.0, 2.0 * np.pi, n, periodic=False)
     fine = np.linspace(0.0, 2.0 * np.pi, 8 * (n - 1) + 1)
@@ -92,8 +77,7 @@ def random_frontal(seed: int, n: int = 512) -> LegendreCurve:
         position=position,
         d1=d1,
         d2=d2,
-        d3=d3,
         interval=interval,
         extent=float(np.hypot(spans[0], spans[1])),
     )
-    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, nu_d2=nu_d2, interval=interval)
+    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, interval=interval)

@@ -44,6 +44,16 @@ class TestParsing:
                  "--mode", "algebraic"]
             )
 
+    @pytest.mark.parametrize("argv,code,message", [
+        (["evolute", "--mode", "ode"], 2, "ode mode requires"),
+        (["evolute", "--mode", "algebraic"], 0, None),
+        (["involute", "--mode", "algebraic"], 2, "algebraic mode requires"),
+    ])
+    def test_named_operators_honour_mode(self, argv, code, message, capsys):
+        assert main([*argv, "--curve", "circle:r=1", "--samples", "256"]) == code
+        if message is not None:
+            assert message in capsys.readouterr().err
+
     def test_missing_operator_parameter(self):
         with pytest.raises(ValueError, match="requires"):
             parse_job(["evolutoid", "--curve", "circle:r=1"])

@@ -63,7 +63,7 @@ def test_analytic_derivatives_match_differences(name, params):
     c = build_builtin(BuiltinSpec(name, params, closed_interval()))
     ts = c.interval.grid
     h = c.interval.step
-    for dk, order in ((c.d1, 1), (c.d2, 2), (c.d3, 3)):
+    for dk, order in ((c.d1, 1), (c.d2, 2)):
         vals = c.position(ts)
         for _ in range(order):
             vals = fd_d1(vals, h, periodic=True)
@@ -175,7 +175,6 @@ def test_curvature_parametrization_invariance():
         position=pos,
         d1=lambda t: np.stack((-4 * np.sin(2 * np.asarray(t)), 4 * np.cos(2 * np.asarray(t))), axis=-1),
         d2=lambda t: np.stack((-8 * np.cos(2 * np.asarray(t)), -8 * np.sin(2 * np.asarray(t))), axis=-1),
-        d3=lambda t: np.stack((16 * np.sin(2 * np.asarray(t)), -16 * np.cos(2 * np.asarray(t))), axis=-1),
         interval=ParamInterval(0.0, math.pi, 512, periodic=True),
         extent=4.0 * math.sqrt(2.0),
     )

@@ -113,9 +113,7 @@ def test_from_regular_normal_derivatives_consistent():
     from frontals.curves import fd_d1
 
     fd1 = fd_d1(lc.nu(ts), h, periodic=True)
-    fd2 = fd_d1(fd1, h, periodic=True)
     assert np.max(np.abs(fd1 - lc.nu_d1(ts))) <= 1e-6
-    assert np.max(np.abs(fd2 - lc.nu_d2(ts))) <= 1e-5
 
 
 def test_frenet_closure():

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from frontals import mates
+from frontals import curves, legendre, mates
 from frontals.curves import BuiltinSpec, ParamInterval, build_builtin
 from frontals.legendre import (
     astroid_frontal,
     circle_frontal,
+    classify_singularities,
     from_regular,
+    inflection_points,
     legendre_curvature,
 )
 from frontals.mates import (
@@ -187,6 +190,51 @@ class TestVerifyMateCurvature:
         mp = build_mate(lc, cfg, lam, pair=pair)
         rep = verify_mate_curvature(mp, tolerance=1e-5)
         assert rep.passed
+
+
+class TestLowOrderData:
+    """Mates and scans read gamma', gamma'' and nu' only."""
+
+    @staticmethod
+    def _unreadable_high_order(lc):
+        def fail(t):
+            raise AssertionError("d3 or nu_d2 was evaluated")
+
+        return dataclasses.replace(lc, gamma=dataclasses.replace(lc.gamma, d3=fail), nu_d2=fail)
+
+    def test_build_mate_builds_four_splines(self, monkeypatch):
+        lc = circle_frontal(1.0)
+        pair = legendre_curvature(lc)
+        cfg = MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.3)
+        lam = solve_lambda(pair, cfg)
+        builds = []
+        for module in (curves, legendre):
+            spline = module.CubicSpline
+            monkeypatch.setattr(module, "CubicSpline", lambda *a, _s=spline, **k: builds.append(a) or _s(*a, **k))
+        build_mate(lc, cfg, lam, pair=pair)
+        # position, gamma' and gamma'' of the sampled mate, and its nu'
+        assert len(builds) == 4
+
+    def test_pipeline_never_reads_third_order_data(self):
+        astroid = self._unreadable_high_order(astroid_frontal())
+        pair = legendre_curvature(astroid)
+        assert len(classify_singularities(pair)) == 4
+        assert len(inflection_points(pair)) == 0
+        assert verify_mate_curvature(special_operator(astroid, "involute", lambda0=0.75)).passed
+
+        lc = self._unreadable_high_order(circle_frontal(1.0))
+        p1 = special_operator(lc, "parallel", lambda0=0.3)
+        assert verify_mate_curvature(p1).passed
+        back = inverse_mate(p1)
+        ts = p1.lam.grid
+        assert np.max(np.linalg.norm(back.mate.gamma.position(ts) - lc.gamma.position(ts), axis=-1)) <= 1e-15
+        p2 = special_operator(self._unreadable_high_order(p1.mate), "parallel", lambda0=0.45)
+        comp = compose_mates(p1, p2)
+        assert regular_to_legendre_mates(comp).report.is_mate
+
+        ellipse = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, ParamInterval(0.0, TWO_PI, 512, periodic=True)))
+        lifted = self._unreadable_high_order(from_regular(ellipse))
+        assert verify_mate_curvature(special_operator(lifted, "evolute")).passed
 
 
 class TestSpecialOperators:
