@@ -33,7 +33,6 @@ from .legendre import (
     tangency_residual,
 )
 from .mates import (
-    ANGLE_TOL,
     ODE_TOL_SCALE,
     SPECIAL_OPERATORS,
     MateConfig,
@@ -42,6 +41,7 @@ from .mates import (
     mate_tol,
     ode_tol,
     operator_config,
+    resolve_mode,
     solve_mate,
     verify_mate_curvature,
 )
@@ -59,6 +59,8 @@ OPERATORS = (
 )
 # Subcommands that solve for a mate.
 MATE_OPERATORS = ("mate", "roundtrip", *SPECIAL_OPERATORS)
+# The inverse of a roundtrip job must restore the source normal this closely.
+ROUNDTRIP_NORMAL_TOL = 1e-8
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?$")
 
@@ -226,9 +228,8 @@ def _validate_job(spec: JobSpec) -> None:
     if spec.operator in ("mate", "roundtrip") and (spec.theta is None or spec.tau is None):
         raise ValueError(f"{spec.operator} requires --theta and --tau")
     if spec.operator in MATE_OPERATORS:
-        tau = float(_mate_config(spec).tau.eval(0.0))  # a named operator checks its angles here
-        if spec.mode == "algebraic" and abs(math.cos(tau)) > ANGLE_TOL:
-            raise ValueError("algebraic mode requires cos(tau) = 0")
+        cfg = _mate_config(spec)  # a named operator checks its angles here
+        resolve_mode(cfg.mode, cfg.tau.eval(0.0))  # before any curve is built
 
 
 def _build_frontal(spec: JobSpec):
@@ -362,7 +363,7 @@ def run_job(spec: JobSpec) -> RunReport:
                 )
                 nrm_err = float(np.max(np.linalg.norm(back.mate.nu(ts) - lc.nu(ts), axis=-1)))
                 _check(checks, "roundtrip_position", pos_err, mate_tol(lc.gamma.extent, lc.gamma.kind))
-                _check(checks, "roundtrip_normal", nrm_err, 1e-8)
+                _check(checks, "roundtrip_normal", nrm_err, ROUNDTRIP_NORMAL_TOL)
             scan = classify_singularities(mp.mate_curvature)
             cusps = scan
             inflections = list(inflection_points(mp.mate_curvature))

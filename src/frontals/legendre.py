@@ -36,6 +36,8 @@ from .planar import rotate_j
 # differencing noise.
 LEG_TOL_ANALYTIC = 1e-8
 LEG_TOL_SAMPLED = 1e-4
+# Ingested normal samples must have unit length to this tolerance.
+UNIT_NORMAL_TOL = 1e-6
 # Two-threshold zero test: |q| <= SING_SCALE * max|q| counts as zero,
 # |q| > NZ_FACTOR * SING_SCALE * max|q| counts as nonzero, the gap is
 # inconclusive.  Keeps "zero" and "nonzero" mutually exclusive.
@@ -103,8 +105,8 @@ def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
     interval = gamma.interval
     nu_samples = np.asarray(nu_samples, dtype=float)
     norms = np.linalg.norm(nu_samples, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ValueError("normal samples deviate from unit length beyond 1e-6")
+    if np.any(np.abs(norms - 1.0) > UNIT_NORMAL_TOL):
+        raise ValueError(f"normal samples deviate from unit length beyond {UNIT_NORMAL_TOL:g}")
     nu_samples = nu_samples / norms[:, None]
     return frontal_from_normal(gamma, spline_fn(interval.grid, nu_samples, interval.periodic, interval.t_end))
 
@@ -236,9 +238,8 @@ SAMPLED_CROSS_TOL = 1e-4
 SAMPLED_BETA_FLOOR = 3e-2
 
 
-def check_ell_kappa_relation(lc: LegendreCurve, pair: Optional[CurvaturePair] = None) -> ResidualReport:
-    """Max of |ell - kappa * |beta|| over the regular subgrid."""
-    pair = pair or legendre_curvature(lc)
+def check_ell_kappa_relation(lc: LegendreCurve, pair: CurvaturePair) -> ResidualReport:
+    """Max of |ell - kappa * |beta|| over the regular subgrid of lc's pair."""
     if lc.gamma.kind == "analytic":
         floor, tol_scale = pair.sing_tol, CROSS_TOL
     else:

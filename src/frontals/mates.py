@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py patches this name
 
 from .curves import (
     CurveModel,
@@ -35,6 +35,7 @@ from .curves import (
     fd_d1,
     regular_curvature,
     restrict,
+    spline_fn,
     FD_TOL,
 )
 from .legendre import (
@@ -52,6 +53,9 @@ ANGLE_TOL = 1e-6
 ODE_TOL_SCALE = 1e-7
 MATE_TOL_ANALYTIC = 1e-6
 MATE_TOL_SAMPLED = 1e-3
+# The pointwise solve rejects grid points where |theta' + ell| falls to this
+# fraction of its maximum.
+DENOM_RTOL = 1e-5
 # Advisory threshold: a scale function this small never separates the mate
 # from its source anywhere on the curve.
 LAMBDA_ZERO_SCALE = 1e-10
@@ -103,9 +107,13 @@ class LambdaSolution:
     lam_d1: np.ndarray
     residual: np.ndarray
     mode: str  # ode | algebraic | prescribed
-    lambda0_ignored: bool
     near_zero: bool
     wrap_value: Optional[float]  # value at the period end, when meaningful
+
+    @property
+    def lambda0_ignored(self) -> bool:
+        """The pointwise solve pins lambda without lambda0."""
+        return self.mode == "algebraic"
 
 
 def ode_tol(pair: CurvaturePair) -> float:
@@ -129,25 +137,40 @@ def condition_residual(pair: CurvaturePair, config: MateConfig, lam, lam_d1) -> 
     )
 
 
-def _resolve_mode(config: MateConfig, pair: CurvaturePair) -> str:
-    cos_tau = np.cos(np.asarray(config.tau.eval(pair.grid), dtype=float))
-    all_zero = np.max(np.abs(cos_tau)) <= ANGLE_TOL
-    none_zero = np.min(np.abs(cos_tau)) > ANGLE_TOL
-    if config.mode == "algebraic":
+def _near_zero(lam: np.ndarray, extent: float) -> bool:
+    return bool(np.max(np.abs(lam)) <= LAMBDA_ZERO_SCALE * extent)
+
+
+def _solution(pair: CurvaturePair, config: MateConfig, lam, lam_d1, mode: str,
+              wrap: Optional[float], near_zero: bool) -> LambdaSolution:
+    """Scale function lam (derivative lam_d1) on pair's grid, with the defect
+    of the defining condition for `config`."""
+    residual = condition_residual(pair, config, lam, lam_d1)
+    return LambdaSolution(pair.grid, lam, lam_d1, residual, mode, near_zero, wrap)
+
+
+def resolve_mode(mode: str, tau_samples) -> str:
+    """The solve that `mode` (ode | algebraic | auto) picks for these samples
+    of tau: the ODE needs cos(tau) != 0 everywhere, the pointwise solve
+    cos(tau) = 0 everywhere."""
+    cos_tau = np.abs(np.cos(np.asarray(tau_samples, dtype=float)))
+    all_zero = np.max(cos_tau) <= ANGLE_TOL
+    none_zero = np.min(cos_tau) > ANGLE_TOL
+    if mode == "algebraic":
         if not all_zero:
             raise ValueError("algebraic mode requires cos(tau) = 0 on the whole grid")
         return "algebraic"
-    if config.mode == "ode":
+    if mode == "ode":
         if not none_zero:
             raise ValueError("ode mode requires cos(tau) != 0 on the whole grid")
         return "ode"
-    if config.mode == "auto":
+    if mode == "auto":
         if all_zero:
             return "algebraic"
         if none_zero:
             return "ode"
         raise ValueError("cos(tau) mixes zero and nonzero values on the grid; pick a mode")
-    raise ValueError(f"unknown mode {config.mode!r}")
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _rk4_linear(a_fine: np.ndarray, b_fine: np.ndarray, h_sub: float, y0: float) -> np.ndarray:
@@ -191,7 +214,7 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
         if err > FD_TOL:
             raise ValueError(f"{name}.deriv disagrees with {name}.eval (relative error {err:.2g})")
 
-    mode = _resolve_mode(config, pair)
+    mode = resolve_mode(config.mode, config.tau.eval(pair.grid))
     ts = pair.grid
     h = ts[1] - ts[0]
     t_end = pair.interval_end
@@ -200,7 +223,7 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     if mode == "algebraic":
         th = np.asarray(config.theta.eval(ts), dtype=float)
         denom = np.asarray(config.theta.deriv(ts), dtype=float) + pair.ell
-        denom_tol = 1e-5 * max(float(np.max(np.abs(denom))), 1e-30)
+        denom_tol = DENOM_RTOL * max(float(np.max(np.abs(denom))), 1e-30)
         if np.min(np.abs(denom)) <= denom_tol:
             bad = ts[np.abs(denom) <= denom_tol]
             raise DenominatorError(
@@ -210,25 +233,16 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
             )
         lam = -pair.beta * np.cos(th) / denom
         if pair.periodic:
+            # ell and beta at the period end are their first samples.
             th_end = float(config.theta.eval(t_end))
-            den_end = float(config.theta.deriv(t_end)) + float(pair.ell_fn()(t_end))
-            wrap = -float(pair.beta_fn()(t_end)) * math.cos(th_end) / den_end
+            den_end = float(config.theta.deriv(t_end)) + float(pair.ell[0])
+            wrap = -float(pair.beta[0]) * math.cos(th_end) / den_end
         else:
             wrap = None
         # A nonconstant theta can break the period even on a periodic pair;
         # wrap the difference stencil only when lambda actually closes.
         lam_d1 = fd_d1(lam, h, periodic=_closes(lam, wrap))
-        residual = condition_residual(pair, config, lam, lam_d1)
-        return LambdaSolution(
-            grid=ts,
-            lam=lam,
-            lam_d1=lam_d1,
-            residual=residual,
-            mode="algebraic",
-            lambda0_ignored=True,
-            near_zero=bool(np.max(np.abs(lam)) <= LAMBDA_ZERO_SCALE * extent),
-            wrap_value=wrap,
-        )
+        return _solution(pair, config, lam, lam_d1, "algebraic", wrap, _near_zero(lam, extent))
 
     # ODE direction.  Coefficients are linear in lambda:
     # lambda' = A(t) lambda + B(t).
@@ -245,7 +259,6 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
         el = np.asarray(ell_fn(times), dtype=float)
         return tt * (thd + el), tt * b * np.cos(th) - b * np.sin(th)
 
-    last_exc = None
     for substeps in (1, 2):
         h_sub = h / substeps
         fine = ts[0] + 0.5 * h_sub * np.arange(2 * substeps * n_steps + 1)
@@ -259,23 +272,11 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
             lam, lam_d1, wrap = y_nodes[:-1], d1_nodes[:-1], float(y_nodes[-1])
         else:
             lam, lam_d1, wrap = y_nodes, d1_nodes, None
-        residual = condition_residual(pair, config, lam, lam_d1)
-        if float(np.max(residual)) <= tol:
-            return LambdaSolution(
-                grid=ts,
-                lam=lam,
-                lam_d1=lam_d1,
-                residual=residual,
-                mode="ode",
-                lambda0_ignored=False,
-                near_zero=bool(np.max(np.abs(lam)) <= LAMBDA_ZERO_SCALE * extent),
-                wrap_value=wrap,
-            )
-        last_exc = ResidualError(
-            f"condition residual {float(np.max(residual)):.3g} exceeds {tol:.3g} "
-            f"with {substeps} substep(s)"
-        )
-    raise last_exc
+        sol = _solution(pair, config, lam, lam_d1, "ode", wrap, _near_zero(lam, extent))
+        worst = float(np.max(sol.residual))
+        if worst <= tol:
+            return sol
+    raise ResidualError(f"condition residual {worst:.3g} exceeds {tol:.3g} with {substeps} substep(s)")
 
 
 def mate_curvature(pair: CurvaturePair, config: MateConfig, lam: LambdaSolution) -> CurvaturePair:
@@ -323,9 +324,23 @@ class MatePair:
         """v = cos(theta) nu + sin(theta) mu on the source frame."""
         return frame_field(self.source.nu(ts), np.asarray(self.config.theta.eval(ts), dtype=float))
 
-    def w_bar(self, ts) -> np.ndarray:
-        """w_bar = cos(tau) nu_bar + sin(tau) mu_bar on the mate frame."""
-        return frame_field(self.mate.nu(ts), np.asarray(self.config.tau.eval(ts), dtype=float))
+
+def _residual_gate(lam: LambdaSolution, pair: CurvaturePair) -> None:
+    """Reject a scale function whose condition residual on `pair` exceeds ode_tol."""
+    tol = ode_tol(pair)
+    worst = float(np.max(lam.residual))
+    if worst > tol:
+        raise ResidualError(f"lambda residual {worst:.3g} exceeds {tol:.3g}")
+
+
+def _direction_gate(v: np.ndarray, mate_nu: np.ndarray, tau_samples, tol: float) -> float:
+    """max |v - w_bar|, where w_bar = cos(tau) nu_bar + sin(tau) mu_bar on the
+    mate frame; rejects a pair whose fields do not coincide within tol."""
+    w_bar = frame_field(mate_nu, np.asarray(tau_samples, dtype=float))
+    res = float(np.max(np.linalg.norm(v - w_bar, axis=-1)))
+    if res > tol:
+        raise ValueError(f"direction fields disagree: {res:.3g} > {tol:.3g}")
+    return res
 
 
 def build_mate(
@@ -341,11 +356,7 @@ def build_mate(
     scheme, so later cross-checks against the curvature formulas compare two
     genuinely different computation paths.
     """
-    tol = ode_tol(pair)
-    worst = float(np.max(lam.residual))
-    if worst > tol:
-        raise ResidualError(f"lambda residual {worst:.3g} exceeds {tol:.3g}")
-
+    _residual_gate(lam, pair)
     ts = pair.grid
     th = np.asarray(config.theta.eval(ts), dtype=float)
     v = frame_field(lc.nu(ts), th)
@@ -361,12 +372,8 @@ def build_mate(
     mate_lc = frontal_from_normal(mate_gamma, nu_bar)
     mcurv = mate_curvature(pair, config, lam)
 
-    ta = np.asarray(config.tau.eval(ts), dtype=float)
-    w_bar = frame_field(mate_lc.nu(ts), ta)
-    dir_res = float(np.max(np.linalg.norm(v - w_bar, axis=-1)))
     dir_tol = mate_tol(lc.gamma.extent, lc.gamma.kind)
-    if dir_res > dir_tol:
-        raise ValueError(f"direction fields disagree: {dir_res:.3g} > {dir_tol:.3g}")
+    dir_res = _direction_gate(v, mate_lc.nu(ts), config.tau.eval(ts), dir_tol)
     tan_res = tangency_residual(mate_lc)
     if tan_res > mate_lc.leg_tol:
         raise ValueError(f"mate violates tangency: {tan_res:.3g} > {mate_lc.leg_tol:.3g}")
@@ -453,26 +460,10 @@ def inverse_mate(mp: MatePair) -> MatePair:
 
     The returned pair's mate coincides with the original source.
     """
-    cfg = MateConfig(
-        theta=mp.config.tau,
-        tau=mp.config.theta,
-        lambda0=float(-mp.lam.lam[0]),
-        mode="auto",
-    )
+    cfg = MateConfig(theta=mp.config.tau, tau=mp.config.theta, lambda0=float(-mp.lam.lam[0]))
     pair_bar = mp.mate_curvature
-    lam_vals = -mp.lam.lam
-    lam_d1 = -mp.lam.lam_d1
-    residual = condition_residual(pair_bar, cfg, lam_vals, lam_d1)
-    lam = LambdaSolution(
-        grid=mp.lam.grid,
-        lam=lam_vals,
-        lam_d1=lam_d1,
-        residual=residual,
-        mode="prescribed",
-        lambda0_ignored=False,
-        near_zero=mp.lam.near_zero,
-        wrap_value=None if mp.lam.wrap_value is None else -mp.lam.wrap_value,
-    )
+    wrap = None if mp.lam.wrap_value is None else -mp.lam.wrap_value
+    lam = _solution(pair_bar, cfg, -mp.lam.lam, -mp.lam.lam_d1, "prescribed", wrap, mp.lam.near_zero)
     return build_mate(mp.mate, cfg, lam, pair=pair_bar)
 
 
@@ -487,7 +478,7 @@ class IdentityReport:
     passed: bool
 
 
-def compose_mates(mp12: MatePair, mp23: MatePair, extent: float | None = None):
+def compose_mates(mp12: MatePair, mp23: MatePair):
     """Chain two mate pairs sharing the middle curve.
 
     When the scale functions cancel the result is an IdentityReport; else a
@@ -497,7 +488,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair, extent: float | None = None):
     ts = mp12.lam.grid
     if not np.allclose(ts, mp23.lam.grid, rtol=0, atol=1e-12):
         raise ValueError("mate pairs live on different grids")
-    extent = extent if extent is not None else mp12.source.gamma.extent
+    extent = mp12.source.gamma.extent
     tol = mate_tol(extent, mp12.source.gamma.kind)
 
     mid_gap = float(
@@ -515,7 +506,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair, extent: float | None = None):
     lam_sum = mp12.lam.lam + mp23.lam.lam
     src_pos = mp12.source.gamma.position(ts)
     far_pos = mp23.mate.gamma.position(ts)
-    if float(np.max(np.abs(lam_sum))) <= LAMBDA_ZERO_SCALE * extent:
+    if _near_zero(lam_sum, extent):
         pos_gap = float(np.max(np.linalg.norm(src_pos - far_pos, axis=-1)))
         n_gap = float(np.max(np.linalg.norm(mp12.source.nu(ts) - mp23.mate.nu(ts), axis=-1)))
         return IdentityReport(
@@ -528,40 +519,21 @@ def compose_mates(mp12: MatePair, mp23: MatePair, extent: float | None = None):
 
     # Composite angles: the target frame accumulates both rotations, so the
     # direction field of the first pair sits at tau1 - theta2 + tau2 in it.
-    cfg = MateConfig(
-        theta=mp12.config.theta,
-        tau=add_fns(mp12.config.tau, negate_fn(mp23.config.theta), mp23.config.tau),
-        lambda0=float(lam_sum[0]),
-        mode="auto",
-    )
+    tau = add_fns(mp12.config.tau, negate_fn(mp23.config.theta), mp23.config.tau)
+    cfg = MateConfig(theta=mp12.config.theta, tau=tau, lambda0=float(lam_sum[0]))
     pair1 = mp12.source_curvature
-    lam_d1 = mp12.lam.lam_d1 + mp23.lam.lam_d1
-    residual = condition_residual(pair1, cfg, lam_sum, lam_d1)
     wrap = None
     if mp12.lam.wrap_value is not None and mp23.lam.wrap_value is not None:
         wrap = mp12.lam.wrap_value + mp23.lam.wrap_value
-    lam = LambdaSolution(
-        grid=ts,
-        lam=lam_sum,
-        lam_d1=lam_d1,
-        residual=residual,
-        mode="prescribed",
-        lambda0_ignored=False,
-        near_zero=bool(np.max(np.abs(lam_sum)) <= LAMBDA_ZERO_SCALE * extent),
-        wrap_value=wrap,
-    )
-    worst = float(np.max(residual))
-    if worst > ode_tol(pair1):
-        raise ResidualError(f"composite residual {worst:.3g} exceeds {ode_tol(pair1):.3g}")
+    # Not near zero: the identity case returned above.
+    lam = _solution(pair1, cfg, lam_sum, mp12.lam.lam_d1 + mp23.lam.lam_d1, "prescribed", wrap, False)
+    _residual_gate(lam, pair1)
 
     v1 = mp12.direction(ts)
     chain_gap = float(np.max(np.linalg.norm(far_pos - (src_pos + lam_sum[:, None] * v1), axis=-1)))
     if chain_gap > tol:
         raise ValueError(f"composite translation fails: gap {chain_gap:.3g}")
-    w3 = frame_field(mp23.mate.nu(ts), np.asarray(cfg.tau.eval(ts), dtype=float))
-    dir_res = float(np.max(np.linalg.norm(v1 - w3, axis=-1)))
-    if dir_res > tol:
-        raise ValueError(f"composite direction coincidence fails: {dir_res:.3g}")
+    dir_res = _direction_gate(v1, mp23.mate.nu(ts), cfg.tau.eval(ts), tol)
 
     return MatePair(
         source=mp12.source,
@@ -642,19 +614,14 @@ class RegularMateData:
 
 
 def _longest_regular_run(mask: np.ndarray):
-    best = (0, -1)
-    start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        if (not ok or i == len(mask) - 1) and start is not None:
-            end = i if ok else i - 1
-            if end - start > best[1] - best[0]:
-                best = (start, end)
-            start = None
-    if best[1] < 0:
+    """(first, last) index of the first longest run of True in mask."""
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    if starts.size == 0:
         raise SingularCurveError("no regular subinterval")
-    return best
+    ends = np.flatnonzero(edges == -1) - 1
+    k = int(np.argmax(ends - starts))  # argmax picks the first of equal runs
+    return int(starts[k]), int(ends[k])
 
 
 def regular_to_legendre_mates(
@@ -701,8 +668,8 @@ def regular_to_legendre_mates(
     sub = restrict(mp.source.gamma, ta, tb, n_samples=i_hi - i_lo + 1)
     _, t_of_s, total = arclength_maps(sub)
 
-    lam_sp = CubicSpline(ts, mp.lam.lam)
-    lam_d1_sp = CubicSpline(ts, mp.lam.lam_d1)
+    lam_sp = spline_fn(ts, mp.lam.lam, False, ts[-1])
+    lam_d1_sp = spline_fn(ts, mp.lam.lam_d1, False, ts[-1])
 
     def speed_at(t):
         return np.linalg.norm(mp.source.gamma.d1(t), axis=-1)
@@ -717,7 +684,7 @@ def regular_to_legendre_mates(
 
         return ScalarFn(eval=ev, deriv=dv)
 
-    lam_fn = ScalarFn(eval=lambda t: lam_sp(t), deriv=lambda t: lam_d1_sp(t))
+    lam_fn = ScalarFn(eval=lam_sp, deriv=lam_d1_sp)
     report = check_regular_bertrand(sub, to_s(theta_reg), to_s(tau_reg), to_s(lam_fn))
     return RegularMateData(
         t_start=ta,

@@ -44,6 +44,11 @@ class TestParsing:
                  "--mode", "algebraic"]
             )
 
+    def test_ode_mode_rejected_at_parse_time(self):
+        # cos(tau) = 0 for the evolute: the job fails before any curve is built
+        with pytest.raises(ValueError, match="ode mode requires"):
+            parse_job(["evolute", "--curve", "circle:r=1", "--mode", "ode"])
+
     @pytest.mark.parametrize("argv,code,message", [
         (["evolute", "--mode", "ode"], 2, "ode mode requires"),
         (["evolute", "--mode", "algebraic"], 0, None),

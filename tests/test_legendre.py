@@ -128,12 +128,14 @@ def test_frenet_closure():
 
 
 def test_ell_kappa_relation_circle():
-    rep = check_ell_kappa_relation(circle_frontal(2.0))
+    lc = circle_frontal(2.0)
+    rep = check_ell_kappa_relation(lc, legendre_curvature(lc))
     assert rep.passed and rep.max_residual <= 1e-8
 
 
 def test_ell_kappa_relation_astroid():
-    rep = check_ell_kappa_relation(astroid_frontal())
+    lc = astroid_frontal()
+    rep = check_ell_kappa_relation(lc, legendre_curvature(lc))
     assert rep.passed and rep.max_residual <= 1e-6
 
 

@@ -48,6 +48,17 @@ class TestSolveLambda:
         assert lam.lambda0_ignored
         assert np.max(np.abs(lam.lam + r)) <= 1e-12
 
+    def test_pointwise_solve_builds_no_spline(self, monkeypatch):
+        # lambda at the period end reads the first samples of ell and beta
+        pair = legendre_curvature(circle_frontal(1.0))
+        builds = []
+        for module in (curves, legendre):
+            spline = module.CubicSpline
+            monkeypatch.setattr(module, "CubicSpline", lambda *a, _s=spline, **k: builds.append(a) or _s(*a, **k))
+        lam = solve_lambda(pair, MateConfig(constant_fn(0.0), constant_fn(HALF_PI)))
+        assert builds == []
+        assert lam.wrap_value == -1.0
+
     def test_circle_involute_family(self):
         r, c = 1.0, 0.7
         pair = legendre_curvature(circle_frontal(r))

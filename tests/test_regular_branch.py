@@ -5,7 +5,7 @@ import pytest
 
 from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin
 from frontals.legendre import astroid_frontal, circle_frontal, from_regular
-from frontals.mates import check_regular_bertrand, regular_to_legendre_mates, special_operator
+from frontals.mates import _longest_regular_run, check_regular_bertrand, regular_to_legendre_mates, special_operator
 from frontals.planar import constant_fn, linear_fn
 
 TWO_PI = 2.0 * math.pi
@@ -48,6 +48,33 @@ class TestCheckRegularBertrand:
         ast = build_builtin(BuiltinSpec("astroid", {}, ParamInterval(0.0, TWO_PI, 512, periodic=True)))
         with pytest.raises(SingularCurveError):
             check_regular_bertrand(ast, constant_fn(0.0), constant_fn(0.0), constant_fn(0.5))
+
+
+def longest_regular_run_loop(mask):
+    """Per-sample loop equivalent to _longest_regular_run, as its reference."""
+    best = (0, -1)
+    start = None
+    for i, ok in enumerate(mask):
+        if ok and start is None:
+            start = i
+        if (not ok or i == len(mask) - 1) and start is not None:
+            end = i if ok else i - 1
+            if end - start > best[1] - best[0]:
+                best = (start, end)
+            start = None
+    return best
+
+
+def test_longest_regular_run_matches_loop_reference():
+    # short masks make ties between equal runs and runs at both ends common
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(int(rng.integers(1, 24))) < rng.uniform(0.1, 0.9)
+        if not mask.any():
+            with pytest.raises(SingularCurveError):
+                _longest_regular_run(mask)
+            continue
+        assert _longest_regular_run(mask) == longest_regular_run_loop(mask)
 
 
 class TestRegularToLegendreMates:
