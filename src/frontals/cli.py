@@ -35,7 +35,9 @@ from .legendre import (
 from .mates import (
     ODE_TOL_SCALE,
     SPECIAL_OPERATORS,
+    DenominatorError,
     MateConfig,
+    ResidualError,
     check_regular_bertrand,
     inverse_mate,
     mate_tol,
@@ -76,7 +78,7 @@ def parse_angle(text) -> float:
             sign = -1.0 if m.group(1) == "-" else 1.0
             coeff = float(m.group(2)) if m.group(2) else 1.0
             div = float(m.group(3)) if m.group(3) else 1.0
-            value = sign * coeff * math.pi / div
+            value = sign * coeff * math.pi / div if div else math.inf
         else:
             try:
                 value = float(s)
@@ -142,26 +144,51 @@ class RunReport:
     cusps: list
     inflections: list
     wall_time: float
+    degenerate: str = ""  # names the scanned curve when its beta vanishes on the whole grid
 
     @property
     def passed(self) -> bool:
         return all(c["pass"] for c in self.checks.values())
 
 
-def _parse_params(text: str) -> dict:
+# The keys each builtin curve spec accepts: its shape parameters and, for
+# line and ellipse, the interval ends t0 and t1 (circle and astroid always
+# span one period).
+CURVE_PARAMS = {
+    "line": ("x0", "y0", "dx", "dy", "t0", "t1"),
+    "circle": ("r", "cx", "cy"),
+    "ellipse": ("a", "b", "cx", "cy", "t0", "t1"),
+    "astroid": ("a",),
+}
+
+
+def _parse_params(kind: str, text: str) -> dict:
+    """key=value parameters of a builtin curve spec (see CURVE_PARAMS)."""
     params = {}
-    if not text:
-        return params
-    for item in text.split(","):
-        key, _, value = item.partition("=")
-        if not _ or not key:
+    for item in text.split(",") if text else []:
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq or not key:
             raise ValueError(f"bad curve parameter {item!r}; expected key=value")
-        params[key.strip()] = float(value)
+        if key not in CURVE_PARAMS[kind]:
+            raise ValueError(f"{kind} takes no parameter {key!r}; it accepts {', '.join(CURVE_PARAMS[kind])}")
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ValueError(f"curve parameter {key}={value!r} is not a number") from None
+        if not math.isfinite(params[key]):
+            raise ValueError(f"curve parameter {key}={value} is not finite")
     return params
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ValueError, like any other rejected input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def parse_job(argv) -> JobSpec:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frontals",
         description="Curvature pairs, cusp scans, and mate constructions for plane curves.",
     )
@@ -227,6 +254,9 @@ def _validate_job(spec: JobSpec) -> None:
         raise ValueError(f"unknown operator {spec.operator!r}")
     if spec.operator in ("mate", "roundtrip") and (spec.theta is None or spec.tau is None):
         raise ValueError(f"{spec.operator} requires --theta and --tau")
+    for name in ("lambda0", "lambda_slope"):
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
     if spec.operator in MATE_OPERATORS:
         cfg = _mate_config(spec)  # a named operator checks its angles here
         resolve_mode(cfg.mode, cfg.tau.eval(0.0))  # before any curve is built
@@ -248,9 +278,9 @@ def _build_frontal(spec: JobSpec):
             return frontal_from_samples(gamma, normals), rest
         return from_regular(gamma), rest
 
-    params = _parse_params(rest)
-    if kind in ("circle", "astroid") and ("t0" in params or "t1" in params):
-        raise ValueError(f"{kind} is always built over its full period; drop t0/t1")
+    if kind not in CURVE_PARAMS:
+        raise ValueError(f"unknown curve spec {spec.curve!r}")
+    params = _parse_params(kind, rest)
     t0 = params.pop("t0", 0.0)
     default_t1 = 1.0 if kind == "line" else 2.0 * math.pi
     t1 = params.pop("t1", default_t1)
@@ -260,12 +290,9 @@ def _build_frontal(spec: JobSpec):
         return lc, f"circle r={r}"
     if kind == "astroid":
         return astroid_frontal(spec.n_samples, scale=params.get("a", 1.0)), "astroid"
-    if kind in ("line", "ellipse"):
-        periodic = kind == "ellipse" and math.isclose(t1 - t0, 2.0 * math.pi)
-        interval = ParamInterval(t0, t1, spec.n_samples, periodic=periodic)
-        gamma = build_builtin(BuiltinSpec(kind, params, interval))
-        return from_regular(gamma), kind
-    raise ValueError(f"unknown curve spec {spec.curve!r}")
+    periodic = kind == "ellipse" and math.isclose(t1 - t0, 2.0 * math.pi)
+    interval = ParamInterval(t0, t1, spec.n_samples, periodic=periodic)
+    return from_regular(build_builtin(BuiltinSpec(kind, params, interval))), kind
 
 
 def _check(checks: dict, name: str, residual, tolerance: float) -> None:
@@ -286,10 +313,8 @@ def _check(checks: dict, name: str, residual, tolerance: float) -> None:
 def _curvature_checks(lc, pair) -> dict:
     checks = {}
     _check(checks, "tangency", tangency_residual(lc), lc.leg_tol)
-    ts = pair.grid
-    nu = lc.nu(ts)
-    mu = rotate_j(nu)
-    frenet_nu = np.max(np.linalg.norm(lc.nu_d1(ts) - pair.ell[:, None] * mu, axis=-1))
+    mu = rotate_j(lc.on_grid("nu"))
+    frenet_nu = np.max(np.linalg.norm(lc.on_grid("nu_d1") - pair.ell[:, None] * mu, axis=-1))
     _check(checks, "frenet_closure", frenet_nu, CROSS_TOL * max(1.0, float(np.max(np.abs(pair.ell)))))
     if np.any(np.abs(pair.beta) > pair.sing_tol):
         rep = check_ell_kappa_relation(lc, pair)
@@ -326,6 +351,7 @@ def run_job(spec: JobSpec) -> RunReport:
     inflections: list = []
     svg_curves = []
     svg_markers = None
+    degenerate = ""
 
     if spec.operator == "check-regular":
         lc, label = _build_frontal(spec)
@@ -337,20 +363,15 @@ def run_job(spec: JobSpec) -> RunReport:
         # hinge residual: zero when the second condition stays above reg_tol
         shortfall = max(0.0, lc.gamma.reg_tol - float(np.min(np.abs(report.cond2_value))))
         _check(checks, "mate_regularity", shortfall, 0.0)
-        ts = lc.interval.grid
-        svg_curves.append((label, lc.gamma.position(ts)))
+        svg_curves.append((label, lc.gamma.on_grid("position")))
     else:
         lc, label = _build_frontal(spec)
         pair = legendre_curvature(lc)
-        ts = pair.grid
-        svg_curves.append((label, lc.gamma.position(ts)))
+        svg_curves.append((label, lc.gamma.on_grid("position")))
+        scanned, scanned_pair = lc, pair  # the curve whose cusps and inflections are reported
 
         if spec.operator in ("curvature", "cusps", "plot"):
             checks.update(_curvature_checks(lc, pair))
-            cusps = classify_singularities(pair)
-            inflections = list(inflection_points(pair))
-            if cusps:
-                svg_markers = lc.gamma.position(np.array([c.t0 for c in cusps]))
             if "csv" in spec.outputs and spec.operator != "plot":
                 fio.write_pair_csv(spec.outputs["csv"], pair)
         else:
@@ -358,26 +379,27 @@ def run_job(spec: JobSpec) -> RunReport:
             checks.update(_mate_checks(mp, lc.gamma.extent, lc.gamma.kind))
             if spec.operator == "roundtrip":
                 back = inverse_mate(mp)
-                pos_err = float(
-                    np.max(np.linalg.norm(back.mate.gamma.position(ts) - lc.gamma.position(ts), axis=-1))
-                )
-                nrm_err = float(np.max(np.linalg.norm(back.mate.nu(ts) - lc.nu(ts), axis=-1)))
+                pos_err = float(np.max(np.linalg.norm(
+                    back.mate.gamma.on_grid("position") - lc.gamma.on_grid("position"), axis=-1)))
+                nrm_err = float(np.max(np.linalg.norm(back.mate.on_grid("nu") - lc.on_grid("nu"), axis=-1)))
                 _check(checks, "roundtrip_position", pos_err, mate_tol(lc.gamma.extent, lc.gamma.kind))
                 _check(checks, "roundtrip_normal", nrm_err, ROUNDTRIP_NORMAL_TOL)
-            scan = classify_singularities(mp.mate_curvature)
-            cusps = scan
-            inflections = list(inflection_points(mp.mate_curvature))
-            svg_curves.append((spec.operator, mp.mate.gamma.position(ts)))
-            if cusps:
-                svg_markers = mp.mate.gamma.position(np.array([c.t0 for c in cusps]))
+            svg_curves.append((spec.operator, mp.mate.gamma.on_grid("position")))
+            label, scanned, scanned_pair = spec.operator, mp.mate, mp.mate_curvature
             if "csv" in spec.outputs:
                 fio.write_mate_csv(spec.outputs["csv"], mp)
+        cusps = classify_singularities(scanned_pair)
+        inflections = list(inflection_points(scanned_pair))
+        if cusps:
+            svg_markers = scanned.gamma.position(np.array([c.t0 for c in cusps]))
+        degenerate = label if scanned_pair.degenerate else ""
 
     report = RunReport(
         checks=checks,
         cusps=cusps,
         inflections=inflections,
         wall_time=time.perf_counter() - start,
+        degenerate=degenerate,
     )
     if "svg" in spec.outputs:
         fio.write_text(spec.outputs["svg"], render_svg(svg_curves, svg_markers))
@@ -392,7 +414,8 @@ def main(argv=None) -> int:
         report = run_job(spec)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # A solve that fails its own check is a failed check, not rejected input.
+        return 1 if isinstance(exc, (ResidualError, DenominatorError)) else 2
     for name, c in report.checks.items():
         status = "PASS" if c["pass"] else "FAIL"
         print(f"{status} {name}: max residual {c['max_residual']:.3g} (tol {c['tolerance']:.3g})")
@@ -400,6 +423,8 @@ def main(argv=None) -> int:
         print(f"cusp {c.kind} at t0 = {c.t0:.9g}")
     if report.inflections:
         print("inflections at " + ", ".join(f"{t:.9g}" for t in report.inflections))
+    if report.degenerate:
+        print(f"degenerate {report.degenerate}: beta vanishes on every grid sample, so no cusp is reported")
     print(f"done in {report.wall_time:.3f}s")
     return 0 if report.passed else 1
 

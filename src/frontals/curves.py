@@ -121,7 +121,28 @@ def check_fn_consistency(fn: ScalarFn, grid: np.ndarray, periodic: bool = False)
 
 
 @dataclass(frozen=True)
-class CurveModel:
+class GridSamples:
+    """Samples of a model's callable fields on `interval.grid`, evaluated once
+    and read-only; a sampled model is seeded with the arrays it was built from."""
+
+    _samples: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def on_grid(self, name: str) -> np.ndarray:
+        """Samples of the field `name` ("position", "nu", ...) on the grid."""
+        if name not in self._samples:
+            self._seed(**{name: getattr(self, name)(self.interval.grid)})
+        return self._samples[name]
+
+    def _seed(self, **fields):
+        """Cache grid samples of the named fields, read-only; returns self."""
+        for name, values in fields.items():
+            self._samples[name] = values = np.asarray(values, dtype=float).view()
+            values.setflags(write=False)
+        return self
+
+
+@dataclass(frozen=True)
+class CurveModel(GridSamples):
     """Evaluator of a plane curve with derivatives up to second order.
 
     `position`, `d1` and `d2` accept scalars or arrays of parameters and
@@ -143,10 +164,6 @@ class CurveModel:
     @property
     def geom_tol(self) -> float:
         return GEOM_TOL_SCALE * self.extent
-
-    def speeds(self, ts=None) -> np.ndarray:
-        ts = self.interval.grid if ts is None else ts
-        return np.linalg.norm(self.d1(ts), axis=-1)
 
 
 def _bbox_diagonal(points: np.ndarray) -> float:
@@ -241,19 +258,24 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
 
 
 def spline_fn(grid: np.ndarray, values: np.ndarray, periodic: bool, t_end: float) -> Callable:
-    """Cubic-spline evaluator of samples on `grid` (axis 0 of `values`).
+    """Cubic-spline evaluator of samples on `grid` (axis 0 of `values`),
+    built on its first call.  `values` must not change afterwards.
 
     A periodic grid covers [grid[0], t_end) without the closing sample: the
     spline closes at t_end and wraps t to t0 + mod(t - t0, t_end - t0).
     """
-    if not periodic:
-        spline = CubicSpline(grid, values)
-        return lambda t: spline(np.asarray(t, dtype=float))
-    spline = CubicSpline(
-        np.concatenate([grid, [t_end]]), np.concatenate([values, values[:1]], axis=0), bc_type="periodic"
-    )
     t0, period = grid[0], t_end - grid[0]
-    return lambda t: spline(t0 + np.mod(np.asarray(t, dtype=float) - t0, period))
+    spline = None
+
+    def evaluate(t):
+        nonlocal spline
+        if spline is None:
+            spline = CubicSpline(np.concatenate([grid, [t_end]]), np.concatenate([values, values[:1]], axis=0),
+                                 bc_type="periodic") if periodic else CubicSpline(grid, values)
+        t = np.asarray(t, dtype=float)
+        return spline(t0 + np.mod(t - t0, period) if periodic else t)
+
+    return evaluate
 
 
 def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
@@ -263,8 +285,8 @@ def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
     implied full interval is [ts[0], ts[-1] + h).  Evaluation between
     samples uses cubic interpolation of the position and derivative grids.
     """
-    ts = np.asarray(ts, dtype=float)
-    points = np.asarray(points, dtype=float)
+    ts = np.array(ts, dtype=float)  # copies: the splines are built later from these
+    points = np.array(points, dtype=float)
     if ts.ndim != 1 or points.shape != (len(ts), 2):
         raise ValueError(f"need matching ts (n,) and points (n, 2), got {points.shape}")
     if len(ts) < MIN_SAMPLES:
@@ -291,7 +313,7 @@ def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
         d2=d2_f,
         interval=interval,
         extent=_bbox_diagonal(points),
-    )
+    )._seed(position=points, d1=d1g, d2=d2g)
 
 
 def arclength_maps(c: CurveModel):
@@ -365,11 +387,15 @@ def arclength_reparametrize(c: CurveModel) -> CurveModel:
 
 def regular_curvature(c: CurveModel, t) -> np.ndarray:
     """det(d1, d2) / |d1|^3 at t; raises at singular points."""
-    t = np.asarray(t, dtype=float)
-    g1, g2 = c.d1(t), c.d2(t)
+    return determinant_curvature(c.d1(t), c.d2(t), t, c.reg_tol)
+
+
+def determinant_curvature(g1, g2, t, reg_tol: float) -> np.ndarray:
+    """det(g1, g2) / |g1|^3 from samples of gamma' and gamma'' at t; raises
+    where |gamma'| <= reg_tol (a singular point)."""
     v = np.linalg.norm(g1, axis=-1)
-    if np.any(v <= c.reg_tol):
-        bad = np.atleast_1d(t)[np.atleast_1d(v) <= c.reg_tol]
+    if np.any(v <= reg_tol):
+        bad = np.atleast_1d(t)[np.atleast_1d(v) <= reg_tol]
         raise SingularCurveError(f"singular point at t = {bad[:4]}")
     det = g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
     return det / v**3

@@ -51,14 +51,13 @@ def write_pair_csv(path, pair) -> None:
 
 
 def write_mate_csv(path, mp) -> None:
-    ts = mp.lam.grid
-    pts = mp.mate.gamma.position(ts)
-    nus = mp.mate.nu(ts)
+    pts = mp.mate.gamma.on_grid("position")
+    nus = mp.mate.on_grid("nu")
     mc = mp.mate_curvature
     _write_rows(
         path,
         MATE_HEADER,
-        [ts, pts[:, 0], pts[:, 1], nus[:, 0], nus[:, 1], mp.lam.lam, mc.ell, mc.beta],
+        [mp.lam.grid, pts[:, 0], pts[:, 1], nus[:, 0], nus[:, 1], mp.lam.lam, mc.ell, mc.beta],
     )
 
 

@@ -20,13 +20,14 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .curves import (
     CurveModel,
+    GridSamples,
     ParamInterval,
     SingularCurveError,
     build_builtin,
     BuiltinSpec,
+    determinant_curvature,
     fd_chain,
     fd_d1,
-    regular_curvature,
     speed_derivatives,
     spline_fn,
 )
@@ -57,7 +58,7 @@ class TangencyError(ValueError):
 
 
 @dataclass(frozen=True)
-class LegendreCurve:
+class LegendreCurve(GridSamples):
     """A curve model with a unit normal field and its first derivative."""
 
     gamma: CurveModel
@@ -71,44 +72,33 @@ class LegendreCurve:
 
     @property
     def leg_tol(self) -> float:
-        return _leg_tol(self.gamma.kind, self.gamma.speeds())
-
-
-def _leg_tol(kind: str, speeds: np.ndarray) -> float:
-    """Tangency tolerance of a curve of the given kind from its grid speeds."""
-    scale = LEG_TOL_ANALYTIC if kind == "analytic" else LEG_TOL_SAMPLED
-    return scale * max(float(np.max(speeds)), 1e-12)
-
-
-def _tangency_residual(g1: np.ndarray, nu: np.ndarray) -> float:
-    """max |gamma' . nu| over grid samples of gamma' and nu."""
-    return float(np.max(np.abs(np.sum(g1 * nu, axis=-1))))
+        """Tangency tolerance, scaled by the largest grid speed."""
+        scale = LEG_TOL_ANALYTIC if self.gamma.kind == "analytic" else LEG_TOL_SAMPLED
+        return scale * max(float(np.max(np.linalg.norm(self.gamma.on_grid("d1"), axis=-1))), 1e-12)
 
 
 def tangency_residual(lc: LegendreCurve) -> float:
-    ts = lc.interval.grid
-    return _tangency_residual(lc.gamma.d1(ts), lc.nu(ts))
+    """max |gamma' . nu| over the grid samples."""
+    return float(np.max(np.abs(np.sum(lc.gamma.on_grid("d1") * lc.on_grid("nu"), axis=-1))))
 
 
-def frontal_from_normal(gamma: CurveModel, nu) -> LegendreCurve:
-    """LegendreCurve from a normal callable; nu' is differenced from grid
-    samples of nu."""
+def frontal_from_normal(gamma: CurveModel, nu_samples) -> LegendreCurve:
+    """LegendreCurve from normal samples on the gamma grid; nu' is differenced
+    from them, and both are splined on the first off-grid call."""
     interval = gamma.interval
-    ts = interval.grid
-    d1g = fd_d1(np.asarray(nu(ts), dtype=float), interval.step, interval.periodic)
-    nu_d1 = spline_fn(ts, d1g, interval.periodic, interval.t_end)
-    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, interval=interval)
+    nu = np.array(nu_samples, dtype=float)
+    nu_d1 = fd_d1(nu, interval.step, interval.periodic)
+    nu_f, nu_d1_f = (spline_fn(interval.grid, v, interval.periodic, interval.t_end) for v in (nu, nu_d1))
+    return LegendreCurve(gamma=gamma, nu=nu_f, nu_d1=nu_d1_f, interval=interval)._seed(nu=nu, nu_d1=nu_d1)
 
 
 def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
     """LegendreCurve from normal samples on the gamma grid (CSV ingestion)."""
-    interval = gamma.interval
     nu_samples = np.asarray(nu_samples, dtype=float)
     norms = np.linalg.norm(nu_samples, axis=-1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORMAL_TOL):
         raise ValueError(f"normal samples deviate from unit length beyond {UNIT_NORMAL_TOL:g}")
-    nu_samples = nu_samples / norms[:, None]
-    return frontal_from_normal(gamma, spline_fn(interval.grid, nu_samples, interval.periodic, interval.t_end))
+    return frontal_from_normal(gamma, nu_samples / norms[:, None])
 
 
 @dataclass(frozen=True)
@@ -158,6 +148,11 @@ class CurvaturePair:
     def sing_tol(self) -> float:
         return SING_SCALE * max(float(np.max(np.abs(self.beta))), 1e-30)
 
+    @property
+    def degenerate(self) -> bool:
+        """beta vanishes on every grid sample: the curve has no regular point."""
+        return bool(np.all(np.abs(self.beta) <= self.sing_tol))
+
 
 @dataclass(frozen=True)
 class CuspReport:
@@ -182,19 +177,18 @@ def legendre_curvature(lc: LegendreCurve) -> CurvaturePair:
     Raises TangencyError when the input violates gamma' . nu = 0, and checks
     that gamma' is reconstructed by beta * mu.
     """
-    ts = lc.interval.grid
-    g1, nu = lc.gamma.d1(ts), lc.nu(ts)
-    tol = _leg_tol(lc.gamma.kind, np.linalg.norm(g1, axis=-1))
-    res = _tangency_residual(g1, nu)
+    tol = lc.leg_tol
+    res = tangency_residual(lc)
     if res > tol:
         raise TangencyError(f"gamma' . nu residual {res:.3g} exceeds {tol:.3g}")
-    mu = rotate_j(nu)
-    ell = np.sum(lc.nu_d1(ts) * mu, axis=-1)
+    g1 = lc.gamma.on_grid("d1")
+    mu = rotate_j(lc.on_grid("nu"))
+    ell = np.sum(lc.on_grid("nu_d1") * mu, axis=-1)
     beta = np.sum(g1 * mu, axis=-1)
     recon = float(np.max(np.linalg.norm(g1 - beta[:, None] * mu, axis=-1)))
     if recon > tol:
         raise TangencyError(f"gamma' reconstruction residual {recon:.3g} exceeds {tol:.3g}")
-    return CurvaturePair.from_samples(ts, ell, beta, lc.interval.periodic)
+    return CurvaturePair.from_samples(lc.interval.grid, ell, beta, lc.interval.periodic)
 
 
 def from_regular(c: CurveModel) -> LegendreCurve:
@@ -202,22 +196,20 @@ def from_regular(c: CurveModel) -> LegendreCurve:
 
     The resulting curvature pair is (|gamma'| * kappa, -|gamma'|).
     """
-    speeds = c.speeds()
-    vmin = float(np.min(speeds))
+    g1, g2 = c.on_grid("d1"), c.on_grid("d2")
+    vmin = float(np.min(np.linalg.norm(g1, axis=-1)))
     if vmin <= c.reg_tol:
         raise SingularCurveError(f"curve has singular points (min speed {vmin:.3g})")
 
-    def nu(t):
-        g1 = c.d1(t)
-        v = np.linalg.norm(g1, axis=-1)
-        return rotate_j(g1) / v[..., None]
+    def lift(g1):
+        return rotate_j(g1) / np.linalg.norm(g1, axis=-1)[..., None]
 
-    def nu_d1(t):
-        g1, g2 = c.d1(t), c.d2(t)
+    def lift_d1(g1, g2):
         v, vd = speed_derivatives(g1, g2)
         return rotate_j(g2) / v[..., None] - rotate_j(g1) * (vd / v**2)[..., None]
 
-    return LegendreCurve(gamma=c, nu=nu, nu_d1=nu_d1, interval=c.interval)
+    return LegendreCurve(gamma=c, nu=lambda t: lift(c.d1(t)), nu_d1=lambda t: lift_d1(c.d1(t), c.d2(t)),
+                         interval=c.interval)._seed(nu=lift(g1), nu_d1=lift_d1(g1, g2))
 
 
 def negate_normal(lc: LegendreCurve) -> LegendreCurve:
@@ -248,8 +240,8 @@ def check_ell_kappa_relation(lc: LegendreCurve, pair: CurvaturePair) -> Residual
     mask = np.abs(pair.beta) > floor
     if not np.any(mask):
         raise SingularCurveError("no regular grid points (beta vanishes everywhere)")
-    ts = pair.grid[mask]
-    kappa = regular_curvature(lc.gamma, ts)
+    g1, g2 = lc.gamma.on_grid("d1"), lc.gamma.on_grid("d2")
+    kappa = determinant_curvature(g1[mask], g2[mask], pair.grid[mask], lc.gamma.reg_tol)
     residual = float(np.max(np.abs(pair.ell[mask] - kappa * np.abs(pair.beta[mask]))))
     scale = max(1.0, float(np.max(np.abs(pair.ell[mask]))))
     tol = tol_scale * scale
@@ -427,8 +419,11 @@ def classify_singularities(cp: CurvaturePair) -> list[CuspReport]:
     Events are zeros of beta located on the grid (clustered sub-threshold
     samples, sign changes, and refined local minima); classification uses
     the two-threshold scheme and reports `inconclusive` when no criterion
-    fires decisively.
+    fires decisively.  A degenerate pair (beta zero on every sample) has no
+    isolated event and gives none.
     """
+    if cp.degenerate:
+        return []
     zeros = _zero_candidates(cp)
     if not zeros:
         return []
@@ -499,10 +494,9 @@ def to_regular_frames(lc: LegendreCurve, t0: float | None = None, t1: float | No
     if signs.max() != signs.min():
         raise SingularCurveError("beta changes sign inside the requested subinterval")
     sign = int(signs[0])
-    ts = pair.grid[mask]
-    nu = lc.nu(ts)
+    nu = lc.on_grid("nu")[mask]
     mu = rotate_j(nu)
-    return FrameData(grid=ts, tangent=sign * mu, normal=-sign * nu, sign_beta=sign)
+    return FrameData(grid=pair.grid[mask], tangent=sign * mu, normal=-sign * nu, sign_beta=sign)
 
 
 def circle_frontal(r: float, n_samples: int = 1024, center=(0.0, 0.0)) -> LegendreCurve:

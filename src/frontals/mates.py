@@ -320,9 +320,9 @@ class MatePair:
     direction_residual: float
     mate_tangency_residual: float
 
-    def direction(self, ts) -> np.ndarray:
-        """v = cos(theta) nu + sin(theta) mu on the source frame."""
-        return frame_field(self.source.nu(ts), np.asarray(self.config.theta.eval(ts), dtype=float))
+    def direction(self) -> np.ndarray:
+        """v = cos(theta) nu + sin(theta) mu on the source frame, on the grid."""
+        return frame_field(self.source.on_grid("nu"), np.asarray(self.config.theta.eval(self.lam.grid), dtype=float))
 
 
 def _residual_gate(lam: LambdaSolution, pair: CurvaturePair) -> None:
@@ -359,21 +359,16 @@ def build_mate(
     _residual_gate(lam, pair)
     ts = pair.grid
     th = np.asarray(config.theta.eval(ts), dtype=float)
-    v = frame_field(lc.nu(ts), th)
-    positions = lc.gamma.position(ts) + lam.lam[:, None] * v
+    ta = np.asarray(config.tau.eval(ts), dtype=float)
+    nu = lc.on_grid("nu")
+    v = frame_field(nu, th)
+    positions = lc.gamma.on_grid("position") + lam.lam[:, None] * v
     mate_gamma = build_sampled(ts, positions, periodic=_mate_is_periodic(pair, lam))
-
-    def nu_bar(t):
-        ang = np.asarray(config.theta.eval(t), dtype=float) - np.asarray(
-            config.tau.eval(t), dtype=float
-        )
-        return frame_field(lc.nu(t), ang)
-
-    mate_lc = frontal_from_normal(mate_gamma, nu_bar)
+    mate_lc = frontal_from_normal(mate_gamma, frame_field(nu, th - ta))
     mcurv = mate_curvature(pair, config, lam)
 
     dir_tol = mate_tol(lc.gamma.extent, lc.gamma.kind)
-    dir_res = _direction_gate(v, mate_lc.nu(ts), config.tau.eval(ts), dir_tol)
+    dir_res = _direction_gate(v, mate_lc.on_grid("nu"), ta, dir_tol)
     tan_res = tangency_residual(mate_lc)
     if tan_res > mate_lc.leg_tol:
         raise ValueError(f"mate violates tangency: {tan_res:.3g} > {mate_lc.leg_tol:.3g}")
@@ -491,24 +486,23 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     extent = mp12.source.gamma.extent
     tol = mate_tol(extent, mp12.source.gamma.kind)
 
-    mid_gap = float(
-        np.max(np.linalg.norm(mp12.mate.gamma.position(ts) - mp23.source.gamma.position(ts), axis=-1))
-    )
-    nrm_gap = float(np.max(np.linalg.norm(mp12.mate.nu(ts) - mp23.source.nu(ts), axis=-1)))
+    mid_gap = float(np.max(np.linalg.norm(
+        mp12.mate.gamma.on_grid("position") - mp23.source.gamma.on_grid("position"), axis=-1)))
+    nrm_gap = float(np.max(np.linalg.norm(mp12.mate.on_grid("nu") - mp23.source.on_grid("nu"), axis=-1)))
     if mid_gap > tol or nrm_gap > tol:
         raise ValueError(
             f"middle curves do not coincide (position gap {mid_gap:.3g}, normal gap {nrm_gap:.3g})"
         )
-    dir_gap = float(np.max(np.linalg.norm(mp12.direction(ts) - mp23.direction(ts), axis=-1)))
+    dir_gap = float(np.max(np.linalg.norm(mp12.direction() - mp23.direction(), axis=-1)))
     if dir_gap > tol:
         raise ValueError(f"direction fields do not chain (gap {dir_gap:.3g})")
 
     lam_sum = mp12.lam.lam + mp23.lam.lam
-    src_pos = mp12.source.gamma.position(ts)
-    far_pos = mp23.mate.gamma.position(ts)
+    src_pos = mp12.source.gamma.on_grid("position")
+    far_pos = mp23.mate.gamma.on_grid("position")
     if _near_zero(lam_sum, extent):
         pos_gap = float(np.max(np.linalg.norm(src_pos - far_pos, axis=-1)))
-        n_gap = float(np.max(np.linalg.norm(mp12.source.nu(ts) - mp23.mate.nu(ts), axis=-1)))
+        n_gap = float(np.max(np.linalg.norm(mp12.source.on_grid("nu") - mp23.mate.on_grid("nu"), axis=-1)))
         return IdentityReport(
             max_lambda_sum=float(np.max(np.abs(lam_sum))),
             position_gap=pos_gap,
@@ -529,11 +523,11 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     lam = _solution(pair1, cfg, lam_sum, mp12.lam.lam_d1 + mp23.lam.lam_d1, "prescribed", wrap, False)
     _residual_gate(lam, pair1)
 
-    v1 = mp12.direction(ts)
+    v1 = mp12.direction()
     chain_gap = float(np.max(np.linalg.norm(far_pos - (src_pos + lam_sum[:, None] * v1), axis=-1)))
     if chain_gap > tol:
         raise ValueError(f"composite translation fails: gap {chain_gap:.3g}")
-    dir_res = _direction_gate(v1, mp23.mate.nu(ts), cfg.tau.eval(ts), tol)
+    dir_res = _direction_gate(v1, mp23.mate.on_grid("nu"), cfg.tau.eval(ts), tol)
 
     return MatePair(
         source=mp12.source,
@@ -710,13 +704,13 @@ class MateRelationReport:
 
 def check_mate_relation(lc_a: LegendreCurve, lc_b: LegendreCurve, theta: ScalarFn) -> MateRelationReport:
     """Project gamma_b - gamma_a on the field at angle theta from nu_a and
-    test that the difference is parallel to it."""
+    test that the difference is parallel to it; both curves share one grid."""
     ts = lc_a.interval.grid
-    u = frame_field(lc_a.nu(ts), np.asarray(theta.eval(ts), dtype=float))
-    diff = lc_b.gamma.position(ts) - lc_a.gamma.position(ts)
+    u = frame_field(lc_a.on_grid("nu"), np.asarray(theta.eval(ts), dtype=float))
+    diff = lc_b.gamma.on_grid("position") - lc_a.gamma.on_grid("position")
     lam = np.sum(diff * u, axis=-1)
     res = float(np.max(np.linalg.norm(diff - lam[:, None] * u, axis=-1)))
-    nu_b = lc_b.nu(ts)
+    nu_b = lc_b.on_grid("nu")
     mu_b = np.stack((-nu_b[:, 1], nu_b[:, 0]), axis=-1)
     tau_samples = np.arctan2(np.sum(u * mu_b, axis=-1), np.sum(u * nu_b, axis=-1))
     tol = mate_tol(lc_a.gamma.extent, lc_a.gamma.kind)

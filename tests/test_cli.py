@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frontals import cli, legendre, mates
+from frontals import cli, curves, legendre, mates
 from frontals import io as fio
 from frontals.cli import JobSpec, main, parse_angle, parse_job, run_job
 from frontals.curves import MAX_SAMPLES, build_sampled
 from frontals.legendre import astroid_frontal, circle_frontal
 from frontals.svgplot import render_svg
+from scipy.interpolate import CubicSpline
 
 
 class TestParsing:
@@ -96,6 +97,30 @@ class TestRunJob:
         assert np.max(np.abs(cols["x"])) <= 1e-8
         assert np.max(np.abs(cols["y"])) <= 1e-8
 
+    def test_degenerate_mate_is_named_not_a_cusp(self, capsys):
+        # the circle's evolute collapses to its centre: beta_bar is 0 on every sample
+        assert main(["evolute", "--curve", "circle:r=1", "--samples", "256"]) == 0
+        out = capsys.readouterr().out
+        assert "degenerate evolute: beta vanishes on every grid sample" in out
+        assert not [line for line in out.splitlines() if line.startswith("cusp ")]
+
+    @pytest.mark.parametrize("curve", ["circle:r=3", "csv"])
+    def test_inexact_circle_evolute_reports_no_cusp(self, curve, tmp_path, capsys):
+        # Unlike r=1, these evolutes carry rounding noise, so beta_bar is not
+        # exactly 0 and `degenerate` would not fire.  Today the mate tangency
+        # gate refuses them first: its floor is tied to the vanishing mate
+        # speed (ROADMAP item 4).  A fix of that floor changes the exit status
+        # here, but must still report no cusp of the collapsed curve.
+        if curve == "csv":
+            t = np.arange(256) * (2.0 * math.pi / 256)
+            rows = "".join(f"{float(a)!r},{3.0 * math.cos(a)!r},{3.0 * math.sin(a)!r}\n" for a in t)
+            (tmp_path / "circle.csv").write_text("t,x,y\n" + rows)
+            curve = f"csv:{tmp_path / 'circle.csv'}"
+        assert main(["evolute", "--curve", curve, "--samples", "256"]) == 2
+        captured = capsys.readouterr()
+        assert "mate violates tangency" in captured.err
+        assert not [line for line in captured.out.splitlines() if line.startswith("cusp ")]
+
     def test_astroid_cusp_scan(self):
         report = run_job(JobSpec(curve="astroid", operator="cusps"))
         assert report.passed
@@ -171,6 +196,37 @@ class TestRunJob:
         assert main(argv) == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("normals", [False, True])
+    def test_roundtrip_builds_splines_only_for_off_grid_values(self, tmp_path, monkeypatch, normals):
+        """Grid values are read from the samples a model holds; every spline
+        the job builds is evaluated somewhere between its knots."""
+        if normals:
+            lc = astroid_frontal(1024)
+            ts = lc.interval.grid
+            fio.write_frontal_csv(tmp_path / "in.csv", ts, lc.gamma.position(ts), lc.nu(ts))
+            angles = ["--theta", "pi/2", "--tau", "0", "--lambda0", "0.75"]
+        else:
+            ts = np.arange(1024) * (2.0 * math.pi / 1024)
+            fio.write_curve_csv(tmp_path / "in.csv", ts, np.stack((2.0 * np.cos(ts), np.sin(ts)), axis=-1))
+            angles = ["--theta", "0.4", "--tau", "0.3", "--lambda0", "0.2"]
+        built = []
+
+        class Tracked:
+            def __init__(self, x, y, **kw):
+                self.knots, self.spline, self.off_grid = np.asarray(x), CubicSpline(x, y, **kw), False
+                built.append(self)
+
+            def __call__(self, t, *args):
+                self.off_grid |= not np.all(np.isin(np.asarray(t), self.knots))
+                return self.spline(t, *args)
+
+        for module in (curves, legendre, mates):
+            monkeypatch.setattr(module, "CubicSpline", Tracked)
+        argv = ["roundtrip", "--curve", f"csv:{tmp_path / 'in.csv'}", *angles,
+                "--out", str(tmp_path / "out.csv"), "--svg", str(tmp_path / "out.svg")]
+        assert main(argv) == 0
+        assert built and all(s.off_grid for s in built)
+
     def test_outputs_are_deterministic(self, tmp_path):
         blobs = []
         for tag in ("a", "b"):
@@ -200,6 +256,22 @@ class TestRunJob:
             ),
         )
         assert cli.main(["curvature", "--curve", "circle:r=1"]) == 1
+
+
+class TestSolverFailure:
+    """A valid job whose solve fails its own check exits 1, not 2."""
+
+    def test_pointwise_solve_without_curvature(self, capsys):
+        assert main(["evolute", "--curve", "line:dx=1", "--samples", "64"]) == 1
+        assert capsys.readouterr().err.startswith("error: evolute needs ell != 0")
+
+    def test_residual_error(self, monkeypatch, capsys):
+        def failing(pair, config, extent=1.0):
+            raise mates.ResidualError("condition residual 1 exceeds 1e-07 with 2 substep(s)")
+
+        monkeypatch.setattr(mates, "solve_lambda", failing)
+        assert main(["involute", "--curve", "astroid", "--lambda0", "0.75", "--samples", "64"]) == 1
+        assert capsys.readouterr().err == "error: condition residual 1 exceeds 1e-07 with 2 substep(s)\n"
 
 
 class TestMalformedInput:
@@ -258,6 +330,36 @@ class TestMalformedInput:
         path = tmp_path / "job.json"
         path.write_text(json.dumps(job))
         self.assert_rejected(["mate", "--job", str(path)], capsys, f"{path}: {message}")
+
+    @pytest.mark.parametrize("curve, message", [
+        ("ellipse:a=abc", "curve parameter a='abc' is not a number"),
+        ("line:dx=inf", "curve parameter dx=inf is not finite"),
+        ("ellipse:a=2,b=nan", "curve parameter b=nan is not finite"),
+        ("circle:r=1,foo=3", "circle takes no parameter 'foo'; it accepts r, cx, cy"),
+        ("astroid:t1=3", "astroid takes no parameter 't1'; it accepts a"),
+        ("line:dx", "bad curve parameter 'dx'; expected key=value"),
+    ])
+    def test_malformed_curve_parameter(self, capsys, curve, message):
+        self.assert_rejected(["cusps", "--curve", curve, "--samples", "64"], capsys, message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["involute", "--curve", "astroid", "--lambda0", "nan"], "lambda0 must be finite, got nan"),
+        (["involute", "--curve", "astroid", "--lambda0", "1e400"], "lambda0 must be finite, got inf"),
+        (["check-regular", "--curve", "circle:r=1", "--lambda-slope", "nan"], "lambda_slope must be finite, got nan"),
+        (["mate", "--curve", "circle:r=1", "--theta", "pi/0", "--tau", "0"], "angle 'pi/0' is not finite"),
+        (["cusps", "--curve", "circle:r=1", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
+    ])
+    def test_malformed_number_flag(self, capsys, argv, message):
+        self.assert_rejected(argv, capsys, message)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lambda0", float("nan"), "lambda0 must be finite, got nan"),
+        ("lambda_slope", "-inf", "lambda_slope must be finite, got -inf"),
+    ])
+    def test_non_finite_scale_in_job_file(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"curve": "circle:r=1", "theta": 0, "tau": 0, field: value}))
+        self.assert_rejected(["check-regular", "--job", str(path)], capsys, message)
 
     def test_sample_count_above_bound(self, capsys):
         tracemalloc.start()

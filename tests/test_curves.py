@@ -12,10 +12,13 @@ from frontals.curves import (
     build_builtin,
     build_sampled,
     check_fn_consistency,
+    fd_chain,
     fd_d1,
     regular_curvature,
 )
+from frontals.legendre import frontal_from_samples
 from frontals.planar import linear_fn
+from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * math.pi
 
@@ -198,3 +201,44 @@ def test_fn_consistency_checker():
 
     bad = ScalarFn(eval=lambda t: np.sin(np.asarray(t)), deriv=lambda t: np.cos(np.asarray(t)) + 0.1)
     assert check_fn_consistency(bad, grid) > 1e-2
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_sampled_model_holds_its_samples(periodic):
+    n = 256
+    ts = np.arange(n) * (TWO_PI / n) if periodic else np.linspace(0.0, 3.0, n)
+    pts = np.stack((2.0 * np.cos(ts), np.sin(ts)), axis=-1)
+    c = build_sampled(ts, pts, periodic=periodic)
+    d1g, d2g = fd_chain(pts, ts[1] - ts[0], periodic)
+    for name, want in (("position", pts), ("d1", d1g), ("d2", d2g)):
+        got = c.on_grid(name)
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0  # read-only
+    pts[0, 0] = 7.0  # the model copied its input
+    assert c.on_grid("position")[0, 0] == 2.0
+    nus = np.stack((np.cos(ts), 2.0 * np.sin(ts)), axis=-1)
+    nus /= np.linalg.norm(nus, axis=-1)[:, None]
+    lc = frontal_from_samples(c, nus)
+    nus /= np.linalg.norm(nus, axis=-1)[:, None]  # frontal_from_samples normalizes once more
+    assert np.array_equal(lc.on_grid("nu"), nus)
+    assert np.array_equal(lc.on_grid("nu_d1"), fd_d1(nus, ts[1] - ts[0], periodic))
+    assert not lc.on_grid("nu").flags.writeable
+
+
+def test_sampled_model_interpolates_off_grid():
+    ts = np.linspace(0.0, 3.0, 128)
+    pts = np.stack((ts**2, np.sin(ts)), axis=-1)
+    c = build_sampled(ts, pts)
+    d1g, _ = fd_chain(pts, ts[1] - ts[0], False)
+    off = ts[:-1] + 0.37 * (ts[1] - ts[0])
+    assert np.array_equal(c.d1(off), CubicSpline(ts, d1g)(off))
+    assert np.array_equal(c.position(off), CubicSpline(ts, pts)(off))
+
+
+def test_analytic_model_samples_its_callables():
+    ellipse = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, closed_interval(512)))
+    grid = ellipse.interval.grid
+    for name in ("position", "d1", "d2"):
+        assert np.array_equal(ellipse.on_grid(name), getattr(ellipse, name)(grid))
+    assert ellipse.on_grid("d1") is ellipse.on_grid("d1")  # evaluated once

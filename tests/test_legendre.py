@@ -71,7 +71,7 @@ def test_tangency_violation_rejected():
         a = t + 0.3  # constant twist away from the true normal
         return np.stack((np.cos(a), np.sin(a)), axis=-1)
 
-    lc = frontal_from_normal(circle, skew_nu)
+    lc = frontal_from_normal(circle, skew_nu(circle.interval.grid))
     with pytest.raises(TangencyError):
         legendre_curvature(lc)
 
@@ -346,3 +346,11 @@ def test_frames_recover_from_regular_lift():
     tangent = g1 / np.linalg.norm(g1, axis=-1)[:, None]
     assert np.max(np.linalg.norm(frames.tangent - tangent, axis=-1)) <= 1e-6
     assert np.max(np.linalg.norm(frames.normal - rotate_j(tangent), axis=-1)) <= 1e-6
+
+
+def test_degenerate_pair_has_no_events():
+    grid = np.arange(256) * (TWO_PI / 256)
+    pair = CurvaturePair.from_samples(grid, np.ones_like(grid), np.zeros_like(grid), True)
+    assert pair.degenerate
+    assert classify_singularities(pair) == []
+    assert not legendre_curvature(astroid_frontal()).degenerate

@@ -139,7 +139,7 @@ class TestBuildMate:
         lc = astroid_frontal()
         mp = special_operator(lc, "involute", lambda0=0.75)
         ts = mp.lam.grid
-        v = mp.direction(ts)
+        v = mp.direction()
         rebuilt = lc.gamma.position(ts) + mp.lam.lam[:, None] * v
         assert np.max(np.linalg.norm(mp.mate.gamma.position(ts) - rebuilt, axis=-1)) == 0.0
 
@@ -213,18 +213,19 @@ class TestLowOrderData:
 
         return dataclasses.replace(lc, gamma=dataclasses.replace(lc.gamma, d3=fail), nu_d2=fail)
 
-    def test_build_mate_builds_four_splines(self, monkeypatch):
+    def test_build_mate_builds_no_spline(self, monkeypatch):
         lc = circle_frontal(1.0)
         pair = legendre_curvature(lc)
         cfg = MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.3)
         lam = solve_lambda(pair, cfg)
         builds = []
-        for module in (curves, legendre):
+        for module in (curves, legendre, mates):
             spline = module.CubicSpline
             monkeypatch.setattr(module, "CubicSpline", lambda *a, _s=spline, **k: builds.append(a) or _s(*a, **k))
-        build_mate(lc, cfg, lam, pair=pair)
-        # position, gamma' and gamma'' of the sampled mate, and its nu'
-        assert len(builds) == 4
+        mp = build_mate(lc, cfg, lam, pair=pair)
+        verify_mate_curvature(mp)
+        # the sampled mate's checks read its grid samples; no spline is needed
+        assert builds == []
 
     def test_pipeline_never_reads_third_order_data(self):
         astroid = self._unreadable_high_order(astroid_frontal())
