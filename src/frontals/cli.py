@@ -40,8 +40,8 @@ from .mates import (
     ResidualError,
     check_regular_bertrand,
     inverse_mate,
+    lambda_tol,
     mate_tol,
-    ode_tol,
     operator_config,
     resolve_mode,
     solve_mate,
@@ -205,7 +205,10 @@ def parse_job(argv) -> JobSpec:
 
     job_file = {}
     if ns.job:
-        job_file = json.loads(Path(ns.job).read_text())
+        try:
+            job_file = json.loads(Path(ns.job).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{ns.job}: not valid JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})") from None
         if not isinstance(job_file, dict):
             raise ValueError(f"{ns.job}: job file must hold a JSON object, got {type(job_file).__name__}")
 
@@ -295,15 +298,18 @@ def _build_frontal(spec: JobSpec):
     return from_regular(build_builtin(BuiltinSpec(kind, params, interval))), kind
 
 
-def _check(checks: dict, name: str, residual, tolerance: float) -> None:
+def _check(checks: dict, name: str, residual, tolerance) -> None:
     """Record one named check; accepts a scalar residual or a residual array
-    (then both max and mean are kept)."""
+    (then both max and mean are kept).  A tolerance array holds one
+    tolerance per residual; the check then reports the residual and the
+    tolerance where the residual comes nearest its tolerance."""
     arr = np.atleast_1d(np.asarray(residual, dtype=float))
-    worst = float(np.max(arr))
+    tol = np.broadcast_to(np.asarray(tolerance, dtype=float), arr.shape)
+    k = int(np.argmax(arr / tol)) if np.ndim(tolerance) else int(np.argmax(arr))
     entry = {
-        "max_residual": worst,
-        "tolerance": float(tolerance),
-        "pass": bool(worst <= tolerance),
+        "max_residual": float(arr[k]),
+        "tolerance": float(tol[k]),
+        "pass": bool(np.all(arr <= tol)),
     }
     if arr.size > 1:
         entry["mean_residual"] = float(np.mean(arr))
@@ -330,7 +336,7 @@ def _mate_config(spec: JobSpec) -> MateConfig:
 
 def _mate_checks(mp, extent: float, kind: str) -> dict:
     checks = {}
-    _check(checks, "lambda_residual", mp.lam.residual, ode_tol(mp.source_curvature))
+    _check(checks, "lambda_residual", mp.lam.residual, lambda_tol(mp.source_curvature, mp.config, mp.lam.lam))
     _check(checks, "direction_coincidence", mp.direction_residual, mate_tol(extent, kind))
     _check(checks, "mate_tangency", mp.mate_tangency_residual, mp.mate.leg_tol)
     cross = verify_mate_curvature(mp)

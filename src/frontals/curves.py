@@ -27,6 +27,10 @@ MIN_SAMPLES = 16
 # 4x the largest grid measured (65536); peak memory is about 35 MiB at 16384.
 MAX_SAMPLES = 2**18
 UNIFORM_RTOL = 1e-9
+# Largest coordinate or speed a builtin curve may reach on its grid: the
+# curvature divides by speed^3 and the tolerances square lengths, which
+# overflows from about 1e102 on.
+SAMPLE_MAX = 1e100
 
 
 class SingularCurveError(ValueError):
@@ -242,6 +246,12 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
     """Analytic CurveModel with exact closed-form derivatives."""
     position, d1, d2 = _builtin_callables(spec.name, spec.params)
     pts = position(spec.interval.grid)
+    size = max(float(np.max(np.abs(pts))), float(np.max(np.abs(d1(spec.interval.grid)))))
+    if size > SAMPLE_MAX:
+        values = dict(spec.params, t0=spec.interval.t_start, t1=spec.interval.t_end)
+        key = max(values, key=lambda k: abs(values[k]))
+        raise ValueError(f"{spec.name} parameter {key}={values[key]:g} makes the curve samples overflow: "
+                         f"they reach {size:.3g}, above {SAMPLE_MAX:g}")
     model = CurveModel(
         kind="analytic",
         position=position,

@@ -62,6 +62,10 @@ LAMBDA_ZERO_SCALE = 1e-10
 # Relative gap between lambda at the period end and lambda[0] within which
 # lambda closes over the period.
 CLOSURE_RTOL = 1e-9
+# Steps per block of the RK4 recurrence scan (see _rk4_linear).  Each block
+# restarts the cumulative product of the step factors, so that product, and
+# the growth or decay it must hold within the floats, spans this many steps.
+_RK4_BLOCK = 256
 
 _HALF_PI = math.pi / 2.0
 # Named mate constructions: name -> ((theta, tau) from the given angles, the
@@ -116,8 +120,17 @@ class LambdaSolution:
         return self.mode == "algebraic"
 
 
-def ode_tol(pair: CurvaturePair) -> float:
-    return ODE_TOL_SCALE * max(float(np.max(np.abs(pair.beta))), 1.0)
+def lambda_tol(pair: CurvaturePair, config: MateConfig, lam) -> np.ndarray:
+    """Pointwise tolerance of the condition residual of the scale function
+    lam: ODE_TOL_SCALE * max(max|beta|, |lam (theta' + ell)|, 1).
+
+    The residual differences lam, so its rounding and truncation errors grow
+    with |lam|; where |lam (theta' + ell)| <= max|beta| the tolerance is
+    ODE_TOL_SCALE * max(max|beta|, 1), and it is never below that.
+    """
+    thd = np.asarray(config.theta.deriv(pair.grid), dtype=float)
+    floor = max(float(np.max(np.abs(pair.beta))), 1.0)
+    return ODE_TOL_SCALE * np.maximum(np.abs(lam * (thd + pair.ell)), floor)
 
 
 def mate_tol(extent: float, kind: str = "analytic") -> float:
@@ -179,22 +192,45 @@ def _rk4_linear(a_fine: np.ndarray, b_fine: np.ndarray, h_sub: float, y0: float)
     a_fine/b_fine hold values at all stage times; index 2*k is the k-th
     substep node, odd indices are midpoints.  Returns y at every substep
     node, length (len(a_fine) + 1) // 2.
+
+    The equation is linear, so each RK4 step is an affine map
+    y[k+1] = P[k] y[k] + Q[k]; stage i is k_i = p_i y + q_i, and P and Q
+    fold the four stages.  The recurrence is solved in blocks of _RK4_BLOCK
+    steps as y = Phi (y_start + cumsum(Q / Phi)) with Phi = cumprod(P) over
+    the block, which rounds step by step as the plain recurrence does.  Only
+    the block ends are carried from block to block.  A block where Phi
+    reaches 0 or Q / Phi leaves the floats runs the plain recurrence.
     """
-    n_nodes = (len(a_fine) + 1) // 2
-    y = np.empty(n_nodes)
-    y[0] = y0
+    a0, am, a1 = a_fine[:-1:2], a_fine[1::2], a_fine[2::2]
+    b0, bm, b1 = b_fine[:-1:2], b_fine[1::2], b_fine[2::2]
+    half = 0.5 * h_sub
+    p2, q2 = am * (1.0 + half * a0), am * (half * b0) + bm
+    p3, q3 = am * (1.0 + half * p2), am * (half * q2) + bm
+    p4, q4 = a1 * (1.0 + h_sub * p3), a1 * (h_sub * q3) + b1
+    n_steps = len(a0)
+    n_blocks = -(-n_steps // _RK4_BLOCK)
+    pad = (0, n_blocks * _RK4_BLOCK - n_steps)  # identity steps fill the last block
+    P = np.pad(1.0 + h_sub * (a0 + 2.0 * p2 + 2.0 * p3 + p4) / 6.0, pad, constant_values=1.0).reshape(n_blocks, -1)
+    Q = np.pad(h_sub * (b0 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0, pad).reshape(n_blocks, -1)
+
+    with np.errstate(all="ignore"):
+        phi = np.cumprod(P, axis=1)
+        S = np.cumsum(Q / phi, axis=1)
+    scan_ok = np.all(np.isfinite(phi) & (phi != 0.0), axis=1) & np.all(np.isfinite(S), axis=1)
+    y = np.empty_like(P)
+    starts = np.empty(n_blocks)
     cur = y0
-    for k in range(n_nodes - 1):
-        i = 2 * k
-        a0, am, a1 = a_fine[i], a_fine[i + 1], a_fine[i + 2]
-        b0, bm, b1 = b_fine[i], b_fine[i + 1], b_fine[i + 2]
-        k1 = a0 * cur + b0
-        k2 = am * (cur + 0.5 * h_sub * k1) + bm
-        k3 = am * (cur + 0.5 * h_sub * k2) + bm
-        k4 = a1 * (cur + h_sub * k3) + b1
-        cur = cur + h_sub * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        y[k + 1] = cur
-    return y
+    for blk, (ok, phi_end, s_end) in enumerate(zip(scan_ok.tolist(), phi[:, -1].tolist(), S[:, -1].tolist())):
+        starts[blk] = cur
+        if ok:
+            cur = phi_end * (cur + s_end)
+            continue
+        for k in range(_RK4_BLOCK):
+            cur = P[blk, k] * cur + Q[blk, k]
+            y[blk, k] = cur
+    with np.errstate(all="ignore"):
+        y[scan_ok] = (phi * (starts[:, None] + S))[scan_ok]
+    return np.concatenate(([y0], y.ravel()[:n_steps]))
 
 
 def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -> LambdaSolution:
@@ -218,7 +254,6 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     ts = pair.grid
     h = ts[1] - ts[0]
     t_end = pair.interval_end
-    tol = ode_tol(pair)
 
     if mode == "algebraic":
         th = np.asarray(config.theta.eval(ts), dtype=float)
@@ -273,10 +308,10 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
         else:
             lam, lam_d1, wrap = y_nodes, d1_nodes, None
         sol = _solution(pair, config, lam, lam_d1, "ode", wrap, _near_zero(lam, extent))
-        worst = float(np.max(sol.residual))
-        if worst <= tol:
+        excess = _residual_excess(sol, pair, config)
+        if excess is None:
             return sol
-    raise ResidualError(f"condition residual {worst:.3g} exceeds {tol:.3g} with {substeps} substep(s)")
+    raise ResidualError(f"condition {excess} with {substeps} substep(s)")
 
 
 def mate_curvature(pair: CurvaturePair, config: MateConfig, lam: LambdaSolution) -> CurvaturePair:
@@ -325,12 +360,22 @@ class MatePair:
         return frame_field(self.source.on_grid("nu"), np.asarray(self.config.theta.eval(self.lam.grid), dtype=float))
 
 
-def _residual_gate(lam: LambdaSolution, pair: CurvaturePair) -> None:
-    """Reject a scale function whose condition residual on `pair` exceeds ode_tol."""
-    tol = ode_tol(pair)
-    worst = float(np.max(lam.residual))
-    if worst > tol:
-        raise ResidualError(f"lambda residual {worst:.3g} exceeds {tol:.3g}")
+def _residual_excess(lam: LambdaSolution, pair: CurvaturePair, config: MateConfig) -> Optional[str]:
+    """None when lam's condition residual on `pair` is within lambda_tol at
+    every grid point; else where it exceeds that tolerance the most."""
+    tol = lambda_tol(pair, config, lam.lam)
+    k = int(np.argmax(lam.residual / tol))
+    if lam.residual[k] <= tol[k]:
+        return None
+    return f"residual {lam.residual[k]:.3g} exceeds {tol[k]:.3g} at t = {lam.grid[k]:.6g}"
+
+
+def _residual_gate(lam: LambdaSolution, pair: CurvaturePair, config: MateConfig) -> None:
+    """Reject a scale function whose condition residual on `pair` exceeds
+    lambda_tol at any grid point."""
+    excess = _residual_excess(lam, pair, config)
+    if excess is not None:
+        raise ResidualError(f"lambda {excess}")
 
 
 def _direction_gate(v: np.ndarray, mate_nu: np.ndarray, tau_samples, tol: float) -> float:
@@ -356,7 +401,7 @@ def build_mate(
     scheme, so later cross-checks against the curvature formulas compare two
     genuinely different computation paths.
     """
-    _residual_gate(lam, pair)
+    _residual_gate(lam, pair, config)
     ts = pair.grid
     th = np.asarray(config.theta.eval(ts), dtype=float)
     ta = np.asarray(config.tau.eval(ts), dtype=float)
@@ -521,7 +566,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
         wrap = mp12.lam.wrap_value + mp23.lam.wrap_value
     # Not near zero: the identity case returned above.
     lam = _solution(pair1, cfg, lam_sum, mp12.lam.lam_d1 + mp23.lam.lam_d1, "prescribed", wrap, False)
-    _residual_gate(lam, pair1)
+    _residual_gate(lam, pair1, cfg)
 
     v1 = mp12.direction()
     chain_gap = float(np.max(np.linalg.norm(far_pos - (src_pos + lam_sum[:, None] * v1), axis=-1)))

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,13 @@ class TestRunJob:
         assert report.passed
         assert report.checks["roundtrip_position"]["max_residual"] <= 1e-6
         assert report.checks["roundtrip_normal"]["max_residual"] <= 1e-8
+
+    def test_growing_lambda_passes_the_scaled_residual_gate(self, capsys):
+        # lambda grows by about e^(2 pi) here; an absolute tolerance of
+        # ODE_TOL_SCALE * max(max|beta|, 1) refused it (residual 7.45e-07 > 2e-07)
+        argv = ["involutoid", "--curve", "ellipse:a=2,b=1", "--tau", "pi/4", "--lambda0", "0.4"]
+        assert main(argv) == 0
+        assert "PASS lambda_residual" in capsys.readouterr().out
 
     def test_check_regular_job(self):
         spec = JobSpec(
@@ -288,6 +296,24 @@ class TestMalformedInput:
         path = tmp_path / "job.json"
         path.write_text(json.dumps(["circle:r=1"]))
         self.assert_rejected(["curvature", "--job", str(path)], capsys, f"{path}: job file must hold a JSON object")
+
+    def test_job_file_not_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        self.assert_rejected(["mate", "--job", str(path)], capsys, f"{path}: not valid JSON (line 1, column 2")
+
+    @pytest.mark.parametrize("curve, message", [
+        ("circle:r=1e200", "circle parameter r=1e+200"),
+        ("circle:r=1,cx=-1e200", "circle parameter cx=-1e+200"),
+        ("ellipse:a=1e200,b=1", "ellipse parameter a=1e+200"),
+        ("astroid:a=1e200", "astroid parameter a=1e+200"),
+        ("line:dx=1e90,t1=1e90", "line parameter dx=1e+90"),
+    ])
+    def test_huge_curve_parameter(self, capsys, curve, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            self.assert_rejected(["cusps", "--curve", curve, "--samples", "64"], capsys,
+                                 f"{message} makes the curve samples overflow")
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_angle_flag(self, theta, capsys):

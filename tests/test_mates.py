@@ -68,13 +68,17 @@ class TestSolveLambda:
         assert np.max(np.abs(lam.lam - (-r * pair.grid + c))) <= 1e-10
 
     def test_circle_involutoid_exponential_family(self):
-        r, c, tau = 1.0, 0.3, math.pi / 4.0
+        r, c = 1.0, 0.3
         pair = legendre_curvature(circle_frontal(r))
-        lam0 = r * math.cos(tau) / math.sin(tau) + c
-        cfg = MateConfig(constant_fn(HALF_PI), constant_fn(tau), lambda0=lam0)
-        lam = solve_lambda(pair, cfg)
-        expected = r * math.cos(tau) / math.sin(tau) + c * np.exp(math.tan(tau) * pair.grid)
-        assert np.max(np.abs(lam.lam - expected) / np.abs(expected)) <= 1e-8
+        # tau = 1.1 makes lambda grow by e^(2 pi tan 1.1) ~ e^12.3; its residual
+        # then exceeds ODE_TOL_SCALE * max(max|beta|, 1) even with two
+        # substeps, and only the lambda-scaled tolerance admits the solve.
+        for tau in (math.pi / 4.0, 1.1):
+            lam0 = r * math.cos(tau) / math.sin(tau) + c
+            cfg = MateConfig(constant_fn(HALF_PI), constant_fn(tau), lambda0=lam0)
+            lam = solve_lambda(pair, cfg)
+            expected = r * math.cos(tau) / math.sin(tau) + c * np.exp(math.tan(tau) * pair.grid)
+            assert np.max(np.abs(lam.lam - expected) / np.abs(expected)) <= 1e-8
 
     def test_astroid_involute_family(self):
         c = 0.1
@@ -83,6 +87,28 @@ class TestSolveLambda:
         lam = solve_lambda(pair, cfg)
         expected = 3.0 * np.cos(2.0 * pair.grid) / 4.0 + c
         assert np.max(np.abs(lam.lam - expected)) <= 1e-9
+
+    def test_lambda_tol_scales_with_lambda_and_keeps_its_floor(self):
+        pair = legendre_curvature(circle_frontal(1.0))
+        cfg = MateConfig(constant_fn(HALF_PI), constant_fn(1.0), lambda0=1.0)
+        lam = solve_lambda(pair, cfg)
+        tol = mates.lambda_tol(pair, cfg, lam.lam)
+        floor = mates.ODE_TOL_SCALE * max(float(np.max(np.abs(pair.beta))), 1.0)
+        scaled = mates.ODE_TOL_SCALE * np.abs(lam.lam * pair.ell)
+        assert np.all(tol >= floor)
+        assert np.array_equal(tol, np.maximum(scaled, floor))
+        assert np.any(scaled > floor)
+
+    def test_gate_rejects_a_perturbed_growing_lambda(self):
+        lc = circle_frontal(1.0)
+        pair = legendre_curvature(lc)
+        cfg = MateConfig(constant_fn(HALF_PI), constant_fn(1.0), lambda0=1.0)
+        lam = solve_lambda(pair, cfg)
+        bad = lam.lam * (1.0 + 1e-5 * np.sin(pair.grid))
+        wrong = mates._solution(pair, cfg, bad, curves.fd_d1(bad, pair.grid[1] - pair.grid[0], periodic=False),
+                                "prescribed", None, False)
+        with pytest.raises(mates.ResidualError, match="lambda residual .* exceeds"):
+            build_mate(lc, cfg, wrong, pair)
 
     def test_mixed_cos_tau_rejected(self):
         pair = legendre_curvature(circle_frontal(1.0))
@@ -112,6 +138,75 @@ class TestSolveLambda:
         )
         with pytest.raises(ValueError, match="disagrees"):
             solve_lambda(pair, MateConfig(broken, constant_fn(0.0)))
+
+
+def _rk4_loop(a_fine, b_fine, h_sub, y0):
+    """The scalar RK4 loop that _rk4_linear replaced: its reference."""
+    n_nodes = (len(a_fine) + 1) // 2
+    y = np.empty(n_nodes)
+    y[0] = cur = y0
+    for k in range(n_nodes - 1):
+        i = 2 * k
+        a0, am, a1 = a_fine[i], a_fine[i + 1], a_fine[i + 2]
+        b0, bm, b1 = b_fine[i], b_fine[i + 1], b_fine[i + 2]
+        k1 = a0 * cur + b0
+        k2 = am * (cur + 0.5 * h_sub * k1) + bm
+        k3 = am * (cur + 0.5 * h_sub * k2) + bm
+        k4 = a1 * (cur + h_sub * k3) + b1
+        cur = cur + h_sub * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        y[k + 1] = cur
+    return y
+
+
+def _rk4_case(n_steps, t_end, a_of_t):
+    """Stage coefficients of y' = a(t) y + cos(3t) + 0.5 on [0, t_end]."""
+    t = np.linspace(0.0, t_end, 2 * n_steps + 1)
+    return a_of_t(t), np.cos(3.0 * t) + 0.5, t[2] - t[0]
+
+
+class TestRk4Kernel:
+    """_rk4_linear against the scalar loop it replaced, to 1e-12 relative."""
+
+    @staticmethod
+    def assert_matches_loop(a_fine, b_fine, h_sub, y0=0.4):
+        ref = _rk4_loop(a_fine, b_fine, h_sub, y0)
+        got = mates._rk4_linear(a_fine, b_fine, h_sub, y0)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        return ref
+
+    @pytest.mark.parametrize("n_steps", [1024, 8192, 1000, 100, 1])
+    def test_step_counts(self, n_steps):
+        # 1000 is not a multiple of the block, 100 is below one block.
+        self.assert_matches_loop(*_rk4_case(n_steps, TWO_PI, lambda t: 0.5 * np.sin(t) + 0.2))
+
+    def test_growth_to_e18(self):
+        ref = self.assert_matches_loop(*_rk4_case(8192, TWO_PI, lambda t: 18.0 / TWO_PI * (1.0 + 0.5 * np.sin(3.0 * t))))
+        assert np.max(np.abs(ref)) >= math.exp(17.0)
+
+    def test_decay_then_growth(self):
+        # integral of a is 10 (t - pi)^2 - 10 pi^2: down by e^-99, then back up.
+        ref = self.assert_matches_loop(*_rk4_case(4096, TWO_PI, lambda t: 20.0 * (t - math.pi)), y0=1.0)
+        assert np.min(np.abs(ref)) < 1e-3 * np.max(np.abs(ref))
+
+    def test_coarse_grid_with_non_positive_step_factor(self):
+        a_fine, b_fine, h_sub = _rk4_case(16, TWO_PI, lambda t: -12.0 * (1.0 + 0.8 * np.sin(5.0 * t)))
+        homogeneous = _rk4_loop(a_fine, np.zeros_like(b_fine), h_sub, 1.0)
+        assert np.any(homogeneous[1:] / homogeneous[:-1] <= 0.0)  # P[k] <= 0 somewhere
+        self.assert_matches_loop(a_fine, b_fine, h_sub)
+
+    def test_block_fallback_when_the_step_product_reaches_zero(self):
+        # a = -12 at one node with h = 0.5 makes that step's factor exactly
+        # 0, so the cumulative product of its block is 0 from there on and
+        # the scan would divide by it; the block must run the recurrence.
+        h_sub = 0.5
+        a_fine = np.zeros(2 * 600 + 1)
+        a_fine[2 * 300] = -12.0
+        b_fine = np.cos(0.01 * np.arange(a_fine.size)) + 0.5
+        assert 1.0 + h_sub * a_fine[600] / 6.0 == 0.0
+        got = mates._rk4_linear(a_fine, b_fine, h_sub, 0.4)
+        assert np.all(np.isfinite(got))
+        self.assert_matches_loop(a_fine, b_fine, h_sub)
 
 
 class TestBuildMate:
