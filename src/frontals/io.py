@@ -18,19 +18,24 @@ CURVE_HEADER = ["t", "x", "y"]
 FRONTAL_HEADER = ["t", "x", "y", "nx", "ny"]
 PAIR_HEADER = ["t", "ell", "beta"]
 MATE_HEADER = ["t", "x", "y", "nx", "ny", "lambda", "ell_bar", "beta_bar"]
+# Rows per formatting block: bounds the Python floats alive at once.
+_ROW_BLOCK = 1024
 
 
 def _fmt(v) -> str:
+    """Shortest round-trip decimal of one number (numpy scalars included)."""
     return repr(float(v))
 
 
 def _write_rows(path, header, columns) -> None:
-    rows = zip(*[np.asarray(c, dtype=float) for c in columns])
+    """CSV in csv.writer's layout (\\r\\n line ends), formatted from Python
+    floats and streamed in blocks of _ROW_BLOCK rows."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        f.write(",".join(header) + "\r\n")
+        for b in range(0, len(columns[0]), _ROW_BLOCK):
+            rows = zip(*[c[b:b + _ROW_BLOCK].tolist() for c in columns])
+            f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def write_curve_csv(path, ts, points) -> None:

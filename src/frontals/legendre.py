@@ -299,43 +299,38 @@ def _scales(cp: CurvaturePair) -> dict:
     }
 
 
-def _refine_zero(cp: CurvaturePair, i_lo: int, i_hi: int) -> float:
-    """Zero of beta inside grid cells [i_lo-1, i_hi+1], by sign-change
-    bracketing on the spline, else by minimizing |beta|.
-
-    Indices may run past the grid on periodic pairs (seam clusters); the
-    bracket times are computed arithmetically and the spline wraps.
+def _refine(fn: Callable, lo: float, hi: float) -> float:
+    """Zero of fn on [lo, hi]: an end where fn is exactly 0, else the brentq
+    root when fn changes sign across the bracket, else the bounded minimizer
+    of |fn| (the caller tests whether that reaches zero).
     """
-    beta_fn = cp.beta_fn()
-    n = len(cp.grid)
-    h = cp.grid[1] - cp.grid[0]
-    t0 = cp.grid[0]
-    if cp.periodic:
-        lo = t0 + (i_lo - 1) * h
-        hi = t0 + (i_hi + 1) * h
-    else:
-        lo = t0 + max(i_lo - 1, 0) * h
-        hi = t0 + min(i_hi + 1, n - 1) * h
-    f_lo, f_hi = float(beta_fn(lo)), float(beta_fn(hi))
+    f_lo, f_hi = float(fn(lo)), float(fn(hi))
     if f_lo == 0.0:
         return float(lo)
     if f_hi == 0.0:
         return float(hi)
     if f_lo * f_hi < 0:
-        return float(brentq(lambda t: float(beta_fn(t)), lo, hi, xtol=1e-12))
-    res = minimize_scalar(
-        lambda t: abs(float(beta_fn(t))), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
+        return float(brentq(lambda t: float(fn(t)), lo, hi, xtol=1e-12))
+    res = minimize_scalar(lambda t: abs(float(fn(t))), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     return float(res.x)
 
 
+def _grid_span(cp: CurvaturePair, i_lo: int, i_hi: int) -> tuple[float, float]:
+    """Times of grid indices i_lo <= i_hi.  Open grids clamp them to the
+    grid; periodic ones may run past it (seam brackets), and the splines wrap.
+    """
+    if not cp.periodic:
+        i_lo, i_hi = max(i_lo, 0), min(i_hi, len(cp.grid) - 1)
+    h = cp.grid[1] - cp.grid[0]
+    return float(cp.grid[0] + i_lo * h), float(cp.grid[0] + i_hi * h)
+
+
 def _candidate_cells(beta: np.ndarray, below: np.ndarray, periodic: bool):
-    """Cells i (samples i, i + 1) where beta changes sign between
-    above-threshold samples, and above-threshold samples where |beta| has a
-    strict local minimum.  Periodic grids wrap at the seam; open grids test
-    endpoints one-sided.  The asymmetric < / <= tie-break makes an
-    equal-valued pair of neighbors yield one minimum.
+    """Cells i (samples i, i + 1) where the sampled field changes sign
+    between samples not flagged `below`, and unflagged samples where its
+    magnitude has a strict local minimum.  Periodic grids wrap at the seam;
+    open grids test endpoints one-sided.  The asymmetric < / <= tie-break
+    makes an equal-valued pair of neighbors yield one minimum.
     """
     crossing = ~below & ~np.roll(below, -1) & (beta * np.roll(beta, -1) < 0)
     mag = np.abs(beta)
@@ -353,7 +348,8 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
     Candidates come from three detectors: clusters of grid samples below the
     zero threshold, sign changes between above-threshold neighbors, and
     strict local minima of |beta| that refine to a sub-threshold value
-    (even-order zeros between samples).  Nearby candidates are merged.
+    (even-order zeros between samples).  Each gives a bracket of grid
+    indices that _refine solves on the spline; nearby candidates are merged.
     """
     tol = cp.sing_tol
     beta = cp.beta
@@ -361,9 +357,11 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
     below = np.abs(beta) <= tol
     beta_fn = cp.beta_fn()
     h = cp.grid[1] - cp.grid[0]
-    t_start = cp.grid[0]
-    candidates: list[float] = []
 
+    def refine(i_lo: int, i_hi: int) -> float:
+        return _refine(beta_fn, *_grid_span(cp, i_lo, i_hi))
+
+    clusters = []
     idx = np.flatnonzero(below)
     if len(idx):
         gaps = np.flatnonzero(np.diff(idx) > 1)
@@ -373,36 +371,18 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
             first = clusters.pop(0)
             last = clusters.pop()
             clusters.append((last[0], first[1] + n))
-        candidates.extend(_refine_zero(cp, i_lo, i_hi) for i_lo, i_hi in clusters)
-
     crossings, minima = _candidate_cells(beta, below, cp.periodic)
-    for i in crossings:
-        lo, hi = t_start + i * h, t_start + (i + 1) * h
-        candidates.append(float(brentq(lambda t: float(beta_fn(t)), lo, hi, xtol=1e-12)))
-
-    for i in minima:
-        lo = t_start + (i - 1) * h
-        hi = t_start + (i + 1) * h
-        if not cp.periodic:
-            lo, hi = max(lo, cp.grid[0]), min(hi, cp.grid[-1])
-        res = minimize_scalar(
-            lambda t: abs(float(beta_fn(t))), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if abs(float(beta_fn(res.x))) <= tol:
-            candidates.append(float(res.x))
+    candidates = [refine(i_lo - 1, i_hi + 1) for i_lo, i_hi in clusters]
+    candidates += [refine(i, i + 1) for i in crossings.tolist()]
+    # A minimum of |beta| counts only when it refines to a sub-threshold value.
+    candidates += [t for t in (refine(i - 1, i + 1) for i in minima.tolist()) if abs(float(beta_fn(t))) <= tol]
 
     if not candidates:
         return []
     period = cp.interval_end - cp.grid[0]
     if cp.periodic:
-        wrapped = []
-        for t0 in candidates:
-            t0 = cp.grid[0] + float(np.mod(t0 - cp.grid[0], period))
-            if cp.interval_end - t0 < 1e-9 * period:
-                t0 = float(cp.grid[0])
-            wrapped.append(t0)
-        candidates = wrapped
+        wrapped = cp.grid[0] + np.mod(np.array(candidates) - cp.grid[0], period)
+        candidates = np.where(cp.interval_end - wrapped < 1e-9 * period, cp.grid[0], wrapped).tolist()
     candidates.sort()
     merged = [candidates[0]]
     for t0 in candidates[1:]:
@@ -442,23 +422,12 @@ def classify_point(cp: CurvaturePair, t0: float) -> CuspReport:
 
 
 def inflection_points(cp: CurvaturePair) -> np.ndarray:
-    """Zeros of ell, located by sign change and refined on the spline."""
+    """Zeros of ell: grid samples where it is exactly 0, and sign changes
+    between the other samples refined on the spline."""
+    exact = cp.ell == 0.0
+    crossings, _ = _candidate_cells(cp.ell, exact, cp.periodic)
     ell_fn = cp.ell_fn()
-    ell = cp.ell
-    grid = cp.grid
-    if cp.periodic:
-        ell = np.concatenate([ell, ell[:1]])
-        grid = np.concatenate([grid, [cp.interval_end]])
-    # Cell i joins samples i and i + 1; a sample where ell is exactly 0 is a zero itself.
-    a, b = ell[:-1], ell[1:]
-    zeros = []
-    for i in np.flatnonzero((a == 0.0) | (a * b < 0)):
-        if a[i] == 0.0:
-            zeros.append(float(grid[i]))
-        else:
-            zeros.append(float(brentq(lambda t: float(ell_fn(t)), grid[i], grid[i + 1], xtol=1e-12)))
-    if not cp.periodic and len(ell) and float(ell[-1]) == 0.0:
-        zeros.append(float(grid[-1]))
+    zeros = cp.grid[exact].tolist() + [_refine(ell_fn, *_grid_span(cp, i, i + 1)) for i in crossings.tolist()]
     return np.array(sorted(set(np.round(zeros, 12))))
 
 

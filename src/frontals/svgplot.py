@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .io import _fmt
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def render_svg(curves, markers=None) -> str:
@@ -56,7 +54,7 @@ def render_svg(curves, markers=None) -> str:
                 f'r="{_fmt(marker_r)}" fill="{color}"><title>{label}</title></circle>'
             )
             continue
-        d = "M " + " L ".join(f"{_fmt(p[0])},{_fmt(-p[1])}" for p in pts)
+        d = "M " + " L ".join(f"{x!r},{-y!r}" for x, y in map(np.ndarray.tolist, pts))
         lines.append(
             f'<path d="{d}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(stroke)}"><title>{label}</title></path>'

@@ -250,6 +250,20 @@ def test_beta_zero_on_a_grid_sample():
     assert reports[0].t0 == 0.0 and reports[0].kind == CUSP_3_2
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("c", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_odd_zero_located_to_root_solver_precision(c, periodic):
+    # beta = sin(t - c) has simple zeros at c (and c + pi on the periodic
+    # grid); a sample next to each is also a local minimum of |beta|, and
+    # every cusp must still sit at the root, not at a minimizer's stop.
+    make = periodic_pair if periodic else synthetic_pair
+    pair = make(lambda t: np.ones_like(t), lambda t: np.sin(t - c))
+    reports = classify_singularities(pair)
+    want = [c, c + math.pi] if periodic else [c]
+    assert [r.kind for r in reports] == [CUSP_3_2] * len(want)
+    assert np.max(np.abs(np.array([r.t0 for r in reports]) - want)) <= 1e-10
+
+
 def test_equal_neighbouring_minima_give_one_candidate(monkeypatch):
     # |beta| takes the same value on samples 511 and 512, either side of its
     # zero; the tie-break flags only one of them for refinement.
