@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -422,16 +423,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # A solve that fails its own check is a failed check, not rejected input.
         return 1 if isinstance(exc, (ResidualError, DenominatorError)) else 2
-    for name, c in report.checks.items():
-        status = "PASS" if c["pass"] else "FAIL"
-        print(f"{status} {name}: max residual {c['max_residual']:.3g} (tol {c['tolerance']:.3g})")
-    for c in report.cusps:
-        print(f"cusp {c.kind} at t0 = {c.t0:.9g}")
-    if report.inflections:
-        print("inflections at " + ", ".join(f"{t:.9g}" for t in report.inflections))
-    if report.degenerate:
-        print(f"degenerate {report.degenerate}: beta vanishes on every grid sample, so no cusp is reported")
-    print(f"done in {report.wall_time:.3f}s")
+    try:
+        for name, c in report.checks.items():
+            status = "PASS" if c["pass"] else "FAIL"
+            print(f"{status} {name}: max residual {c['max_residual']:.3g} (tol {c['tolerance']:.3g})")
+        for c in report.cusps:
+            print(f"cusp {c.kind} at t0 = {c.t0:.9g}")
+        if report.inflections:
+            print("inflections at " + ", ".join(f"{t:.9g}" for t in report.inflections))
+        if report.degenerate:
+            print(f"degenerate {report.degenerate}: beta vanishes on every grid sample, so no cusp is reported")
+        print(f"done in {report.wall_time:.3f}s")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout; the output files are already written.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else 1
 
 

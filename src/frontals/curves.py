@@ -268,8 +268,8 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
 
 
 def spline_fn(grid: np.ndarray, values: np.ndarray, periodic: bool, t_end: float) -> Callable:
-    """Cubic-spline evaluator of samples on `grid` (axis 0 of `values`),
-    built on its first call.  `values` must not change afterwards.
+    """Cubic spline of samples on `grid` (axis 0 of `values`) as `f(t, nu=0)`,
+    its nu-th derivative; built on the first call, `values` fixed afterwards.
 
     A periodic grid covers [grid[0], t_end) without the closing sample: the
     spline closes at t_end and wraps t to t0 + mod(t - t0, t_end - t0).
@@ -277,13 +277,13 @@ def spline_fn(grid: np.ndarray, values: np.ndarray, periodic: bool, t_end: float
     t0, period = grid[0], t_end - grid[0]
     spline = None
 
-    def evaluate(t):
+    def evaluate(t, nu=0):
         nonlocal spline
         if spline is None:
             spline = CubicSpline(np.concatenate([grid, [t_end]]), np.concatenate([values, values[:1]], axis=0),
                                  bc_type="periodic") if periodic else CubicSpline(grid, values)
         t = np.asarray(t, dtype=float)
-        return spline(t0 + np.mod(t - t0, period) if periodic else t)
+        return spline(t0 + np.mod(t - t0, period) if periodic else t, nu)
 
     return evaluate
 

@@ -103,28 +103,18 @@ def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
 
 @dataclass(frozen=True)
 class CurvaturePair:
-    """Sampled curvature pair (ell, beta) with differenced derivatives."""
+    """Sampled curvature pair (ell, beta) with its splines."""
 
     grid: np.ndarray
     ell: np.ndarray
     beta: np.ndarray
-    ell_d1: np.ndarray
-    ell_d2: np.ndarray
-    beta_d1: np.ndarray
-    beta_d2: np.ndarray
     periodic: bool
-    # field name -> spline evaluator, built on first use (see _field_fn)
+    # "ell" / "beta" -> spline evaluator, made on first use (see _field_fn)
     _splines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_samples(cls, grid, ell, beta, periodic: bool) -> "CurvaturePair":
-        grid = np.asarray(grid, dtype=float)
-        ell = np.asarray(ell, dtype=float)
-        beta = np.asarray(beta, dtype=float)
-        h = grid[1] - grid[0]
-        ell_d1, ell_d2 = fd_chain(ell, h, periodic)
-        beta_d1, beta_d2 = fd_chain(beta, h, periodic)
-        return cls(grid, ell, beta, ell_d1, ell_d2, beta_d1, beta_d2, periodic)
+        return cls(*(np.asarray(v, dtype=float) for v in (grid, ell, beta)), periodic)
 
     @property
     def interval_end(self) -> float:
@@ -132,7 +122,6 @@ class CurvaturePair:
         return self.grid[-1] + h if self.periodic else self.grid[-1]
 
     def _field_fn(self, name: str) -> Callable:
-        """Spline of one sampled field ("beta", "ell_d1", ...), built once."""
         fn = self._splines.get(name)
         if fn is None:
             fn = self._splines[name] = spline_fn(self.grid, getattr(self, name), self.periodic, self.interval_end)
@@ -282,19 +271,23 @@ def _classify_witness(w: dict, scales: dict) -> str:
 
 
 def _witness_at(cp: CurvaturePair, t0: float) -> dict:
-    w = {k: float(cp._field_fn(k)(t0)) for k in ("beta", "beta_d1", "beta_d2", "ell", "ell_d1", "ell_d2")}
+    b, e = cp.beta_fn(), cp.ell_fn()
+    w = {"beta": b(t0), "beta_d1": b(t0, 1), "beta_d2": b(t0, 2), "ell": e(t0), "ell_d1": e(t0, 1), "ell_d2": e(t0, 2)}
+    w = {k: float(v) for k, v in w.items()}
     w["wronskian"] = w["ell_d2"] * w["beta_d1"] - w["ell_d1"] * w["beta_d2"]
     return w
 
 
 def _scales(cp: CurvaturePair) -> dict:
-    wr = cp.ell_d2 * cp.beta_d1 - cp.ell_d1 * cp.beta_d2
+    h = cp.grid[1] - cp.grid[0]
+    (ell_d1, ell_d2), (beta_d1, beta_d2) = (fd_chain(v, h, cp.periodic) for v in (cp.ell, cp.beta))
+    wr = ell_d2 * beta_d1 - ell_d1 * beta_d2
     return {
         "beta": float(np.max(np.abs(cp.beta))),
-        "beta_d1": float(np.max(np.abs(cp.beta_d1))),
-        "beta_d2": float(np.max(np.abs(cp.beta_d2))),
+        "beta_d1": float(np.max(np.abs(beta_d1))),
+        "beta_d2": float(np.max(np.abs(beta_d2))),
         "ell": float(np.max(np.abs(cp.ell))),
-        "ell_d1": float(np.max(np.abs(cp.ell_d1))),
+        "ell_d1": float(np.max(np.abs(ell_d1))),
         "wronskian": float(np.max(np.abs(wr))),
     }
 
@@ -348,8 +341,10 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
     Candidates come from three detectors: clusters of grid samples below the
     zero threshold, sign changes between above-threshold neighbors, and
     strict local minima of |beta| that refine to a sub-threshold value
-    (even-order zeros between samples).  Each gives a bracket of grid
-    indices that _refine solves on the spline; nearby candidates are merged.
+    (even-order zeros between samples).  A cluster that holds a sample where
+    beta is exactly 0 gives that sample; every other candidate is a bracket
+    of grid indices that _refine solves on the spline.  Nearby candidates
+    are merged.
     """
     tol = cp.sing_tol
     beta = cp.beta
@@ -360,6 +355,10 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
 
     def refine(i_lo: int, i_hi: int) -> float:
         return _refine(beta_fn, *_grid_span(cp, i_lo, i_hi))
+
+    def cluster_zero(i_lo: int, i_hi: int) -> float:
+        exact = np.flatnonzero(beta[np.arange(i_lo, i_hi + 1) % n] == 0.0)
+        return float(cp.grid[(i_lo + exact[(len(exact) - 1) // 2]) % n]) if len(exact) else refine(i_lo - 1, i_hi + 1)
 
     clusters = []
     idx = np.flatnonzero(below)
@@ -372,7 +371,7 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
             last = clusters.pop()
             clusters.append((last[0], first[1] + n))
     crossings, minima = _candidate_cells(beta, below, cp.periodic)
-    candidates = [refine(i_lo - 1, i_hi + 1) for i_lo, i_hi in clusters]
+    candidates = [cluster_zero(i_lo, i_hi) for i_lo, i_hi in clusters]
     candidates += [refine(i, i + 1) for i in crossings.tolist()]
     # A minimum of |beta| counts only when it refines to a sub-threshold value.
     candidates += [t for t in (refine(i - 1, i + 1) for i in minima.tolist()) if abs(float(beta_fn(t))) <= tol]

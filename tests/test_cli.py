@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -264,6 +267,17 @@ class TestRunJob:
             ),
         )
         assert cli.main(["curvature", "--curve", "circle:r=1"]) == 1
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # The reader goes away before the summary is printed: no traceback.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "frontals.cli", "cusps", "--curve", "astroid"], cwd=tmp_path,
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestSolverFailure:
