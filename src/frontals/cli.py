@@ -48,7 +48,7 @@ from .mates import (
     solve_mate,
     verify_mate_curvature,
 )
-from .planar import constant_fn, linear_fn, rotate_j
+from .planar import constant_fn, linear_fn, rotate_j, row_norm
 from .svgplot import render_svg
 
 OPERATORS = (
@@ -146,6 +146,7 @@ class RunReport:
     inflections: list
     wall_time: float
     degenerate: str = ""  # names the scanned curve when its beta vanishes on the whole grid
+    straight: str = ""  # names the scanned curve when its normal does not turn (CurvaturePair.straight)
 
     @property
     def passed(self) -> bool:
@@ -273,7 +274,7 @@ def _build_frontal(spec: JobSpec):
         ts, points, normals = fio.read_curve_csv(rest)
         if spec.periodic == "auto":
             gap = np.linalg.norm(points[-1] - points[0])
-            step = np.median(np.linalg.norm(np.diff(points, axis=0), axis=-1))
+            step = np.median(row_norm(np.diff(points, axis=0)))
             periodic = bool(gap <= 3.0 * step)
         else:
             periodic = spec.periodic == "yes"
@@ -321,7 +322,7 @@ def _curvature_checks(lc, pair) -> dict:
     checks = {}
     _check(checks, "tangency", tangency_residual(lc), lc.leg_tol)
     mu = rotate_j(lc.on_grid("nu"))
-    frenet_nu = np.max(np.linalg.norm(lc.on_grid("nu_d1") - pair.ell[:, None] * mu, axis=-1))
+    frenet_nu = np.max(row_norm(lc.on_grid("nu_d1") - pair.ell[:, None] * mu))
     _check(checks, "frenet_closure", frenet_nu, CROSS_TOL * max(1.0, float(np.max(np.abs(pair.ell)))))
     if np.any(np.abs(pair.beta) > pair.sing_tol):
         rep = check_ell_kappa_relation(lc, pair)
@@ -358,7 +359,7 @@ def run_job(spec: JobSpec) -> RunReport:
     inflections: list = []
     svg_curves = []
     svg_markers = None
-    degenerate = ""
+    degenerate = straight = ""
 
     if spec.operator == "check-regular":
         lc, label = _build_frontal(spec)
@@ -386,9 +387,8 @@ def run_job(spec: JobSpec) -> RunReport:
             checks.update(_mate_checks(mp, lc.gamma.extent, lc.gamma.kind))
             if spec.operator == "roundtrip":
                 back = inverse_mate(mp)
-                pos_err = float(np.max(np.linalg.norm(
-                    back.mate.gamma.on_grid("position") - lc.gamma.on_grid("position"), axis=-1)))
-                nrm_err = float(np.max(np.linalg.norm(back.mate.on_grid("nu") - lc.on_grid("nu"), axis=-1)))
+                pos_err = float(np.max(row_norm(back.mate.gamma.on_grid("position") - lc.gamma.on_grid("position"))))
+                nrm_err = float(np.max(row_norm(back.mate.on_grid("nu") - lc.on_grid("nu"))))
                 _check(checks, "roundtrip_position", pos_err, mate_tol(lc.gamma.extent, lc.gamma.kind))
                 _check(checks, "roundtrip_normal", nrm_err, ROUNDTRIP_NORMAL_TOL)
             svg_curves.append((spec.operator, mp.mate.gamma.on_grid("position")))
@@ -400,6 +400,7 @@ def run_job(spec: JobSpec) -> RunReport:
         if cusps:
             svg_markers = scanned.gamma.position(np.array([c.t0 for c in cusps]))
         degenerate = label if scanned_pair.degenerate else ""
+        straight = label if scanned_pair.straight else ""
 
     report = RunReport(
         checks=checks,
@@ -407,6 +408,7 @@ def run_job(spec: JobSpec) -> RunReport:
         inflections=inflections,
         wall_time=time.perf_counter() - start,
         degenerate=degenerate,
+        straight=straight,
     )
     if "svg" in spec.outputs:
         fio.write_text(spec.outputs["svg"], render_svg(svg_curves, svg_markers))
@@ -433,6 +435,8 @@ def main(argv=None) -> int:
             print("inflections at " + ", ".join(f"{t:.9g}" for t in report.inflections))
         if report.degenerate:
             print(f"degenerate {report.degenerate}: beta vanishes on every grid sample, so no cusp is reported")
+        if report.straight:
+            print(f"straight {report.straight}: ell vanishes on every grid sample, so no inflection is reported")
         print(f"done in {report.wall_time:.3f}s")
         sys.stdout.flush()
     except BrokenPipeError:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .planar import ScalarFn
+from .planar import row_dot, row_norm
 
 # Relative tolerance for closed-form vs finite-difference agreement.
 FD_TOL = 1e-5
@@ -114,14 +114,35 @@ def fd_chain(values: np.ndarray, h: float, periodic: bool):
     return d1, fd_d1(d1, h, periodic)
 
 
-def check_fn_consistency(fn: ScalarFn, grid: np.ndarray, periodic: bool = False) -> float:
-    """Max relative mismatch between fn.deriv and differenced fn.eval."""
-    vals = np.asarray(fn.eval(grid), dtype=float)
-    dv = np.asarray(fn.deriv(grid), dtype=float)
-    h = grid[1] - grid[0]
-    approx = fd_d1(vals, h, periodic)
+def fd_mismatch(vals: np.ndarray, dv: np.ndarray, h: float) -> float:
+    """Max relative mismatch between derivative samples dv and the samples
+    vals of a function on a grid of step h, differenced as an open grid."""
+    approx = fd_d1(vals, h, periodic=False)
     scale = max(1.0, float(np.max(np.abs(dv))))
     return float(np.max(np.abs(approx - dv))) / scale
+
+
+def uniform_interp(values: np.ndarray, frac: float, periodic: bool) -> np.ndarray:
+    """Samples (axis 0 of `values`) of a uniform grid, interpolated at frac
+    of the way through each cell by the 6-point Lagrange stencil centred on
+    the cell (error O(h^6)).  A periodic grid of n samples has n cells and
+    wraps the stencil; an open one has n - 1 and shifts it inward at its ends.
+    """
+    def weights(x):  # of the stencil's nodes -2, ..., 3 (from the cell start) at x
+        return np.array([np.prod([(x - m) / (xj - m) for m in range(-2, 4) if m != xj]) for xj in range(-2, 4)])
+
+    f = np.asarray(values, dtype=float)
+    n = len(f)
+    w = weights(frac)
+    if periodic:
+        fp = np.concatenate((f[-2:], f, f[:3]))
+        return sum(w[j] * fp[j : j + n] for j in range(6))
+    out = np.empty((n - 1,) + f.shape[1:])
+    out[2:-2] = sum(w[j] * f[j : j + n - 5] for j in range(6))
+    for k in (0, 1, n - 3, n - 2):
+        base = min(max(k, 2), n - 4)
+        out[k] = weights(k - base + frac) @ f[base - 2 : base + 4]
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,10 +160,15 @@ class GridSamples:
 
     def _seed(self, **fields):
         """Cache grid samples of the named fields, read-only; returns self."""
-        for name, values in fields.items():
-            self._samples[name] = values = np.asarray(values, dtype=float).view()
-            values.setflags(write=False)
+        self._samples.update((name, read_only(values)) for name, values in fields.items())
         return self
+
+
+def read_only(values) -> np.ndarray:
+    """A read-only float view of values."""
+    view = np.asarray(values, dtype=float).view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -333,7 +359,7 @@ def arclength_maps(c: CurveModel):
     inverted with a monotone cubic interpolant.
     """
     ts = c.interval.grid_closed
-    speeds = np.linalg.norm(c.d1(ts), axis=-1)
+    speeds = row_norm(c.d1(ts))
     vmin = float(np.min(speeds))
     if vmin <= c.reg_tol:
         i = int(np.argmin(speeds))
@@ -350,8 +376,8 @@ def arclength_maps(c: CurveModel):
 def speed_derivatives(g1, g2):
     """Speed v = |gamma'| and its derivative vd from the first two
     derivatives of gamma."""
-    v = np.linalg.norm(g1, axis=-1)
-    return v, np.sum(g1 * g2, axis=-1) / v
+    v = row_norm(g1)
+    return v, row_dot(g1, g2) / v
 
 
 def arclength_reparametrize(c: CurveModel) -> CurveModel:
@@ -374,7 +400,7 @@ def arclength_reparametrize(c: CurveModel) -> CurveModel:
     def d1(s):
         t = param(s)
         g1 = c.d1(t)
-        v = np.linalg.norm(g1, axis=-1)
+        v = row_norm(g1)
         return g1 / v[..., None]
 
     def d2(s):
@@ -403,7 +429,7 @@ def regular_curvature(c: CurveModel, t) -> np.ndarray:
 def determinant_curvature(g1, g2, t, reg_tol: float) -> np.ndarray:
     """det(g1, g2) / |g1|^3 from samples of gamma' and gamma'' at t; raises
     where |gamma'| <= reg_tol (a singular point)."""
-    v = np.linalg.norm(g1, axis=-1)
+    v = row_norm(g1)
     if np.any(v <= reg_tol):
         bad = np.atleast_1d(t)[np.atleast_1d(v) <= reg_tol]
         raise SingularCurveError(f"singular point at t = {bad[:4]}")

@@ -31,7 +31,7 @@ from .curves import (
     speed_derivatives,
     spline_fn,
 )
-from .planar import rotate_j
+from .planar import rotate_j, row_dot, row_norm
 
 # Tangency tolerance scale: analytic normals are exact, sampled normals carry
 # differencing noise.
@@ -44,6 +44,8 @@ UNIT_NORMAL_TOL = 1e-6
 # inconclusive.  Keeps "zero" and "nonzero" mutually exclusive.
 SING_SCALE = 1e-7
 NZ_FACTOR = 1e2
+# A pair whose normal turns by at most this angle (radians) is straight.
+STRAIGHT_TOL = 1e-9
 
 REGULAR = "regular"
 CUSP_3_2 = "cusp_3_2"
@@ -74,12 +76,12 @@ class LegendreCurve(GridSamples):
     def leg_tol(self) -> float:
         """Tangency tolerance, scaled by the largest grid speed."""
         scale = LEG_TOL_ANALYTIC if self.gamma.kind == "analytic" else LEG_TOL_SAMPLED
-        return scale * max(float(np.max(np.linalg.norm(self.gamma.on_grid("d1"), axis=-1))), 1e-12)
+        return scale * max(float(np.max(row_norm(self.gamma.on_grid("d1")))), 1e-12)
 
 
 def tangency_residual(lc: LegendreCurve) -> float:
     """max |gamma' . nu| over the grid samples."""
-    return float(np.max(np.abs(np.sum(lc.gamma.on_grid("d1") * lc.on_grid("nu"), axis=-1))))
+    return float(np.max(np.abs(row_dot(lc.gamma.on_grid("d1"), lc.on_grid("nu")))))
 
 
 def frontal_from_normal(gamma: CurveModel, nu_samples) -> LegendreCurve:
@@ -95,7 +97,7 @@ def frontal_from_normal(gamma: CurveModel, nu_samples) -> LegendreCurve:
 def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
     """LegendreCurve from normal samples on the gamma grid (CSV ingestion)."""
     nu_samples = np.asarray(nu_samples, dtype=float)
-    norms = np.linalg.norm(nu_samples, axis=-1)
+    norms = row_norm(nu_samples)
     if np.any(np.abs(norms - 1.0) > UNIT_NORMAL_TOL):
         raise ValueError(f"normal samples deviate from unit length beyond {UNIT_NORMAL_TOL:g}")
     return frontal_from_normal(gamma, nu_samples / norms[:, None])
@@ -142,6 +144,13 @@ class CurvaturePair:
         """beta vanishes on every grid sample: the curve has no regular point."""
         return bool(np.all(np.abs(self.beta) <= self.sing_tol))
 
+    @property
+    def straight(self) -> bool:
+        """The normal turns by at most STRAIGHT_TOL, measured as h * max|cumsum(ell)|:
+        a bound on max|ell| would not tell sampling noise from slow turning."""
+        h = self.grid[1] - self.grid[0]
+        return bool(h * np.max(np.abs(np.cumsum(self.ell))) <= STRAIGHT_TOL)
+
 
 @dataclass(frozen=True)
 class CuspReport:
@@ -172,9 +181,9 @@ def legendre_curvature(lc: LegendreCurve) -> CurvaturePair:
         raise TangencyError(f"gamma' . nu residual {res:.3g} exceeds {tol:.3g}")
     g1 = lc.gamma.on_grid("d1")
     mu = rotate_j(lc.on_grid("nu"))
-    ell = np.sum(lc.on_grid("nu_d1") * mu, axis=-1)
-    beta = np.sum(g1 * mu, axis=-1)
-    recon = float(np.max(np.linalg.norm(g1 - beta[:, None] * mu, axis=-1)))
+    ell = row_dot(lc.on_grid("nu_d1"), mu)
+    beta = row_dot(g1, mu)
+    recon = float(np.max(row_norm(g1 - beta[:, None] * mu)))
     if recon > tol:
         raise TangencyError(f"gamma' reconstruction residual {recon:.3g} exceeds {tol:.3g}")
     return CurvaturePair.from_samples(lc.interval.grid, ell, beta, lc.interval.periodic)
@@ -186,12 +195,12 @@ def from_regular(c: CurveModel) -> LegendreCurve:
     The resulting curvature pair is (|gamma'| * kappa, -|gamma'|).
     """
     g1, g2 = c.on_grid("d1"), c.on_grid("d2")
-    vmin = float(np.min(np.linalg.norm(g1, axis=-1)))
+    vmin = float(np.min(row_norm(g1)))
     if vmin <= c.reg_tol:
         raise SingularCurveError(f"curve has singular points (min speed {vmin:.3g})")
 
     def lift(g1):
-        return rotate_j(g1) / np.linalg.norm(g1, axis=-1)[..., None]
+        return rotate_j(g1) / row_norm(g1)[..., None]
 
     def lift_d1(g1, g2):
         v, vd = speed_derivatives(g1, g2)
@@ -422,7 +431,10 @@ def classify_point(cp: CurvaturePair, t0: float) -> CuspReport:
 
 def inflection_points(cp: CurvaturePair) -> np.ndarray:
     """Zeros of ell: grid samples where it is exactly 0, and sign changes
-    between the other samples refined on the spline."""
+    between the other samples refined on the spline.  A straight pair has
+    none."""
+    if cp.straight:
+        return np.array([])
     exact = cp.ell == 0.0
     crossings, _ = _candidate_cells(cp.ell, exact, cp.periodic)
     ell_fn = cp.ell_fn()

@@ -19,7 +19,8 @@ carries enough structure to be inverted or composed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,11 +32,13 @@ from .curves import (
     arclength_maps,
     arclength_reparametrize,
     build_sampled,
-    check_fn_consistency,
     fd_d1,
+    fd_mismatch,
+    read_only,
     regular_curvature,
     restrict,
     spline_fn,
+    uniform_interp,
     FD_TOL,
 )
 from .legendre import (
@@ -46,7 +49,7 @@ from .legendre import (
     legendre_curvature,
     tangency_residual,
 )
-from .planar import ScalarFn, add_fns, constant_fn, frame_field, negate_fn
+from .planar import ScalarFn, add_fns, constant_fn, frame_field, negate_fn, row_dot, row_norm, turn
 
 # cos(tau) must stay this far from zero for the explicit ODE direction.
 ANGLE_TOL = 1e-6
@@ -94,6 +97,10 @@ class ResidualError(ValueError):
     """The solved scale function fails the defining condition."""
 
 
+# theta, tau and their derivatives on a grid, with the cosines and sines of theta and tau
+AngleSamples = namedtuple("AngleSamples", "th thd ta tad cos_th sin_th cos_ta sin_ta")
+
+
 @dataclass(frozen=True)
 class MateConfig:
     """Angle functions, initial scale value, and the solve mode."""
@@ -102,6 +109,22 @@ class MateConfig:
     tau: ScalarFn
     lambda0: float = 0.0
     mode: str = "auto"  # ode | algebraic | auto
+    # [grid, AngleSamples] of the last grid the angles were sampled on
+    _angles: list = field(default_factory=list, init=False, compare=False, repr=False)
+
+    def angles(self, ts: np.ndarray) -> AngleSamples:
+        """Read-only samples of the angle functions on the grid ts, evaluated
+        once per grid: the cache is keyed by the grid's values."""
+        if not self._angles or not np.array_equal(self._angles[0], ts):
+            th, thd, ta, tad = (np.asarray(f(ts), dtype=float)
+                                for f in (self.theta.eval, self.theta.deriv, self.tau.eval, self.tau.deriv))
+            self._seed_angles(ts, AngleSamples(th, thd, ta, tad, np.cos(th), np.sin(th), np.cos(ta), np.sin(ta)))
+        return self._angles[1]
+
+    def _seed_angles(self, ts: np.ndarray, samples: AngleSamples) -> "MateConfig":
+        """Cache `samples` as the angles on the grid ts, read-only; returns self."""
+        self._angles[:] = (np.array(ts, dtype=float), AngleSamples(*map(read_only, samples)))
+        return self
 
 
 @dataclass(frozen=True)
@@ -128,7 +151,7 @@ def lambda_tol(pair: CurvaturePair, config: MateConfig, lam) -> np.ndarray:
     with |lam|; where |lam (theta' + ell)| <= max|beta| the tolerance is
     ODE_TOL_SCALE * max(max|beta|, 1), and it is never below that.
     """
-    thd = np.asarray(config.theta.deriv(pair.grid), dtype=float)
+    thd = config.angles(pair.grid).thd
     floor = max(float(np.max(np.abs(pair.beta))), 1.0)
     return ODE_TOL_SCALE * np.maximum(np.abs(lam * (thd + pair.ell)), floor)
 
@@ -140,13 +163,10 @@ def mate_tol(extent: float, kind: str = "analytic") -> float:
 
 def condition_residual(pair: CurvaturePair, config: MateConfig, lam, lam_d1) -> np.ndarray:
     """Pointwise defect of the defining first-order condition."""
-    ts = pair.grid
-    th = np.asarray(config.theta.eval(ts), dtype=float)
-    thd = np.asarray(config.theta.deriv(ts), dtype=float)
-    ta = np.asarray(config.tau.eval(ts), dtype=float)
+    a = config.angles(pair.grid)
     return np.abs(
-        (pair.beta * np.sin(th) + lam_d1) * np.cos(ta)
-        - (pair.beta * np.cos(th) + lam * (thd + pair.ell)) * np.sin(ta)
+        (pair.beta * a.sin_th + lam_d1) * a.cos_ta
+        - (pair.beta * a.cos_th + lam * (a.thd + pair.ell)) * a.sin_ta
     )
 
 
@@ -243,21 +263,21 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     The returned residual is evaluated with a differenced lambda', so it
     measures the solve rather than restating the construction.
     """
-    # One-sided differencing regardless of grid periodicity: angle functions
-    # need not close over the period (a linear sweep is legitimate).
-    for fn, name in ((config.theta, "theta"), (config.tau, "tau")):
-        err = check_fn_consistency(fn, pair.grid, periodic=False)
-        if err > FD_TOL:
-            raise ValueError(f"{name}.deriv disagrees with {name}.eval (relative error {err:.2g})")
-
-    mode = resolve_mode(config.mode, config.tau.eval(pair.grid))
     ts = pair.grid
     h = ts[1] - ts[0]
     t_end = pair.interval_end
+    a = config.angles(ts)
+    # One-sided differencing regardless of grid periodicity: angle functions
+    # need not close over the period (a linear sweep is legitimate).
+    for name, vals, dv in (("theta", a.th, a.thd), ("tau", a.ta, a.tad)):
+        err = fd_mismatch(vals, dv, h)
+        if err > FD_TOL:
+            raise ValueError(f"{name}.deriv disagrees with {name}.eval (relative error {err:.2g})")
+
+    mode = resolve_mode(config.mode, a.ta)
 
     if mode == "algebraic":
-        th = np.asarray(config.theta.eval(ts), dtype=float)
-        denom = np.asarray(config.theta.deriv(ts), dtype=float) + pair.ell
+        denom = a.thd + pair.ell
         denom_tol = DENOM_RTOL * max(float(np.max(np.abs(denom))), 1e-30)
         if np.min(np.abs(denom)) <= denom_tol:
             bad = ts[np.abs(denom) <= denom_tol]
@@ -266,7 +286,7 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
                 "the pointwise solve blows up there",
                 locations=bad,
             )
-        lam = -pair.beta * np.cos(th) / denom
+        lam = -pair.beta * a.cos_th / denom
         if pair.periodic:
             # ell and beta at the period end are their first samples.
             th_end = float(config.theta.eval(t_end))
@@ -280,24 +300,29 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
         return _solution(pair, config, lam, lam_d1, "algebraic", wrap, _near_zero(lam, extent))
 
     # ODE direction.  Coefficients are linear in lambda:
-    # lambda' = A(t) lambda + B(t).
-    beta_fn = pair.beta_fn()
-    ell_fn = pair.ell_fn()
-    n_steps = pair.grid.shape[0] - (0 if pair.periodic else 1)
+    # lambda' = A(t) lambda + B(t).  At the grid nodes beta and ell are their
+    # samples (the period end wraps to sample 0); between them they come from
+    # the 6-point stencil of uniform_interp.
+    fields = np.stack((pair.beta, pair.ell), axis=-1)
+    nodes = np.concatenate((fields, fields[:1])) if pair.periodic else fields
+    n_steps = len(nodes) - 1
 
-    def coefs(times):
+    def coefs(times, b, el):
         th = np.asarray(config.theta.eval(times), dtype=float)
         thd = np.asarray(config.theta.deriv(times), dtype=float)
         ta = np.asarray(config.tau.eval(times), dtype=float)
         tt = np.tan(ta)
-        b = np.asarray(beta_fn(times), dtype=float)
-        el = np.asarray(ell_fn(times), dtype=float)
         return tt * (thd + el), tt * b * np.cos(th) - b * np.sin(th)
 
     for substeps in (1, 2):
         h_sub = h / substeps
-        fine = ts[0] + 0.5 * h_sub * np.arange(2 * substeps * n_steps + 1)
-        a_fine, b_fine = coefs(fine)
+        stages = 2 * substeps  # stage times per grid step
+        fine = ts[0] + 0.5 * h_sub * np.arange(stages * n_steps + 1)
+        be = np.empty((len(fine), 2))
+        be[::stages] = nodes
+        for j in range(1, stages):
+            be[j::stages] = uniform_interp(fields, j / stages, pair.periodic)
+        a_fine, b_fine = coefs(fine, be[:, 0], be[:, 1])
         y_all = _rk4_linear(a_fine, b_fine, h_sub, config.lambda0)
         # Difference the trajectory at the integration resolution: the retry
         # then cuts both the integrator and the differentiation error 16x.
@@ -319,16 +344,12 @@ def mate_curvature(pair: CurvaturePair, config: MateConfig, lam: LambdaSolution)
     ell_bar = theta' - tau' + ell and
     beta_bar = (beta cos(theta) + lambda (theta' + ell)) cos(tau)
              + (beta sin(theta) + lambda') sin(tau)."""
-    ts = pair.grid
-    th = np.asarray(config.theta.eval(ts), dtype=float)
-    thd = np.asarray(config.theta.deriv(ts), dtype=float)
-    ta = np.asarray(config.tau.eval(ts), dtype=float)
-    tad = np.asarray(config.tau.deriv(ts), dtype=float)
-    ell_bar = thd - tad + pair.ell
-    beta_bar = (pair.beta * np.cos(th) + lam.lam * (thd + pair.ell)) * np.cos(ta) + (
-        pair.beta * np.sin(th) + lam.lam_d1
-    ) * np.sin(ta)
-    return CurvaturePair.from_samples(ts, ell_bar, beta_bar, _mate_is_periodic(pair, lam))
+    a = config.angles(pair.grid)
+    ell_bar = a.thd - a.tad + pair.ell
+    beta_bar = (pair.beta * a.cos_th + lam.lam * (a.thd + pair.ell)) * a.cos_ta + (
+        pair.beta * a.sin_th + lam.lam_d1
+    ) * a.sin_ta
+    return CurvaturePair.from_samples(pair.grid, ell_bar, beta_bar, _mate_is_periodic(pair, lam))
 
 
 def _closes(lam: np.ndarray, wrap: Optional[float]) -> bool:
@@ -357,7 +378,8 @@ class MatePair:
 
     def direction(self) -> np.ndarray:
         """v = cos(theta) nu + sin(theta) mu on the source frame, on the grid."""
-        return frame_field(self.source.on_grid("nu"), np.asarray(self.config.theta.eval(self.lam.grid), dtype=float))
+        a = self.config.angles(self.lam.grid)
+        return turn(self.source.on_grid("nu"), a.cos_th, a.sin_th)
 
 
 def _residual_excess(lam: LambdaSolution, pair: CurvaturePair, config: MateConfig) -> Optional[str]:
@@ -378,11 +400,11 @@ def _residual_gate(lam: LambdaSolution, pair: CurvaturePair, config: MateConfig)
         raise ResidualError(f"lambda {excess}")
 
 
-def _direction_gate(v: np.ndarray, mate_nu: np.ndarray, tau_samples, tol: float) -> float:
+def _direction_gate(v: np.ndarray, mate_nu: np.ndarray, a: AngleSamples, tol: float) -> float:
     """max |v - w_bar|, where w_bar = cos(tau) nu_bar + sin(tau) mu_bar on the
     mate frame; rejects a pair whose fields do not coincide within tol."""
-    w_bar = frame_field(mate_nu, np.asarray(tau_samples, dtype=float))
-    res = float(np.max(np.linalg.norm(v - w_bar, axis=-1)))
+    w_bar = turn(mate_nu, a.cos_ta, a.sin_ta)
+    res = float(np.max(row_norm(v - w_bar)))
     if res > tol:
         raise ValueError(f"direction fields disagree: {res:.3g} > {tol:.3g}")
     return res
@@ -403,17 +425,16 @@ def build_mate(
     """
     _residual_gate(lam, pair, config)
     ts = pair.grid
-    th = np.asarray(config.theta.eval(ts), dtype=float)
-    ta = np.asarray(config.tau.eval(ts), dtype=float)
+    a = config.angles(ts)
     nu = lc.on_grid("nu")
-    v = frame_field(nu, th)
+    v = turn(nu, a.cos_th, a.sin_th)
     positions = lc.gamma.on_grid("position") + lam.lam[:, None] * v
     mate_gamma = build_sampled(ts, positions, periodic=_mate_is_periodic(pair, lam))
-    mate_lc = frontal_from_normal(mate_gamma, frame_field(nu, th - ta))
+    mate_lc = frontal_from_normal(mate_gamma, frame_field(nu, a.th - a.ta))
     mcurv = mate_curvature(pair, config, lam)
 
     dir_tol = mate_tol(lc.gamma.extent, lc.gamma.kind)
-    dir_res = _direction_gate(v, mate_lc.on_grid("nu"), ta, dir_tol)
+    dir_res = _direction_gate(v, mate_lc.on_grid("nu"), a, dir_tol)
     tan_res = tangency_residual(mate_lc)
     if tan_res > mate_lc.leg_tol:
         raise ValueError(f"mate violates tangency: {tan_res:.3g} > {mate_lc.leg_tol:.3g}")
@@ -500,7 +521,9 @@ def inverse_mate(mp: MatePair) -> MatePair:
 
     The returned pair's mate coincides with the original source.
     """
-    cfg = MateConfig(theta=mp.config.tau, tau=mp.config.theta, lambda0=float(-mp.lam.lam[0]))
+    ts, a = mp.lam.grid, mp.config.angles(mp.lam.grid)
+    cfg = MateConfig(theta=mp.config.tau, tau=mp.config.theta, lambda0=float(-mp.lam.lam[0]))._seed_angles(
+        ts, AngleSamples(a.ta, a.tad, a.th, a.thd, a.cos_ta, a.sin_ta, a.cos_th, a.sin_th))
     pair_bar = mp.mate_curvature
     wrap = None if mp.lam.wrap_value is None else -mp.lam.wrap_value
     lam = _solution(pair_bar, cfg, -mp.lam.lam, -mp.lam.lam_d1, "prescribed", wrap, mp.lam.near_zero)
@@ -531,14 +554,13 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     extent = mp12.source.gamma.extent
     tol = mate_tol(extent, mp12.source.gamma.kind)
 
-    mid_gap = float(np.max(np.linalg.norm(
-        mp12.mate.gamma.on_grid("position") - mp23.source.gamma.on_grid("position"), axis=-1)))
-    nrm_gap = float(np.max(np.linalg.norm(mp12.mate.on_grid("nu") - mp23.source.on_grid("nu"), axis=-1)))
+    mid_gap = float(np.max(row_norm(mp12.mate.gamma.on_grid("position") - mp23.source.gamma.on_grid("position"))))
+    nrm_gap = float(np.max(row_norm(mp12.mate.on_grid("nu") - mp23.source.on_grid("nu"))))
     if mid_gap > tol or nrm_gap > tol:
         raise ValueError(
             f"middle curves do not coincide (position gap {mid_gap:.3g}, normal gap {nrm_gap:.3g})"
         )
-    dir_gap = float(np.max(np.linalg.norm(mp12.direction() - mp23.direction(), axis=-1)))
+    dir_gap = float(np.max(row_norm(mp12.direction() - mp23.direction())))
     if dir_gap > tol:
         raise ValueError(f"direction fields do not chain (gap {dir_gap:.3g})")
 
@@ -546,8 +568,8 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     src_pos = mp12.source.gamma.on_grid("position")
     far_pos = mp23.mate.gamma.on_grid("position")
     if _near_zero(lam_sum, extent):
-        pos_gap = float(np.max(np.linalg.norm(src_pos - far_pos, axis=-1)))
-        n_gap = float(np.max(np.linalg.norm(mp12.source.on_grid("nu") - mp23.mate.on_grid("nu"), axis=-1)))
+        pos_gap = float(np.max(row_norm(src_pos - far_pos)))
+        n_gap = float(np.max(row_norm(mp12.source.on_grid("nu") - mp23.mate.on_grid("nu"))))
         return IdentityReport(
             max_lambda_sum=float(np.max(np.abs(lam_sum))),
             position_gap=pos_gap,
@@ -559,7 +581,10 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     # Composite angles: the target frame accumulates both rotations, so the
     # direction field of the first pair sits at tau1 - theta2 + tau2 in it.
     tau = add_fns(mp12.config.tau, negate_fn(mp23.config.theta), mp23.config.tau)
-    cfg = MateConfig(theta=mp12.config.theta, tau=tau, lambda0=float(lam_sum[0]))
+    a1, a2 = mp12.config.angles(ts), mp23.config.angles(ts)
+    ta, tad = a1.ta - a2.th + a2.ta, a1.tad - a2.thd + a2.tad
+    cfg = MateConfig(theta=mp12.config.theta, tau=tau, lambda0=float(lam_sum[0]))._seed_angles(
+        ts, AngleSamples(a1.th, a1.thd, ta, tad, a1.cos_th, a1.sin_th, np.cos(ta), np.sin(ta)))
     pair1 = mp12.source_curvature
     wrap = None
     if mp12.lam.wrap_value is not None and mp23.lam.wrap_value is not None:
@@ -569,10 +594,10 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     _residual_gate(lam, pair1, cfg)
 
     v1 = mp12.direction()
-    chain_gap = float(np.max(np.linalg.norm(far_pos - (src_pos + lam_sum[:, None] * v1), axis=-1)))
+    chain_gap = float(np.max(row_norm(far_pos - (src_pos + lam_sum[:, None] * v1))))
     if chain_gap > tol:
         raise ValueError(f"composite translation fails: gap {chain_gap:.3g}")
-    dir_res = _direction_gate(v1, mp23.mate.on_grid("nu"), cfg.tau.eval(ts), tol)
+    dir_res = _direction_gate(v1, mp23.mate.on_grid("nu"), cfg.angles(ts), tol)
 
     return MatePair(
         source=mp12.source,
@@ -711,7 +736,7 @@ def regular_to_legendre_mates(
     lam_d1_sp = spline_fn(ts, mp.lam.lam_d1, False, ts[-1])
 
     def speed_at(t):
-        return np.linalg.norm(mp.source.gamma.d1(t), axis=-1)
+        return row_norm(mp.source.gamma.d1(t))
 
     def to_s(fn: ScalarFn) -> ScalarFn:
         def ev(s):
@@ -753,11 +778,11 @@ def check_mate_relation(lc_a: LegendreCurve, lc_b: LegendreCurve, theta: ScalarF
     ts = lc_a.interval.grid
     u = frame_field(lc_a.on_grid("nu"), np.asarray(theta.eval(ts), dtype=float))
     diff = lc_b.gamma.on_grid("position") - lc_a.gamma.on_grid("position")
-    lam = np.sum(diff * u, axis=-1)
-    res = float(np.max(np.linalg.norm(diff - lam[:, None] * u, axis=-1)))
+    lam = row_dot(diff, u)
+    res = float(np.max(row_norm(diff - lam[:, None] * u)))
     nu_b = lc_b.on_grid("nu")
     mu_b = np.stack((-nu_b[:, 1], nu_b[:, 0]), axis=-1)
-    tau_samples = np.arctan2(np.sum(u * mu_b, axis=-1), np.sum(u * nu_b, axis=-1))
+    tau_samples = np.arctan2(row_dot(u, mu_b), row_dot(u, nu_b))
     tol = mate_tol(lc_a.gamma.extent, lc_a.gamma.kind)
     return MateRelationReport(
         lam=lam,

@@ -67,8 +67,21 @@ def rotate_j(a) -> np.ndarray:
 def frame_field(nu: np.ndarray, theta: ArrayLike) -> np.ndarray:
     """cos(theta) * nu + sin(theta) * mu, where mu = rotate_j(nu), over an
     (..., 2) field of unit normals."""
+    return turn(nu, np.cos(theta), np.sin(theta))
+
+
+def turn(nu: np.ndarray, c: ArrayLike, s: ArrayLike) -> np.ndarray:
+    """frame_field from the cosine c and sine s of the angle."""
     nu = np.asarray(nu, dtype=float)
-    mu = rotate_j(nu)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    return c[..., None] * nu + s[..., None] * mu
+    x, y = nu[..., 0], nu[..., 1]
+    return np.stack((c * x - s * y, c * y + s * x), axis=-1)
+
+
+def row_dot(a, b) -> np.ndarray:
+    """np.sum(a * b, axis=-1) of (..., 2) arrays, bit for bit, without its slow last-axis reduction."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def row_norm(a) -> np.ndarray:
+    """np.linalg.norm(a, axis=-1) of (..., 2) arrays, bit for bit."""
+    return np.sqrt(row_dot(a, a))

@@ -108,6 +108,15 @@ class TestRunJob:
         assert "degenerate evolute: beta vanishes on every grid sample" in out
         assert not [line for line in out.splitlines() if line.startswith("cusp ")]
 
+    def test_straight_line_reports_no_inflection(self, tmp_path, capsys):
+        t = np.linspace(0.0, 1.0, 200)
+        fio.write_curve_csv(tmp_path / "line.csv", t, np.stack((0.3 + 1.7 * t, -0.2 + 0.9 * t), axis=-1))
+        for curve, label in (("line:dx=1", "line"), (f"csv:{tmp_path / 'line.csv'}", str(tmp_path / "line.csv"))):
+            assert main(["cusps", "--curve", curve, "--samples", "32"]) == 0
+            out = capsys.readouterr().out
+            assert f"straight {label}: ell vanishes on every grid sample, so no inflection is reported" in out
+            assert "inflections at" not in out
+
     @pytest.mark.parametrize("curve", ["circle:r=3", "csv"])
     def test_inexact_circle_evolute_reports_no_cusp(self, curve, tmp_path, capsys):
         # Unlike r=1, these evolutes carry rounding noise, so beta_bar is not

@@ -11,7 +11,7 @@ from frontals.curves import (
     arclength_reparametrize,
     build_builtin,
     build_sampled,
-    check_fn_consistency,
+    fd_mismatch,
     fd_chain,
     fd_d1,
     regular_curvature,
@@ -195,12 +195,10 @@ def test_periodic_closure_enforced():
 
 def test_fn_consistency_checker():
     grid = np.linspace(0.0, TWO_PI, 512)
+    h = grid[1] - grid[0]
     good = linear_fn(0.3, 2.0)
-    assert check_fn_consistency(good, grid) <= 1e-10
-    from frontals.planar import ScalarFn
-
-    bad = ScalarFn(eval=lambda t: np.sin(np.asarray(t)), deriv=lambda t: np.cos(np.asarray(t)) + 0.1)
-    assert check_fn_consistency(bad, grid) > 1e-2
+    assert fd_mismatch(good.eval(grid), good.deriv(grid), h) <= 1e-10
+    assert fd_mismatch(np.sin(grid), np.cos(grid) + 0.1, h) > 1e-2
 
 
 @pytest.mark.parametrize("periodic", [False, True])

@@ -381,3 +381,23 @@ def test_degenerate_pair_has_no_events():
     assert pair.degenerate
     assert classify_singularities(pair) == []
     assert not legendre_curvature(astroid_frontal()).degenerate
+
+
+def _sampled_pair(t, points):
+    return legendre_curvature(from_regular(curves.build_sampled(t, points)))
+
+
+def test_straight_pairs_report_no_inflection():
+    line = from_regular(build_builtin(BuiltinSpec("line", {"dx": 1.0}, ParamInterval(0.0, 1.0, 32))))
+    t = np.linspace(0.0, 1.0, 65536)
+    # ell is exactly 0 on the builtin line, and differencing noise on the sampled one
+    for pair in (legendre_curvature(line), _sampled_pair(t, np.stack((0.3 + 1.7 * t, -0.2 + 0.9 * t), axis=-1))):
+        assert pair.straight
+        assert len(inflection_points(pair)) == 0
+
+
+def test_slowly_turning_arc_is_not_straight():
+    # radius 1e6 and length 1: the normal turns by 1e-6 rad
+    r, t = 1e6, np.linspace(0.0, 1.0, 200)
+    pair = _sampled_pair(t, np.stack((r * np.sin(t / r), 2.0 * r * np.sin(t / (2.0 * r)) ** 2), axis=-1))
+    assert not pair.straight

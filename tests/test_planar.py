@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frontals.planar import constant_fn, frame_field, linear_fn, rotate_j
+from frontals.planar import constant_fn, frame_field, linear_fn, rotate_j, row_dot, row_norm
 
 finite = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
 
@@ -77,3 +77,13 @@ def test_scalar_fn_helpers():
     lin = linear_fn(1.0, -3.0)
     assert np.allclose(lin.eval(t), 1.0 - 3.0 * t)
     assert np.all(lin.deriv(t) == -3.0)
+
+
+def test_row_kernels_match_numpy_bitwise():
+    # A guard: row_dot and row_norm replace these numpy reductions bit for bit.
+    rng = np.random.default_rng(7)
+    for scale, shape in ((1.0, (257, 2)), (1e-200, (64, 2)), (1e200, (64, 2)), (1.0, (5, 7, 2))):
+        a, b = scale * rng.normal(size=shape), scale * rng.normal(size=shape)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            assert np.array_equal(row_dot(a, b), np.sum(a * b, axis=-1), equal_nan=True)
+            assert np.array_equal(row_norm(a), np.linalg.norm(a, axis=-1), equal_nan=True)
