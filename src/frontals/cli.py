@@ -23,6 +23,7 @@ from . import io as fio
 from .curves import BuiltinSpec, ParamInterval, build_builtin, build_sampled
 from .legendre import (
     CROSS_TOL,
+    STRAIGHT_TOL,
     astroid_frontal,
     check_ell_kappa_relation,
     circle_frontal,
@@ -436,7 +437,8 @@ def main(argv=None) -> int:
         if report.degenerate:
             print(f"degenerate {report.degenerate}: beta vanishes on every grid sample, so no cusp is reported")
         if report.straight:
-            print(f"straight {report.straight}: ell vanishes on every grid sample, so no inflection is reported")
+            print(f"straight {report.straight}: the normal turns by at most {STRAIGHT_TOL:g} rad, "
+                  "so no inflection is reported")
         print(f"done in {report.wall_time:.3f}s")
         sys.stdout.flush()
     except BrokenPipeError:

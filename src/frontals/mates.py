@@ -300,29 +300,33 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
         return _solution(pair, config, lam, lam_d1, "algebraic", wrap, _near_zero(lam, extent))
 
     # ODE direction.  Coefficients are linear in lambda:
-    # lambda' = A(t) lambda + B(t).  At the grid nodes beta and ell are their
-    # samples (the period end wraps to sample 0); between them they come from
-    # the 6-point stencil of uniform_interp.
+    # lambda' = A(t) lambda + B(t).  At the grid nodes they read the samples
+    # of beta, ell and the angles; between the nodes beta and ell come from
+    # the 6-point stencil of uniform_interp and the angle functions are
+    # evaluated.  The period end wraps beta and ell to sample 0.
+    def coefs(tan_ta, thd, cos_th, sin_th, b, el):
+        return tan_ta * (thd + el), tan_ta * b * cos_th - b * sin_th
+
+    def coefs_at(times, b, el):
+        th, thd, ta = (np.asarray(f(times), dtype=float)
+                       for f in (config.theta.eval, config.theta.deriv, config.tau.eval))
+        return coefs(np.tan(ta), thd, np.cos(th), np.sin(th), b, el)
+
     fields = np.stack((pair.beta, pair.ell), axis=-1)
-    nodes = np.concatenate((fields, fields[:1])) if pair.periodic else fields
-    n_steps = len(nodes) - 1
-
-    def coefs(times, b, el):
-        th = np.asarray(config.theta.eval(times), dtype=float)
-        thd = np.asarray(config.theta.deriv(times), dtype=float)
-        ta = np.asarray(config.tau.eval(times), dtype=float)
-        tt = np.tan(ta)
-        return tt * (thd + el), tt * b * np.cos(th) - b * np.sin(th)
-
+    n = len(ts)
+    n_steps = n if pair.periodic else n - 1
+    at_nodes = coefs(np.tan(a.ta), a.thd, a.cos_th, a.sin_th, pair.beta, pair.ell)
     for substeps in (1, 2):
         h_sub = h / substeps
         stages = 2 * substeps  # stage times per grid step
         fine = ts[0] + 0.5 * h_sub * np.arange(stages * n_steps + 1)
-        be = np.empty((len(fine), 2))
-        be[::stages] = nodes
+        a_fine, b_fine = np.empty((2, len(fine)))
+        a_fine[: stages * n : stages], b_fine[: stages * n : stages] = at_nodes
         for j in range(1, stages):
-            be[j::stages] = uniform_interp(fields, j / stages, pair.periodic)
-        a_fine, b_fine = coefs(fine, be[:, 0], be[:, 1])
+            b, el = uniform_interp(fields, j / stages, pair.periodic).T
+            a_fine[j::stages], b_fine[j::stages] = coefs_at(fine[j::stages], b, el)
+        if pair.periodic:
+            a_fine[-1:], b_fine[-1:] = coefs_at(fine[-1:], pair.beta[:1], pair.ell[:1])
         y_all = _rk4_linear(a_fine, b_fine, h_sub, config.lambda0)
         # Difference the trajectory at the integration resolution: the retry
         # then cuts both the integrator and the differentiation error 16x.
@@ -581,10 +585,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     # Composite angles: the target frame accumulates both rotations, so the
     # direction field of the first pair sits at tau1 - theta2 + tau2 in it.
     tau = add_fns(mp12.config.tau, negate_fn(mp23.config.theta), mp23.config.tau)
-    a1, a2 = mp12.config.angles(ts), mp23.config.angles(ts)
-    ta, tad = a1.ta - a2.th + a2.ta, a1.tad - a2.thd + a2.tad
-    cfg = MateConfig(theta=mp12.config.theta, tau=tau, lambda0=float(lam_sum[0]))._seed_angles(
-        ts, AngleSamples(a1.th, a1.thd, ta, tad, a1.cos_th, a1.sin_th, np.cos(ta), np.sin(ta)))
+    cfg = MateConfig(theta=mp12.config.theta, tau=tau, lambda0=float(lam_sum[0]))
     pair1 = mp12.source_curvature
     wrap = None
     if mp12.lam.wrap_value is not None and mp23.lam.wrap_value is not None:

@@ -114,7 +114,7 @@ class TestRunJob:
         for curve, label in (("line:dx=1", "line"), (f"csv:{tmp_path / 'line.csv'}", str(tmp_path / "line.csv"))):
             assert main(["cusps", "--curve", curve, "--samples", "32"]) == 0
             out = capsys.readouterr().out
-            assert f"straight {label}: ell vanishes on every grid sample, so no inflection is reported" in out
+            assert f"straight {label}: the normal turns by at most 1e-09 rad, so no inflection is reported" in out
             assert "inflections at" not in out
 
     @pytest.mark.parametrize("curve", ["circle:r=3", "csv"])

@@ -631,14 +631,6 @@ class TestGridQuantitiesOnce:
         ident = compose_mates(mp, inverse_mate(mp))
         assert isinstance(ident, IdentityReport) and ident.passed
         assert calls == {"theta.eval": 1, "theta.deriv": 1, "tau.eval": 1, "tau.deriv": 1}
-        # a second mate whose direction field chains with the first: theta2 = tau
-        cfg2 = MateConfig(self._on_grid_counter(constant_fn(0.3), "theta2", grid, calls),
-                          self._on_grid_counter(constant_fn(-0.2), "tau2", grid, calls), lambda0=0.1)
-        pair2 = mp.mate_curvature
-        mp2 = build_mate(mp.mate, cfg2, solve_lambda(pair2, cfg2, extent=lc.gamma.extent), pair=pair2)
-        assert isinstance(compose_mates(mp, mp2), mates.MatePair)
-        names = ("theta", "tau", "theta2", "tau2")
-        assert calls == {f"{name}.{part}": 1 for name in names for part in ("eval", "deriv")}
 
     def test_config_samples_each_grid_it_meets(self):
         cfg = MateConfig(linear_fn(0.2, 0.5), linear_fn(-0.1, 0.1), lambda0=0.3)
