@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py patches this name
+from scipy.interpolate import PchipInterpolator
 
 from .planar import row_dot, row_norm
 
@@ -122,27 +124,71 @@ def fd_mismatch(vals: np.ndarray, dv: np.ndarray, h: float) -> float:
     return float(np.max(np.abs(approx - dv))) / scale
 
 
-def uniform_interp(values: np.ndarray, frac: float, periodic: bool) -> np.ndarray:
-    """Samples (axis 0 of `values`) of a uniform grid, interpolated at frac
-    of the way through each cell by the 6-point Lagrange stencil centred on
-    the cell (error O(h^6)).  A periodic grid of n samples has n cells and
-    wraps the stencil; an open one has n - 1 and shifts it inward at its ends.
-    """
-    def weights(x):  # of the stencil's nodes -2, ..., 3 (from the cell start) at x
-        return np.array([np.prod([(x - m) / (xj - m) for m in range(-2, 4) if m != xj]) for xj in range(-2, 4)])
+# Nodes of the interpolation stencil, in steps from the start of a cell.  Node
+# j's weight is the product of the factors (x - m) / (j - m) over the other
+# nodes m (_OTHERS[j], _GAPS[j] = j - m).  For derivative order nu, row p of
+# _KEPT[nu] lists the factors that the p-th pick of nu of them keeps, and
+# _SLOPES[nu][j, p] is nu! times the product of the picked slopes 1 / (j - m).
+_NODES = np.arange(-2.0, 4.0)
+_OTHERS = np.array([[m for m in _NODES if m != j] for j in _NODES])
+_GAPS = _NODES[:, None] - _OTHERS
+_PICKS = [list(combinations(range(5), nu)) for nu in range(6)]
+_KEPT = [np.array([[m for m in range(5) if m not in pick] for pick in picks], dtype=int) for picks in _PICKS]
+_SLOPES = [math.factorial(len(picks[0])) * np.array([[np.prod(1.0 / gaps[list(pick)]) for pick in picks]
+                                                     for gaps in _GAPS]) for picks in _PICKS]
 
+
+def local_quintic(values, cells, x, periodic: bool, nu=0, h: float = 1.0) -> np.ndarray:
+    """The nu-th derivative (nu <= 5; a tuple of orders adds a leading axis),
+    on a grid of step h, of the Lagrange quintic through the samples (axis 0
+    of `values`) on the nodes -2, ..., 3 around each of `cells`, at x steps
+    into the cell (one x, or one per cell).  Its error is O(h^(6 - nu)), and
+    x = 0 reads the cell's first sample back.  A periodic grid of n samples
+    has n cells and wraps the stencil; an open one has n - 1 (and a cell
+    n - 1 ending at the last sample) and shifts the stencil inward next to its
+    ends, where each cell sums as one matrix product, elsewhere in node order.
+    """
     f = np.asarray(values, dtype=float)
-    n = len(f)
-    w = weights(frac)
-    if periodic:
-        fp = np.concatenate((f[-2:], f, f[:3]))
-        return sum(w[j] * fp[j : j + n] for j in range(6))
-    out = np.empty((n - 1,) + f.shape[1:])
-    out[2:-2] = sum(w[j] * f[j : j + n - 5] for j in range(6))
-    for k in (0, 1, n - 3, n - 2):
-        base = min(max(k, 2), n - 4)
-        out[k] = weights(k - base + frac) @ f[base - 2 : base + 4]
-    return out
+    cells = np.asarray(cells, dtype=int)
+    base = cells if periodic else np.minimum(np.maximum(cells, 2), len(f) - 4)
+    orders = nu if isinstance(nu, tuple) else (nu,)
+
+    def weights(x):  # (order, node) + x.shape: the nu-th derivative of the product, by picks of nu factors
+        x = np.asarray(x, dtype=float)
+        ones = (1,) * x.ndim
+        factors = x - _OTHERS.reshape(_OTHERS.shape + ones)
+        factors /= _GAPS.reshape(_GAPS.shape + ones)
+        return np.array([factors.prod(axis=1) if k == 0 else (factors[:, _KEPT[k]].prod(axis=2) * _SLOPES[k].reshape(
+            _SLOPES[k].shape + ones)).sum(axis=1) / h**k for k in orders])
+
+    w = weights(x).reshape((len(orders), 6, np.size(x)) + (1,) * (f.ndim - 1))
+    out = sum(w[:, j + 2] * np.take(f, base + j, axis=0, mode="wrap") for j in range(-2, 4))
+    s = np.flatnonzero(cells != base)
+    if len(s):
+        ws = np.ascontiguousarray(np.moveaxis(weights(np.broadcast_to(x, cells.shape)[s] + (cells - base)[s]), 1, 2))
+        near = np.take(f, base[s, None] + np.arange(-2, 4), axis=0).reshape(len(s), 6, -1)
+        out[:, s] = np.matmul(ws[..., None, :], near)[..., 0, :].reshape(out[:, s].shape)
+    return out if isinstance(nu, tuple) else out[0]
+
+
+def quintic_fn(grid: np.ndarray, values: np.ndarray, periodic: bool, t_end: float) -> Callable:
+    """local_quintic of samples on the uniform `grid` as `f(t, nu=0)`, read
+    in the cell that holds each t (np.searchsorted), so that a grid time reads
+    its own sample.  A periodic grid covers [grid[0], t_end) without the
+    closing sample, and t wraps to grid[0] + mod(t - grid[0], t_end - grid[0]).
+    """
+    t0, period = grid[0], t_end - grid[0]
+    h = period / (len(grid) if periodic else len(grid) - 1)
+
+    def evaluate(t, nu=0):
+        t = np.asarray(t, dtype=float)
+        flat = t0 + np.mod(t.ravel() - t0, period) if periodic else t.ravel()
+        k = np.clip(np.searchsorted(grid, flat, side="right") - 1, 0, len(grid) - 1)
+        out = local_quintic(values, k, (flat - grid[k]) / h, periodic, nu, h)
+        lead = out.shape[:1] if isinstance(nu, tuple) else ()
+        return out.reshape(lead + t.shape + out.shape[len(lead) + 1:])
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -201,7 +247,8 @@ def _bbox_diagonal(points: np.ndarray) -> float:
     return float(math.hypot(spans[0], spans[1]))
 
 
-def _vectorize_xy(fx, fy):
+def xy_fn(fx, fy):
+    """The plane curve t -> (fx(t), fy(t)) on scalars or arrays, as (..., 2)."""
     def f(t):
         t = np.asarray(t, dtype=float)
         return np.stack((fx(t), fy(t)), axis=-1)
@@ -224,10 +271,10 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
         dx, dy = p.get("dx", 1.0), p.get("dy", 0.0)
         if math.hypot(dx, dy) == 0.0:
             raise ValueError("line needs a nonzero direction")
-        zero = _vectorize_xy(np.zeros_like, np.zeros_like)
+        zero = xy_fn(np.zeros_like, np.zeros_like)
         return (
-            _vectorize_xy(lambda t: x0 + dx * t, lambda t: y0 + dy * t),
-            _vectorize_xy(lambda t: np.full_like(t, dx), lambda t: np.full_like(t, dy)),
+            xy_fn(lambda t: x0 + dx * t, lambda t: y0 + dy * t),
+            xy_fn(lambda t: np.full_like(t, dx), lambda t: np.full_like(t, dy)),
             zero,
         )
     if name == "circle":
@@ -236,9 +283,9 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
             raise ValueError(f"circle needs r > 0, got {r}")
         cx, cy = p.get("cx", 0.0), p.get("cy", 0.0)
         return (
-            _vectorize_xy(lambda t: cx + r * np.cos(t), lambda t: cy + r * np.sin(t)),
-            _vectorize_xy(lambda t: -r * np.sin(t), lambda t: r * np.cos(t)),
-            _vectorize_xy(lambda t: -r * np.cos(t), lambda t: -r * np.sin(t)),
+            xy_fn(lambda t: cx + r * np.cos(t), lambda t: cy + r * np.sin(t)),
+            xy_fn(lambda t: -r * np.sin(t), lambda t: r * np.cos(t)),
+            xy_fn(lambda t: -r * np.cos(t), lambda t: -r * np.sin(t)),
         )
     if name == "ellipse":
         a, b = p.get("a", 2.0), p.get("b", 1.0)
@@ -246,21 +293,21 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
             raise ValueError(f"ellipse needs positive semi-axes, got a={a}, b={b}")
         cx, cy = p.get("cx", 0.0), p.get("cy", 0.0)
         return (
-            _vectorize_xy(lambda t: cx + a * np.cos(t), lambda t: cy + b * np.sin(t)),
-            _vectorize_xy(lambda t: -a * np.sin(t), lambda t: b * np.cos(t)),
-            _vectorize_xy(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t)),
+            xy_fn(lambda t: cx + a * np.cos(t), lambda t: cy + b * np.sin(t)),
+            xy_fn(lambda t: -a * np.sin(t), lambda t: b * np.cos(t)),
+            xy_fn(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t)),
         )
     if name == "astroid":
         a = p.get("a", 1.0)
         if a <= 0:
             raise ValueError(f"astroid needs a > 0, got {a}")
         return (
-            _vectorize_xy(lambda t: a * np.cos(t) ** 3, lambda t: a * np.sin(t) ** 3),
-            _vectorize_xy(
+            xy_fn(lambda t: a * np.cos(t) ** 3, lambda t: a * np.sin(t) ** 3),
+            xy_fn(
                 lambda t: -3 * a * np.cos(t) ** 2 * np.sin(t),
                 lambda t: 3 * a * np.sin(t) ** 2 * np.cos(t),
             ),
-            _vectorize_xy(
+            xy_fn(
                 lambda t: -3 * a * (np.cos(t) ** 3 - 2 * np.cos(t) * np.sin(t) ** 2),
                 lambda t: 3 * a * (2 * np.sin(t) * np.cos(t) ** 2 - np.sin(t) ** 3),
             ),
@@ -293,35 +340,14 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
     return model
 
 
-def spline_fn(grid: np.ndarray, values: np.ndarray, periodic: bool, t_end: float) -> Callable:
-    """Cubic spline of samples on `grid` (axis 0 of `values`) as `f(t, nu=0)`,
-    its nu-th derivative; built on the first call, `values` fixed afterwards.
-
-    A periodic grid covers [grid[0], t_end) without the closing sample: the
-    spline closes at t_end and wraps t to t0 + mod(t - t0, t_end - t0).
-    """
-    t0, period = grid[0], t_end - grid[0]
-    spline = None
-
-    def evaluate(t, nu=0):
-        nonlocal spline
-        if spline is None:
-            spline = CubicSpline(np.concatenate([grid, [t_end]]), np.concatenate([values, values[:1]], axis=0),
-                                 bc_type="periodic") if periodic else CubicSpline(grid, values)
-        t = np.asarray(t, dtype=float)
-        return spline(t0 + np.mod(t - t0, period) if periodic else t, nu)
-
-    return evaluate
-
-
 def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
     """CurveModel from uniform samples; derivatives come from fd_d1.
 
     Periodic input covers one period without the closing sample, so the
     implied full interval is [ts[0], ts[-1] + h).  Evaluation between
-    samples uses cubic interpolation of the position and derivative grids.
+    samples reads the local quintic of the position and derivative samples.
     """
-    ts = np.array(ts, dtype=float)  # copies: the splines are built later from these
+    ts = np.array(ts, dtype=float)  # copies: the model reads these later
     points = np.array(points, dtype=float)
     if ts.ndim != 1 or points.shape != (len(ts), 2):
         raise ValueError(f"need matching ts (n,) and points (n, 2), got {points.shape}")
@@ -340,16 +366,8 @@ def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
     t_end = ts[-1] + h if periodic else ts[-1]
     interval = ParamInterval(float(ts[0]), float(t_end), len(ts), periodic)
 
-    pos_f, d1_f, d2_f = (spline_fn(ts, v, periodic, t_end) for v in (points, d1g, d2g))
-
-    return CurveModel(
-        kind="sampled",
-        position=pos_f,
-        d1=d1_f,
-        d2=d2_f,
-        interval=interval,
-        extent=_bbox_diagonal(points),
-    )._seed(position=points, d1=d1g, d2=d2g)
+    readers = (quintic_fn(ts, v, periodic, t_end) for v in (points, d1g, d2g))
+    return CurveModel("sampled", *readers, interval, _bbox_diagonal(points))._seed(position=points, d1=d1g, d2=d2g)
 
 
 def arclength_maps(c: CurveModel):

@@ -11,11 +11,12 @@ beta zeros are the singular points of gamma, ell zeros its inflections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py patches this name
+# Not called here; perfbench/tracing.py patches these names.
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize_scalar
 
 from .curves import (
@@ -28,8 +29,10 @@ from .curves import (
     determinant_curvature,
     fd_chain,
     fd_d1,
+    local_quintic,
+    quintic_fn,
     speed_derivatives,
-    spline_fn,
+    xy_fn,
 )
 from .planar import rotate_j, row_dot, row_norm
 
@@ -86,11 +89,11 @@ def tangency_residual(lc: LegendreCurve) -> float:
 
 def frontal_from_normal(gamma: CurveModel, nu_samples) -> LegendreCurve:
     """LegendreCurve from normal samples on the gamma grid; nu' is differenced
-    from them, and both are splined on the first off-grid call."""
+    from them, and both are read between the samples by their local quintic."""
     interval = gamma.interval
     nu = np.array(nu_samples, dtype=float)
     nu_d1 = fd_d1(nu, interval.step, interval.periodic)
-    nu_f, nu_d1_f = (spline_fn(interval.grid, v, interval.periodic, interval.t_end) for v in (nu, nu_d1))
+    nu_f, nu_d1_f = (quintic_fn(interval.grid, v, interval.periodic, interval.t_end) for v in (nu, nu_d1))
     return LegendreCurve(gamma=gamma, nu=nu_f, nu_d1=nu_d1_f, interval=interval)._seed(nu=nu, nu_d1=nu_d1)
 
 
@@ -105,14 +108,12 @@ def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
 
 @dataclass(frozen=True)
 class CurvaturePair:
-    """Sampled curvature pair (ell, beta) with its splines."""
+    """Sampled curvature pair (ell, beta)."""
 
     grid: np.ndarray
     ell: np.ndarray
     beta: np.ndarray
     periodic: bool
-    # "ell" / "beta" -> spline evaluator, made on first use (see _field_fn)
-    _splines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_samples(cls, grid, ell, beta, periodic: bool) -> "CurvaturePair":
@@ -122,18 +123,6 @@ class CurvaturePair:
     def interval_end(self) -> float:
         h = self.grid[1] - self.grid[0]
         return self.grid[-1] + h if self.periodic else self.grid[-1]
-
-    def _field_fn(self, name: str) -> Callable:
-        fn = self._splines.get(name)
-        if fn is None:
-            fn = self._splines[name] = spline_fn(self.grid, getattr(self, name), self.periodic, self.interval_end)
-        return fn
-
-    def ell_fn(self) -> Callable:
-        return self._field_fn("ell")
-
-    def beta_fn(self) -> Callable:
-        return self._field_fn("beta")
 
     @property
     def sing_tol(self) -> float:
@@ -211,13 +200,10 @@ def from_regular(c: CurveModel) -> LegendreCurve:
 
 
 def negate_normal(lc: LegendreCurve) -> LegendreCurve:
-    """The companion pair (gamma, -nu); its curvature is (ell, -beta)."""
-    return LegendreCurve(
-        gamma=lc.gamma,
-        nu=lambda t: -lc.nu(t),
-        nu_d1=lambda t: -lc.nu_d1(t),
-        interval=lc.interval,
-    )
+    """The companion pair (gamma, -nu), seeded with lc's grid samples negated;
+    its curvature is (ell, -beta)."""
+    return LegendreCurve(gamma=lc.gamma, nu=lambda t: -lc.nu(t), nu_d1=lambda t: -lc.nu_d1(t),
+                         interval=lc.interval)._seed(nu=-lc.on_grid("nu"), nu_d1=-lc.on_grid("nu_d1"))
 
 
 CROSS_TOL = 1e-6
@@ -279,12 +265,13 @@ def _classify_witness(w: dict, scales: dict) -> str:
     return INCONCLUSIVE
 
 
-def _witness_at(cp: CurvaturePair, t0: float) -> dict:
-    b, e = cp.beta_fn(), cp.ell_fn()
-    w = {"beta": b(t0), "beta_d1": b(t0, 1), "beta_d2": b(t0, 2), "ell": e(t0), "ell_d1": e(t0, 1), "ell_d2": e(t0, 2)}
-    w = {k: float(v) for k, v in w.items()}
-    w["wronskian"] = w["ell_d2"] * w["beta_d1"] - w["ell_d1"] * w["beta_d2"]
-    return w
+def _witnesses(cp: CurvaturePair, ts) -> list[dict]:
+    """beta, ell and their first two derivatives at each time in ts, read
+    from their local quintics, and the wronskian."""
+    read = quintic_fn(cp.grid, np.stack((cp.beta, cp.ell), axis=-1), cp.periodic, cp.interval_end)
+    rows = read(np.asarray(ts, dtype=float), (0, 1, 2)).transpose(1, 2, 0).reshape(len(ts), 6).tolist()
+    names = ("beta", "beta_d1", "beta_d2", "ell", "ell_d1", "ell_d2")
+    return [dict(zip(names, w), wronskian=w[5] * w[1] - w[4] * w[2]) for w in rows]
 
 
 def _scales(cp: CurvaturePair) -> dict:
@@ -301,30 +288,49 @@ def _scales(cp: CurvaturePair) -> dict:
     }
 
 
-def _refine(fn: Callable, lo: float, hi: float) -> float:
-    """Zero of fn on [lo, hi]: an end where fn is exactly 0, else the brentq
-    root when fn changes sign across the bracket, else the bounded minimizer
-    of |fn| (the caller tests whether that reaches zero).
-    """
-    f_lo, f_hi = float(fn(lo)), float(fn(hi))
-    if f_lo == 0.0:
-        return float(lo)
-    if f_hi == 0.0:
-        return float(hi)
-    if f_lo * f_hi < 0:
-        return float(brentq(lambda t: float(fn(t)), lo, hi, xtol=1e-12))
-    res = minimize_scalar(lambda t: abs(float(fn(t))), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    return float(res.x)
+def _cell_zeros(cp: CurvaturePair, values: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
+    """(t, value): a zero in each cell (unwrapped on a periodic grid) of the
+    local quintic of the field `values` on cp's grid, and the field there.
+    Each cell's quintic, expanded at its start (the kernel's derivatives), is
+    bisected, all cells at once, until each midpoint time equals an end: on
+    the sign change of the field between the cell's samples, else on that of
+    field * field' (a minimum of |field|), else its end of smaller |field|."""
+    cells = np.asarray(cells, dtype=int)
+    n, h = len(values), cp.grid[1] - cp.grid[0]
+    coef = local_quintic(values, cells, 0.0, cp.periodic, tuple(range(6))) / np.cumprod([1.0, 1, 2, 3, 4, 5])[:, None]
+    slope = coef[1:] * np.arange(1.0, 6.0)[:, None]  # field' in the same expansion
+    f_lo, f_hi = values[cells % n], values[(cells + 1) % n]
+    crossing = f_lo * f_hi < 0
+
+    def q(x):  # the field where it changes sign across the cell, else field * field'
+        powers = x ** np.arange(6.0)[:, None]
+        f = (coef * powers).sum(axis=0)
+        return f if crossing.all() else np.where(crossing, f, f * (slope * powers[:5]).sum(axis=0))
+
+    negative = q(0.0) < 0
+    bisect = crossing | (negative & (q(1.0) > 0))
+    start = cp.grid[0] + cells * h
+    # one halving per bit of h above the float spacing at the cell's smaller end, at most 52
+    spacing = np.maximum(np.spacing(np.minimum(np.abs(start), np.abs(start + h))), h * 2.0**-52)
+    lo, hi = np.zeros(len(cells)), np.ones(len(cells))
+    for _ in range(int(np.max(np.log2(h / spacing), initial=0.0)) + 2):
+        mid = 0.5 * (lo + hi)
+        right = (q(mid) < 0) == negative
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    x = np.where(bisect, lo, np.abs(f_hi) < np.abs(f_lo))
+    return start + x * h, (coef * x ** np.arange(6.0)[:, None]).sum(axis=0)
 
 
-def _grid_span(cp: CurvaturePair, i_lo: int, i_hi: int) -> tuple[float, float]:
-    """Times of grid indices i_lo <= i_hi.  Open grids clamp them to the
-    grid; periodic ones may run past it (seam brackets), and the splines wrap.
-    """
-    if not cp.periodic:
-        i_lo, i_hi = max(i_lo, 0), min(i_hi, len(cp.grid) - 1)
-    h = cp.grid[1] - cp.grid[0]
-    return float(cp.grid[0] + i_lo * h), float(cp.grid[0] + i_hi * h)
+def _narrow(values: np.ndarray, i_lo: int, i_hi: int, periodic: bool) -> int:
+    """The cell of the bracket of samples i_lo..i_hi (unwrapped on a periodic
+    grid, clamped on an open one) next to its sample of smallest magnitude,
+    on the side where the field changes sign, else of the smaller neighbour."""
+    if not periodic:
+        i_lo, i_hi = max(i_lo, 0), min(i_hi, len(values) - 1)
+    v = values[np.arange(i_lo, i_hi + 1) % len(values)].tolist()
+    k = min(range(len(v)), key=lambda i: abs(v[i]))
+    sides = [c for c in (k - 1, k) if 0 <= c < len(v) - 1]
+    return i_lo + min(sides, key=lambda c: (v[c] * v[c + 1] >= 0, abs(v[c]) + abs(v[c + 1])))
 
 
 def _candidate_cells(beta: np.ndarray, below: np.ndarray, periodic: bool):
@@ -352,22 +358,14 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
     strict local minima of |beta| that refine to a sub-threshold value
     (even-order zeros between samples).  A cluster that holds a sample where
     beta is exactly 0 gives that sample; every other candidate is a bracket
-    of grid indices that _refine solves on the spline.  Nearby candidates
-    are merged.
+    of grid indices, narrowed to one cell and solved there by _cell_zeros.
+    Nearby candidates are merged.
     """
     tol = cp.sing_tol
     beta = cp.beta
     n = len(beta)
     below = np.abs(beta) <= tol
-    beta_fn = cp.beta_fn()
     h = cp.grid[1] - cp.grid[0]
-
-    def refine(i_lo: int, i_hi: int) -> float:
-        return _refine(beta_fn, *_grid_span(cp, i_lo, i_hi))
-
-    def cluster_zero(i_lo: int, i_hi: int) -> float:
-        exact = np.flatnonzero(beta[np.arange(i_lo, i_hi + 1) % n] == 0.0)
-        return float(cp.grid[(i_lo + exact[(len(exact) - 1) // 2]) % n]) if len(exact) else refine(i_lo - 1, i_hi + 1)
 
     clusters = []
     idx = np.flatnonzero(below)
@@ -380,10 +378,17 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
             last = clusters.pop()
             clusters.append((last[0], first[1] + n))
     crossings, minima = _candidate_cells(beta, below, cp.periodic)
-    candidates = [cluster_zero(i_lo, i_hi) for i_lo, i_hi in clusters]
-    candidates += [refine(i, i + 1) for i in crossings.tolist()]
+    candidates, cells = [], crossings.tolist()
+    for i_lo, i_hi in clusters:
+        exact = np.flatnonzero(beta[np.arange(i_lo, i_hi + 1) % n] == 0.0)
+        if len(exact):
+            candidates.append(float(cp.grid[(i_lo + exact[(len(exact) - 1) // 2]) % n]))
+        else:
+            cells.append(_narrow(beta, i_lo - 1, i_hi + 1, cp.periodic))
+    cells += [_narrow(beta, i - 1, i + 1, cp.periodic) for i in minima.tolist()]
+    ts, at_ts = _cell_zeros(cp, beta, cells)
     # A minimum of |beta| counts only when it refines to a sub-threshold value.
-    candidates += [t for t in (refine(i - 1, i + 1) for i in minima.tolist()) if abs(float(beta_fn(t))) <= tol]
+    candidates += ts[(np.arange(len(cells)) < len(cells) - len(minima)) | (np.abs(at_ts) <= tol)].tolist()
 
     if not candidates:
         return []
@@ -416,29 +421,25 @@ def classify_singularities(cp: CurvaturePair) -> list[CuspReport]:
     if not zeros:
         return []
     scales = _scales(cp)
-    reports = []
-    for t0 in zeros:
-        w = _witness_at(cp, t0)
-        reports.append(CuspReport(t0=t0, kind=_classify_witness(w, scales), witness=w))
-    return reports
+    return [CuspReport(t0=t0, kind=_classify_witness(w, scales), witness=w)
+            for t0, w in zip(zeros, _witnesses(cp, zeros))]
 
 
 def classify_point(cp: CurvaturePair, t0: float) -> CuspReport:
     """Classification at one parameter value; `regular` when beta != 0 there."""
-    w = _witness_at(cp, t0)
+    [w] = _witnesses(cp, [t0])
     return CuspReport(t0=float(t0), kind=_classify_witness(w, _scales(cp)), witness=w)
 
 
 def inflection_points(cp: CurvaturePair) -> np.ndarray:
     """Zeros of ell: grid samples where it is exactly 0, and sign changes
-    between the other samples refined on the spline.  A straight pair has
+    between the other samples located by _cell_zeros.  A straight pair has
     none."""
     if cp.straight:
         return np.array([])
     exact = cp.ell == 0.0
     crossings, _ = _candidate_cells(cp.ell, exact, cp.periodic)
-    ell_fn = cp.ell_fn()
-    zeros = cp.grid[exact].tolist() + [_refine(ell_fn, *_grid_span(cp, i, i + 1)) for i in crossings.tolist()]
+    zeros = cp.grid[exact].tolist() + _cell_zeros(cp, cp.ell, crossings)[0].tolist()
     return np.array(sorted(set(np.round(zeros, 12))))
 
 
@@ -485,16 +486,8 @@ def circle_frontal(r: float, n_samples: int = 1024, center=(0.0, 0.0)) -> Legend
         raise ValueError(f"need r > 0, got {r}")
     interval = ParamInterval(0.0, 2.0 * math.pi, n_samples, periodic=True)
     gamma = build_builtin(BuiltinSpec("circle", {"r": r, "cx": center[0], "cy": center[1]}, interval))
-
-    def nu(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack((np.cos(t), np.sin(t)), axis=-1)
-
-    def nu_d1(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack((-np.sin(t), np.cos(t)), axis=-1)
-
-    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, interval=interval)
+    return LegendreCurve(gamma=gamma, nu=xy_fn(np.cos, np.sin), nu_d1=xy_fn(lambda t: -np.sin(t), np.cos),
+                         interval=interval)
 
 
 def astroid_frontal(n_samples: int = 1024, scale: float = 1.0) -> LegendreCurve:
@@ -502,13 +495,5 @@ def astroid_frontal(n_samples: int = 1024, scale: float = 1.0) -> LegendreCurve:
     curvature (-1, 3 a cos t sin t)."""
     interval = ParamInterval(0.0, 2.0 * math.pi, n_samples, periodic=True)
     gamma = build_builtin(BuiltinSpec("astroid", {"a": scale}, interval))
-
-    def nu(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack((np.sin(t), np.cos(t)), axis=-1)
-
-    def nu_d1(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack((np.cos(t), -np.sin(t)), axis=-1)
-
-    return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, interval=interval)
+    return LegendreCurve(gamma=gamma, nu=xy_fn(np.sin, np.cos), nu_d1=xy_fn(np.cos, lambda t: -np.sin(t)),
+                         interval=interval)

@@ -34,11 +34,11 @@ from .curves import (
     build_sampled,
     fd_d1,
     fd_mismatch,
+    local_quintic,
+    quintic_fn,
     read_only,
     regular_curvature,
     restrict,
-    spline_fn,
-    uniform_interp,
     FD_TOL,
 )
 from .legendre import (
@@ -49,7 +49,7 @@ from .legendre import (
     legendre_curvature,
     tangency_residual,
 )
-from .planar import ScalarFn, add_fns, constant_fn, frame_field, negate_fn, row_dot, row_norm, turn
+from .planar import ScalarFn, add_fns, constant_fn, frame_field, negate_fn, rotate_j, row_dot, row_norm, turn
 
 # cos(tau) must stay this far from zero for the explicit ODE direction.
 ANGLE_TOL = 1e-6
@@ -302,8 +302,7 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     # ODE direction.  Coefficients are linear in lambda:
     # lambda' = A(t) lambda + B(t).  At the grid nodes they read the samples
     # of beta, ell and the angles; between the nodes beta and ell come from
-    # the 6-point stencil of uniform_interp and the angle functions are
-    # evaluated.  The period end wraps beta and ell to sample 0.
+    # their local quintic and the angle functions are evaluated.  The period end wraps beta and ell to sample 0.
     def coefs(tan_ta, thd, cos_th, sin_th, b, el):
         return tan_ta * (thd + el), tan_ta * b * cos_th - b * sin_th
 
@@ -323,7 +322,7 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
         a_fine, b_fine = np.empty((2, len(fine)))
         a_fine[: stages * n : stages], b_fine[: stages * n : stages] = at_nodes
         for j in range(1, stages):
-            b, el = uniform_interp(fields, j / stages, pair.periodic).T
+            b, el = local_quintic(fields, np.arange(n_steps), j / stages, pair.periodic).T
             a_fine[j::stages], b_fine[j::stages] = coefs_at(fine[j::stages], b, el)
         if pair.periodic:
             a_fine[-1:], b_fine[-1:] = coefs_at(fine[-1:], pair.beta[:1], pair.ell[:1])
@@ -733,8 +732,7 @@ def regular_to_legendre_mates(
     sub = restrict(mp.source.gamma, ta, tb, n_samples=i_hi - i_lo + 1)
     _, t_of_s, total = arclength_maps(sub)
 
-    lam_sp = spline_fn(ts, mp.lam.lam, False, ts[-1])
-    lam_d1_sp = spline_fn(ts, mp.lam.lam_d1, False, ts[-1])
+    lam_fn = ScalarFn(*(quintic_fn(ts, v, False, ts[-1]) for v in (mp.lam.lam, mp.lam.lam_d1)))
 
     def speed_at(t):
         return row_norm(mp.source.gamma.d1(t))
@@ -749,7 +747,6 @@ def regular_to_legendre_mates(
 
         return ScalarFn(eval=ev, deriv=dv)
 
-    lam_fn = ScalarFn(eval=lam_sp, deriv=lam_d1_sp)
     report = check_regular_bertrand(sub, to_s(theta_reg), to_s(tau_reg), to_s(lam_fn))
     return RegularMateData(
         t_start=ta,
@@ -782,8 +779,7 @@ def check_mate_relation(lc_a: LegendreCurve, lc_b: LegendreCurve, theta: ScalarF
     lam = row_dot(diff, u)
     res = float(np.max(row_norm(diff - lam[:, None] * u)))
     nu_b = lc_b.on_grid("nu")
-    mu_b = np.stack((-nu_b[:, 1], nu_b[:, 0]), axis=-1)
-    tau_samples = np.arctan2(row_dot(u, mu_b), row_dot(u, nu_b))
+    tau_samples = np.arctan2(row_dot(u, rotate_j(nu_b)), row_dot(u, nu_b))
     tol = mate_tol(lc_a.gamma.extent, lc_a.gamma.kind)
     return MateRelationReport(
         lam=lam,

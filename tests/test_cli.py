@@ -15,7 +15,6 @@ from frontals.cli import JobSpec, main, parse_angle, parse_job, run_job
 from frontals.curves import MAX_SAMPLES, build_sampled
 from frontals.legendre import astroid_frontal, circle_frontal
 from frontals.svgplot import render_svg
-from scipy.interpolate import CubicSpline
 
 
 class TestParsing:
@@ -217,9 +216,10 @@ class TestRunJob:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("normals", [False, True])
-    def test_roundtrip_builds_splines_only_for_off_grid_values(self, tmp_path, monkeypatch, normals):
-        """Grid values are read from the samples a model holds; every spline
-        the job builds is evaluated somewhere between its knots."""
+    def test_roundtrip_interpolates_only_off_grid_values(self, tmp_path, monkeypatch, normals):
+        """Grid values are read from the samples a model holds: every read of
+        values (not derivatives) through the local quintic kernel includes a
+        time between the grid nodes."""
         if normals:
             lc = astroid_frontal(1024)
             ts = lc.interval.grid
@@ -229,23 +229,19 @@ class TestRunJob:
             ts = np.arange(1024) * (2.0 * math.pi / 1024)
             fio.write_curve_csv(tmp_path / "in.csv", ts, np.stack((2.0 * np.cos(ts), np.sin(ts)), axis=-1))
             angles = ["--theta", "0.4", "--tau", "0.3", "--lambda0", "0.2"]
-        built = []
+        value_reads = []
 
-        class Tracked:
-            def __init__(self, x, y, **kw):
-                self.knots, self.spline, self.off_grid = np.asarray(x), CubicSpline(x, y, **kw), False
-                built.append(self)
-
-            def __call__(self, t, *args):
-                self.off_grid |= not np.all(np.isin(np.asarray(t), self.knots))
-                return self.spline(t, *args)
+        def tracked(values, cells, x, periodic, nu=0, h=1.0, _kernel=curves.local_quintic):
+            if not isinstance(nu, tuple) and nu == 0:
+                value_reads.append(np.asarray(x))
+            return _kernel(values, cells, x, periodic, nu, h)
 
         for module in (curves, legendre, mates):
-            monkeypatch.setattr(module, "CubicSpline", Tracked)
+            monkeypatch.setattr(module, "local_quintic", tracked)
         argv = ["roundtrip", "--curve", f"csv:{tmp_path / 'in.csv'}", *angles,
                 "--out", str(tmp_path / "out.csv"), "--svg", str(tmp_path / "out.svg")]
         assert main(argv) == 0
-        assert built and all(s.off_grid for s in built)
+        assert value_reads and all(np.any(x % 1.0 != 0.0) for x in value_reads)
 
     def test_outputs_are_deterministic(self, tmp_path):
         blobs = []

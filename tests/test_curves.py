@@ -18,7 +18,6 @@ from frontals.curves import (
 )
 from frontals.legendre import frontal_from_samples
 from frontals.planar import linear_fn
-from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,13 +224,16 @@ def test_sampled_model_holds_its_samples(periodic):
 
 
 def test_sampled_model_interpolates_off_grid():
+    # The local quintic's error is O(h^6) on the positions (h = 0.024 here);
+    # the velocity samples carry the O(h^4) error of the difference scheme,
+    # 6.2e-8 at worst on this grid.
     ts = np.linspace(0.0, 3.0, 128)
     pts = np.stack((ts**2, np.sin(ts)), axis=-1)
     c = build_sampled(ts, pts)
-    d1g, _ = fd_chain(pts, ts[1] - ts[0], False)
     off = ts[:-1] + 0.37 * (ts[1] - ts[0])
-    assert np.array_equal(c.d1(off), CubicSpline(ts, d1g)(off))
-    assert np.array_equal(c.position(off), CubicSpline(ts, pts)(off))
+    assert np.max(np.abs(c.position(off) - np.stack((off**2, np.sin(off)), axis=-1))) <= 2e-12
+    assert np.max(np.abs(c.d1(off) - np.stack((2.0 * off, np.cos(off)), axis=-1))) <= 5e-8
+    assert np.array_equal(c.position(ts), pts)
 
 
 def test_analytic_model_samples_its_callables():

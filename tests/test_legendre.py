@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frontals import curves, legendre
-from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin
+from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin, build_sampled
 from frontals.legendre import (
     CurvaturePair,
     TangencyError,
@@ -16,6 +16,7 @@ from frontals.legendre import (
     classify_singularities,
     from_regular,
     frontal_from_normal,
+    frontal_from_samples,
     inflection_points,
     legendre_curvature,
     negate_normal,
@@ -61,6 +62,24 @@ def test_negated_normal_flips_beta():
     flipped = legendre_curvature(negate_normal(lc))
     assert np.max(np.abs(flipped.ell - pair.ell)) <= 1e-12
     assert np.max(np.abs(flipped.beta + pair.beta)) <= 1e-12
+
+
+def test_negated_sampled_normal_reads_the_samples():
+    # The companion pair reuses the grid samples of the normal and its
+    # derivative; nothing is interpolated, so the pair flips bit for bit.
+    ts = np.arange(512) * (TWO_PI / 512)
+    gamma = build_sampled(ts, np.stack((np.cos(ts) ** 3, np.sin(ts) ** 3), axis=-1), periodic=True)
+    lc = frontal_from_samples(gamma, np.stack((np.sin(ts), np.cos(ts)), axis=-1))
+    pair = legendre_curvature(lc)
+
+    def fail(t):
+        raise AssertionError("the normal was interpolated")
+
+    object.__setattr__(lc, "nu", fail)
+    object.__setattr__(lc, "nu_d1", fail)
+    flipped = legendre_curvature(negate_normal(lc))
+    assert np.array_equal(flipped.ell, pair.ell)
+    assert np.array_equal(flipped.beta, -pair.beta)
 
 
 def test_tangency_violation_rejected():
@@ -270,7 +289,7 @@ def test_odd_zero_located_to_root_solver_precision(c, periodic):
 def test_double_zero_on_coarse_grid_is_4_3(c, periodic):
     # beta = sin^2(t - c) has double zeros at c (and c + pi on the periodic
     # grid) with ell != 0 there.  At n = 128 the witness beta' must come from
-    # the spline the zero was found on, so it reads about 0 at the zero.
+    # the interpolant the zero was found on, so it reads about 0 at the zero.
     make = periodic_pair if periodic else synthetic_pair
     pair = make(lambda t: 1.0 + 0.3 * np.cos(t - c), lambda t: np.sin(t - c) ** 2, n=128)
     want = [c, c + math.pi] if periodic else [c]
@@ -285,11 +304,11 @@ def test_equal_neighbouring_minima_give_one_candidate(monkeypatch):
     beta = ((np.arange(n) - (n - 1) / 2) * (grid[1] - grid[0])) ** 2
     assert beta[511] == beta[512]
     pair = CurvaturePair.from_samples(grid, np.ones(n), beta, periodic=False)
-    solves = []
-    minimize = legendre.minimize_scalar
-    monkeypatch.setattr(legendre, "minimize_scalar", lambda *a, **k: solves.append(a) or minimize(*a, **k))
+    brackets = []
+    monkeypatch.setattr(legendre, "_candidate_cells",
+                        lambda *a, _f=_candidate_cells: brackets.append(_f(*a)[1].tolist()) or _f(*a))
     reports = classify_singularities(pair)
-    assert len(solves) == 1
+    assert brackets == [[511]]
     assert len(reports) == 1
     assert abs(reports[0].t0) <= 1e-9 and reports[0].kind == CUSP_4_3
 
@@ -310,17 +329,10 @@ def test_inflection_across_periodic_seam():
     assert np.allclose(inflection_points(pair), [math.pi - h / 2, TWO_PI - h / 2], rtol=0.0, atol=1e-9)
 
 
-def test_scan_builds_each_spline_once(monkeypatch):
+def test_repeat_scan_gives_the_same_events():
     pair = legendre_curvature(astroid_frontal())
-    builds = []
-    for module in (curves, legendre):
-        spline = module.CubicSpline
-        monkeypatch.setattr(module, "CubicSpline", lambda *a, _s=spline, **k: builds.append(a) or _s(*a, **k))
     first = classify_singularities(pair), inflection_points(pair)
-    assert len(builds) == 2
-    builds.clear()
     second = classify_singularities(pair), inflection_points(pair)
-    assert builds == []
     assert [r.t0 for r in first[0]] == [r.t0 for r in second[0]]
     assert np.array_equal(first[1], second[1])
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from frontals import curves, legendre, mates
-from frontals.curves import BuiltinSpec, ParamInterval, build_builtin, uniform_interp
+from frontals import io as fio
+from frontals.cli import main
+from frontals.curves import BuiltinSpec, ParamInterval, build_builtin, local_quintic, quintic_fn
 from frontals.legendre import (
     astroid_frontal,
     circle_frontal,
@@ -48,17 +50,6 @@ class TestSolveLambda:
         assert lam.mode == "algebraic"
         assert lam.lambda0_ignored
         assert np.max(np.abs(lam.lam + r)) <= 1e-12
-
-    def test_pointwise_solve_builds_no_spline(self, monkeypatch):
-        # lambda at the period end reads the first samples of ell and beta
-        pair = legendre_curvature(circle_frontal(1.0))
-        builds = []
-        for module in (curves, legendre):
-            spline = module.CubicSpline
-            monkeypatch.setattr(module, "CubicSpline", lambda *a, _s=spline, **k: builds.append(a) or _s(*a, **k))
-        lam = solve_lambda(pair, MateConfig(constant_fn(0.0), constant_fn(HALF_PI)))
-        assert builds == []
-        assert lam.wrap_value == -1.0
 
     def test_circle_involute_family(self):
         r, c = 1.0, 0.7
@@ -309,19 +300,31 @@ class TestLowOrderData:
 
         return dataclasses.replace(lc, gamma=dataclasses.replace(lc.gamma, d3=fail), nu_d2=fail)
 
-    def test_build_mate_builds_no_spline(self, monkeypatch):
-        lc = circle_frontal(1.0)
-        pair = legendre_curvature(lc)
-        cfg = MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.3)
-        lam = solve_lambda(pair, cfg)
-        builds = []
+    def test_pipeline_calls_no_spline_or_root_solver(self, monkeypatch, tmp_path):
+        # Off-grid reads go through the local quintic kernel and zeros through
+        # its bisection: scipy's spline and root solvers are never called.
+        def fail(*args, **kwargs):
+            raise AssertionError("a scipy spline or root solver was called")
+
         for module in (curves, legendre, mates):
-            spline = module.CubicSpline
-            monkeypatch.setattr(module, "CubicSpline", lambda *a, _s=spline, **k: builds.append(a) or _s(*a, **k))
-        mp = build_mate(lc, cfg, lam, pair=pair)
-        verify_mate_curvature(mp)
-        # the sampled mate's checks read its grid samples; no spline is needed
-        assert builds == []
+            for name in ("CubicSpline", "brentq", "minimize_scalar"):
+                monkeypatch.setattr(module, name, fail, raising=False)
+        astroid = astroid_frontal()
+        pair = legendre_curvature(astroid)
+        assert len(classify_singularities(pair)) == 4 and len(inflection_points(pair)) == 0
+        lam = solve_lambda(pair, MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.75))
+        assert lam.mode == "ode"
+        # lambda at the period end reads the first samples of ell and beta
+        circle = circle_frontal(1.0)
+        circle_pair = legendre_curvature(circle)
+        assert solve_lambda(circle_pair, MateConfig(constant_fn(0.0), constant_fn(HALF_PI))).wrap_value == -1.0
+        cfg = MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.3)
+        mp = build_mate(circle, cfg, solve_lambda(circle_pair, cfg), pair=circle_pair)
+        assert verify_mate_curvature(mp).passed
+        ts = astroid.interval.grid
+        fio.write_frontal_csv(tmp_path / "in.csv", ts, astroid.gamma.position(ts), astroid.nu(ts))
+        assert main(["roundtrip", "--curve", f"csv:{tmp_path / 'in.csv'}", "--theta", "pi/2", "--tau", "0",
+                     "--lambda0", "0.75", "--out", str(tmp_path / "out.csv"), "--svg", str(tmp_path / "out.svg")]) == 0
 
     def test_pipeline_never_reads_third_order_data(self):
         astroid = self._unreadable_high_order(astroid_frontal())
@@ -643,28 +646,58 @@ class TestGridQuantitiesOnce:
             fresh = MateConfig(cfg.theta, cfg.tau, lambda0=0.3)
             assert np.array_equal(solve_lambda(pair, cfg).lam, solve_lambda(pair, fresh).lam)
 
-    def test_ode_solve_builds_no_spline(self, monkeypatch):
-        pair = legendre_curvature(astroid_frontal())
-        builds = []
-        for module in (curves, legendre, mates):
-            spline = module.CubicSpline
-            monkeypatch.setattr(module, "CubicSpline", lambda *a, _s=spline, **k: builds.append(a) or _s(*a, **k))
-        lam = solve_lambda(pair, MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.75))
-        assert lam.mode == "ode"
-        assert builds == []
+    @staticmethod
+    def _uniform_interp(values, frac, periodic):
+        """The stencil interpolation the scale solver read before the local
+        quintic kernel, kept as the bitwise reference of its fixed-fraction
+        reads: samples at frac of the way through each cell, from the 6-point
+        Lagrange stencil centred on the cell, wrapped on a periodic grid and
+        shifted inward at the ends of an open one."""
+        def weights(x):  # of the stencil's nodes -2, ..., 3 (from the cell start) at x
+            return np.array([np.prod([(x - m) / (xj - m) for m in range(-2, 4) if m != xj]) for xj in range(-2, 4)])
+
+        f = np.asarray(values, dtype=float)
+        n = len(f)
+        w = weights(frac)
+        if periodic:
+            fp = np.concatenate((f[-2:], f, f[:3]))
+            return sum(w[j] * fp[j : j + n] for j in range(6))
+        out = np.empty((n - 1,) + f.shape[1:])
+        out[2:-2] = sum(w[j] * f[j : j + n - 5] for j in range(6))
+        for k in (0, 1, n - 3, n - 2):
+            base = min(max(k, 2), n - 4)
+            out[k] = weights(k - base + frac) @ f[base - 2 : base + 4]
+        return out
 
     @pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
     def test_uniform_interp_reproduces_quintics_and_periodic_samples(self, frac):
+        def at_frac(values, periodic):
+            got = local_quintic(values, np.arange(len(values) - (not periodic)), frac, periodic)
+            assert np.array_equal(got, self._uniform_interp(values, frac, periodic))
+            return got
+
         coefs = np.random.default_rng(3).normal(size=6)
         for n in (16, 41):
             t = np.linspace(-1.0, 2.0, n)
-            got = uniform_interp(np.polyval(coefs, t), frac, periodic=False)
+            got = at_frac(np.polyval(coefs, t), periodic=False)
             want = np.polyval(coefs, t[:-1] + frac * (t[1] - t[0]))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            # derivatives at off-grid times, the end cells included
+            off = t[:-1] + frac * (t[1] - t[0])
+            read = quintic_fn(t, np.polyval(coefs, t), False, t[-1])
+            for nu in (1, 2):
+                want = np.polyval(np.polyder(coefs, nu), off)
+                assert np.max(np.abs(read(off, nu) - want)) <= 1e-12 * np.max(np.abs(want))
         t = np.arange(2048) * (TWO_PI / 2048)
-        got = uniform_interp(np.stack((np.sin(3.0 * t), np.cos(3.0 * t)), axis=-1), frac, periodic=True)
+        got = at_frac(np.stack((np.sin(3.0 * t), np.cos(3.0 * t)), axis=-1), periodic=True)
         want = np.stack((np.sin(3.0 * (t + frac * t[1])), np.cos(3.0 * (t + frac * t[1]))), axis=-1)
         assert np.max(np.abs(got - want)) <= 1e-13
+        # derivatives at off-grid times, across the seam and a period away
+        off = np.concatenate((t + frac * t[1], [-frac * t[1], TWO_PI + frac * t[1]]))
+        read = quintic_fn(t, np.stack((np.sin(3.0 * t), np.cos(3.0 * t)), axis=-1), True, TWO_PI)
+        d1, d2 = read(off, (1, 2))
+        assert np.max(np.abs(d1 - 3.0 * np.stack((np.cos(3.0 * off), -np.sin(3.0 * off)), axis=-1))) <= 1e-11
+        assert np.max(np.abs(d2 + 9.0 * np.stack((np.sin(3.0 * off), np.cos(3.0 * off)), axis=-1))) <= 1e-8
 
     def test_astroid_involute_retry_with_two_substeps(self, monkeypatch):
         # A guard: one substep misses the residual gate at n = 256 and the
