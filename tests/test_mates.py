@@ -41,6 +41,18 @@ def angle(t_fn, d_fn):
     return ScalarFn(eval=t_fn, deriv=d_fn)
 
 
+def forbid_scipy_solvers(monkeypatch):
+    """Make scipy's spline and root solvers raise wherever the pipeline could
+    reach them: off-grid reads go through the local quintic kernel and zeros
+    through its bisection."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a scipy spline or root solver was called")
+
+    for module in (curves, legendre, mates):
+        for name in ("CubicSpline", "brentq", "minimize_scalar"):
+            monkeypatch.setattr(module, name, fail, raising=False)
+
+
 class TestSolveLambda:
     def test_circle_evolute_algebraic(self):
         r = 1.5
@@ -50,6 +62,13 @@ class TestSolveLambda:
         assert lam.mode == "algebraic"
         assert lam.lambda0_ignored
         assert np.max(np.abs(lam.lam + r)) <= 1e-12
+
+    def test_pointwise_solve_builds_no_spline(self, monkeypatch):
+        # lambda at the period end reads the first samples of ell and beta
+        pair = legendre_curvature(circle_frontal(1.0))
+        forbid_scipy_solvers(monkeypatch)
+        lam = solve_lambda(pair, MateConfig(constant_fn(0.0), constant_fn(HALF_PI)))
+        assert lam.wrap_value == -1.0
 
     def test_circle_involute_family(self):
         r, c = 1.0, 0.7
@@ -300,27 +319,21 @@ class TestLowOrderData:
 
         return dataclasses.replace(lc, gamma=dataclasses.replace(lc.gamma, d3=fail), nu_d2=fail)
 
-    def test_pipeline_calls_no_spline_or_root_solver(self, monkeypatch, tmp_path):
-        # Off-grid reads go through the local quintic kernel and zeros through
-        # its bisection: scipy's spline and root solvers are never called.
-        def fail(*args, **kwargs):
-            raise AssertionError("a scipy spline or root solver was called")
+    def test_build_mate_builds_no_spline(self, monkeypatch):
+        lc = circle_frontal(1.0)
+        pair = legendre_curvature(lc)
+        cfg = MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.3)
+        lam = solve_lambda(pair, cfg)
+        forbid_scipy_solvers(monkeypatch)
+        mp = build_mate(lc, cfg, lam, pair=pair)
+        # the sampled mate's checks read its grid samples
+        assert verify_mate_curvature(mp).passed
 
-        for module in (curves, legendre, mates):
-            for name in ("CubicSpline", "brentq", "minimize_scalar"):
-                monkeypatch.setattr(module, name, fail, raising=False)
+    def test_pipeline_calls_no_spline_or_root_solver(self, monkeypatch, tmp_path):
+        forbid_scipy_solvers(monkeypatch)
         astroid = astroid_frontal()
         pair = legendre_curvature(astroid)
         assert len(classify_singularities(pair)) == 4 and len(inflection_points(pair)) == 0
-        lam = solve_lambda(pair, MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.75))
-        assert lam.mode == "ode"
-        # lambda at the period end reads the first samples of ell and beta
-        circle = circle_frontal(1.0)
-        circle_pair = legendre_curvature(circle)
-        assert solve_lambda(circle_pair, MateConfig(constant_fn(0.0), constant_fn(HALF_PI))).wrap_value == -1.0
-        cfg = MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.3)
-        mp = build_mate(circle, cfg, solve_lambda(circle_pair, cfg), pair=circle_pair)
-        assert verify_mate_curvature(mp).passed
         ts = astroid.interval.grid
         fio.write_frontal_csv(tmp_path / "in.csv", ts, astroid.gamma.position(ts), astroid.nu(ts))
         assert main(["roundtrip", "--curve", f"csv:{tmp_path / 'in.csv'}", "--theta", "pi/2", "--tau", "0",
@@ -645,6 +658,12 @@ class TestGridQuantitiesOnce:
             assert not a.th.flags.writeable
             fresh = MateConfig(cfg.theta, cfg.tau, lambda0=0.3)
             assert np.array_equal(solve_lambda(pair, cfg).lam, solve_lambda(pair, fresh).lam)
+
+    def test_ode_solve_builds_no_spline(self, monkeypatch):
+        pair = legendre_curvature(astroid_frontal())
+        forbid_scipy_solvers(monkeypatch)
+        lam = solve_lambda(pair, MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.75))
+        assert lam.mode == "ode"
 
     @staticmethod
     def _uniform_interp(values, frac, periodic):
