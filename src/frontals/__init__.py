@@ -13,7 +13,6 @@ from .curves import (
     CurveModel,
     ParamInterval,
     SingularCurveError,
-    arclength_reparametrize,
     build_builtin,
     build_sampled,
     regular_curvature,

@@ -1,8 +1,8 @@
 """Parametrized plane curves with derivatives up to second order.
 
 Closed-form builtins (line, circle, ellipse, astroid), uniformly sampled
-curves differentiated with a 4th-order scheme, arc-length reparametrization
-for regular curves, and the determinant curvature formula.
+curves differentiated with a 4th-order scheme, cumulative integrals of grid
+samples (arc length), and the determinant curvature formula.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py patches this name
-from scipy.interpolate import PchipInterpolator
 
 from .planar import row_dot, row_norm
 
@@ -74,13 +72,6 @@ class ParamInterval:
         if self.periodic:
             return self.t_start + np.arange(self.n_samples) * self.step
         return np.linspace(self.t_start, self.t_end, self.n_samples)
-
-    @property
-    def grid_closed(self) -> np.ndarray:
-        """Grid including t_end, also for periodic intervals."""
-        if self.periodic:
-            return np.concatenate([self.grid, [self.t_end]])
-        return self.grid
 
 
 def fd_d1(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
@@ -189,6 +180,21 @@ def quintic_fn(grid: np.ndarray, values: np.ndarray, periodic: bool, t_end: floa
         return out.reshape(lead + t.shape + out.shape[len(lead) + 1:])
 
     return evaluate
+
+
+# 3-point Gauss-Legendre nodes (steps into a cell) and weights: exact up to degree 5.
+_GAUSS_X = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
+_GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
+
+
+def cumulative_integral(values, h: float, periodic: bool) -> np.ndarray:
+    """Integral of the local_quintic of samples on a grid of step h, from the
+    first sample to each sample and, on a periodic grid, to the period end
+    (one more entry).  Each cell sums 3-point Gauss-Legendre on its quintic,
+    which is exact for it."""
+    cells = np.arange(len(values) if periodic else len(values) - 1)
+    per_cell = sum(w * local_quintic(values, cells, x, periodic) for x, w in zip(_GAUSS_X, _GAUSS_W))
+    return np.concatenate(([0.0], np.cumsum(h * per_cell)))
 
 
 @dataclass(frozen=True)
@@ -370,73 +376,11 @@ def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
     return CurveModel("sampled", *readers, interval, _bbox_diagonal(points))._seed(position=points, d1=d1g, d2=d2g)
 
 
-def arclength_maps(c: CurveModel):
-    """(s_of_t, t_of_s, total_length) for a regular curve.
-
-    The arc length is accumulated with composite Simpson over the grid and
-    inverted with a monotone cubic interpolant.
-    """
-    ts = c.interval.grid_closed
-    speeds = row_norm(c.d1(ts))
-    vmin = float(np.min(speeds))
-    if vmin <= c.reg_tol:
-        i = int(np.argmin(speeds))
-        raise SingularCurveError(
-            f"curve is singular near t = {ts[i]:.6g} (|d1| = {vmin:.3g} <= {c.reg_tol:.3g})"
-        )
-    s_vals = cumulative_simpson(speeds, x=ts, initial=0.0)
-    total = float(s_vals[-1])
-    s_of_t = PchipInterpolator(ts, s_vals)
-    t_of_s = PchipInterpolator(s_vals, ts)
-    return s_of_t, t_of_s, total
-
-
 def speed_derivatives(g1, g2):
     """Speed v = |gamma'| and its derivative vd from the first two
     derivatives of gamma."""
     v = row_norm(g1)
     return v, row_dot(g1, g2) / v
-
-
-def arclength_reparametrize(c: CurveModel) -> CurveModel:
-    """Unit-speed version of a regular curve on [0, total_length]."""
-    _, t_of_s, total = arclength_maps(c)
-    interval = ParamInterval(0.0, total, c.interval.n_samples, c.interval.periodic)
-
-    def wrap(s):
-        s = np.asarray(s, dtype=float)
-        if interval.periodic:
-            s = np.mod(s, total)
-        return np.clip(s, 0.0, total)
-
-    def param(s):
-        return np.asarray(t_of_s(wrap(s)), dtype=float)
-
-    def position(s):
-        return c.position(param(s))
-
-    def d1(s):
-        t = param(s)
-        g1 = c.d1(t)
-        v = row_norm(g1)
-        return g1 / v[..., None]
-
-    def d2(s):
-        t = param(s)
-        g1, g2 = c.d1(t), c.d2(t)
-        v, vd = speed_derivatives(g1, g2)
-        tp = 1.0 / v
-        tpp = -vd / v**3
-        return g2 * (tp**2)[..., None] + g1 * tpp[..., None]
-
-    return CurveModel(
-        kind=c.kind,
-        position=position,
-        d1=d1,
-        d2=d2,
-        interval=interval,
-        extent=c.extent,
-    )
 
 
 def regular_curvature(c: CurveModel, t) -> np.ndarray:
@@ -454,19 +398,3 @@ def determinant_curvature(g1, g2, t, reg_tol: float) -> np.ndarray:
     det = g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
     return det / v**3
 
-
-def restrict(c: CurveModel, t0: float, t1: float, n_samples: int | None = None) -> CurveModel:
-    """Restriction of a curve model to [t0, t1] as an open interval."""
-    if not (c.interval.t_start - 1e-12 <= t0 < t1 <= c.interval.t_end + 1e-12):
-        raise ValueError(f"[{t0}, {t1}] is not inside [{c.interval.t_start}, {c.interval.t_end}]")
-    n = n_samples or max(MIN_SAMPLES, int(round(c.interval.n_samples * (t1 - t0) / c.interval.length)))
-    interval = ParamInterval(float(t0), float(t1), n, periodic=False)
-    pts = c.position(interval.grid)
-    return CurveModel(
-        kind=c.kind,
-        position=c.position,
-        d1=c.d1,
-        d2=c.d2,
-        interval=interval,
-        extent=_bbox_diagonal(pts),
-    )

@@ -29,17 +29,16 @@ from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.
 from .curves import (
     CurveModel,
     SingularCurveError,
-    arclength_maps,
-    arclength_reparametrize,
+    _bbox_diagonal,
     build_sampled,
+    cumulative_integral,
+    determinant_curvature,
     fd_d1,
     fd_mismatch,
     local_quintic,
-    quintic_fn,
     read_only,
-    regular_curvature,
-    restrict,
     FD_TOL,
+    REG_TOL_SCALE,
 )
 from .legendre import (
     CROSS_TOL,
@@ -615,11 +614,52 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
 class RegularBertrandReport:
     """Evaluation of the regular-curve mate conditions in arc length."""
 
-    grid: np.ndarray  # arc-length parameters
+    grid: np.ndarray  # arc length of each grid sample
     cond1_residual: np.ndarray
     cond2_value: np.ndarray
     is_mate: bool
     mate_curvature: Optional[np.ndarray]
+    reg_tol: float  # |condition 2| must stay above this for a mate
+
+
+def _arc_length_run(c: CurveModel, run: slice, periodic: bool):
+    """(s, speed, kappa, reg_tol) on the grid samples `run` of c: their arc
+    length from the first, speed and curvature, and the threshold
+    REG_TOL_SCALE * extent / arc length that condition 2 must stay above;
+    raises at a singular sample."""
+    ts = c.interval.grid[run]
+    g1 = c.on_grid("d1")[run]
+    speed = row_norm(g1)
+    if np.min(speed) <= c.reg_tol:
+        i = int(np.argmin(speed))
+        raise SingularCurveError(
+            f"curve is singular near t = {ts[i]:.6g} (|d1| = {speed[i]:.3g} <= {c.reg_tol:.3g})"
+        )
+    s = cumulative_integral(speed, c.interval.step, periodic)
+    kappa = determinant_curvature(g1, c.on_grid("d2")[run], ts, c.reg_tol)
+    reg_tol = REG_TOL_SCALE * _bbox_diagonal(c.on_grid("position")[run]) / s[-1]
+    return s[: len(ts)], speed, kappa, reg_tol
+
+
+def _regular_conditions(s, kappa, th, thd, ta, tad, lv, ld, reg_tol: float) -> RegularBertrandReport:
+    """The two regular-branch conditions from samples at the arc lengths s of
+    the curvature kappa, the angles, the scale function and their
+    derivatives in arc length."""
+    a = np.cos(th) + ld
+    b = np.sin(th) - lv * (thd + kappa)
+    cond1 = np.abs(a * np.sin(ta) - b * np.cos(ta))
+    cond2 = a * np.cos(ta) + b * np.sin(ta)
+
+    is_mate = bool(np.max(cond1) <= ODE_TOL_SCALE and np.min(np.abs(cond2)) > reg_tol)
+    kbar = (thd - tad + kappa) / np.abs(cond2) if is_mate else None
+    return RegularBertrandReport(
+        grid=s,
+        cond1_residual=cond1,
+        cond2_value=cond2,
+        is_mate=is_mate,
+        mate_curvature=kbar,
+        reg_tol=reg_tol,
+    )
 
 
 def check_regular_bertrand(
@@ -628,7 +668,8 @@ def check_regular_bertrand(
     """Test the regular-branch mate conditions for given angle and scale
     functions of arc length.
 
-    The curve is reparametrized to arc length first; the two conditions are
+    The functions are read at the arc length s(t_k) of each grid sample and
+    kappa at t_k; the two conditions are
 
         (cos(theta) + lambda') sin(tau)
             - (sin(theta) - lambda (theta' + kappa)) cos(tau) = 0,
@@ -636,32 +677,12 @@ def check_regular_bertrand(
             + (sin(theta) - lambda (theta' + kappa)) sin(tau) != 0,
 
     and when both hold the mate's curvature is
-    (theta' - tau' + kappa) / |condition 2|.
+    (theta' - tau' + kappa) / |condition 2|.  |Condition 2| must stay above
+    REG_TOL_SCALE * extent / arc length.
     """
-    cs = arclength_reparametrize(c)
-    ss = cs.interval.grid
-    kappa = regular_curvature(cs, ss)
-    th = np.asarray(theta.eval(ss), dtype=float)
-    thd = np.asarray(theta.deriv(ss), dtype=float)
-    ta = np.asarray(tau.eval(ss), dtype=float)
-    tad = np.asarray(tau.deriv(ss), dtype=float)
-    lv = np.asarray(lam.eval(ss), dtype=float)
-    ld = np.asarray(lam.deriv(ss), dtype=float)
-
-    a = np.cos(th) + ld
-    b = np.sin(th) - lv * (thd + kappa)
-    cond1 = np.abs(a * np.sin(ta) - b * np.cos(ta))
-    cond2 = a * np.cos(ta) + b * np.sin(ta)
-
-    is_mate = bool(np.max(cond1) <= ODE_TOL_SCALE and np.min(np.abs(cond2)) > cs.reg_tol)
-    kbar = (thd - tad + kappa) / np.abs(cond2) if is_mate else None
-    return RegularBertrandReport(
-        grid=ss,
-        cond1_residual=cond1,
-        cond2_value=cond2,
-        is_mate=is_mate,
-        mate_curvature=kbar,
-    )
+    s, _, kappa, reg_tol = _arc_length_run(c, slice(None), c.interval.periodic)
+    th, thd, ta, tad, lv, ld = (np.asarray(f(s), dtype=float) for fn in (theta, tau, lam) for f in (fn.eval, fn.deriv))
+    return _regular_conditions(s, kappa, th, thd, ta, tad, lv, ld, reg_tol)
 
 
 @dataclass(frozen=True)
@@ -695,7 +716,8 @@ def regular_to_legendre_mates(
 
     Works on a subinterval where both curves are regular; the direction
     angles shift by pi/2 with a sign correction from the sign of beta, and
-    the result is cross-validated through the regular-branch checker.
+    the regular-branch conditions are evaluated on the subinterval's grid
+    samples, as check_regular_bertrand does.
     """
     pair = mp.source_curvature
     pair_bar = mp.mate_curvature
@@ -722,35 +744,20 @@ def regular_to_legendre_mates(
     sgn_bar = np.sign(pair_bar.beta[i_lo : i_hi + 1])
     sign_beta, sign_beta_bar = int(sgn[0]), int(sgn_bar[0])
 
-    half_pi = math.pi / 2.0
-    shift = -half_pi + (0.0 if sign_beta > 0 else math.pi)
-    shift_bar = -half_pi + (0.0 if sign_beta_bar > 0 else math.pi)
+    shift = -_HALF_PI + (0.0 if sign_beta > 0 else math.pi)
+    shift_bar = -_HALF_PI + (0.0 if sign_beta_bar > 0 else math.pi)
     theta_reg = add_fns(mp.config.theta, constant_fn(shift))
     tau_reg = add_fns(mp.config.tau, constant_fn(shift_bar))
 
-    ta, tb = float(ts[i_lo]), float(ts[i_hi])
-    sub = restrict(mp.source.gamma, ta, tb, n_samples=i_hi - i_lo + 1)
-    _, t_of_s, total = arclength_maps(sub)
-
-    lam_fn = ScalarFn(*(quintic_fn(ts, v, False, ts[-1]) for v in (mp.lam.lam, mp.lam.lam_d1)))
-
-    def speed_at(t):
-        return row_norm(mp.source.gamma.d1(t))
-
-    def to_s(fn: ScalarFn) -> ScalarFn:
-        def ev(s):
-            return fn.eval(t_of_s(np.clip(s, 0.0, total)))
-
-        def dv(s):
-            t = t_of_s(np.clip(s, 0.0, total))
-            return fn.deriv(t) / speed_at(t)
-
-        return ScalarFn(eval=ev, deriv=dv)
-
-    report = check_regular_bertrand(sub, to_s(theta_reg), to_s(tau_reg), to_s(lam_fn))
+    # The run's own grid samples: a t-derivative over the speed is the s-derivative.
+    run = slice(i_lo, i_hi + 1)
+    s, speed, kappa, reg_tol = _arc_length_run(mp.source.gamma, run, periodic=False)
+    a = mp.config.angles(ts)
+    report = _regular_conditions(s, kappa, a.th[run] + shift, a.thd[run] / speed, a.ta[run] + shift_bar,
+                                 a.tad[run] / speed, mp.lam.lam[run], mp.lam.lam_d1[run] / speed, reg_tol)
     return RegularMateData(
-        t_start=ta,
-        t_end=tb,
+        t_start=float(ts[i_lo]),
+        t_end=float(ts[i_hi]),
         sign_beta=sign_beta,
         sign_beta_bar=sign_beta_bar,
         theta_reg=theta_reg,

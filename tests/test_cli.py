@@ -161,6 +161,14 @@ class TestRunJob:
         report = run_job(spec)
         assert report.passed
 
+    def test_check_regular_hinge_uses_the_report_threshold(self, capsys):
+        # condition 2 is 1 + lambda' = 1.5e-7: above REG_TOL_SCALE * extent / arc
+        # length = 1e-7, the threshold of is_mate, and below the 2e-7 that the
+        # line's parameter length (half its arc length) would give
+        argv = ["check-regular", "--curve", "line:dx=2", "--lambda-slope", "-0.99999985"]
+        assert main(argv) == 0
+        assert "PASS mate_regularity" in capsys.readouterr().out
+
     def test_csv_reingestion_matches_builtin(self, tmp_path):
         lc = astroid_frontal(512)
         ts = lc.interval.grid
@@ -283,6 +291,15 @@ class TestRunJob:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
         assert err == b""
+
+
+def test_import_leaves_scipy_integrate_out():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, frontals; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestSolverFailure:

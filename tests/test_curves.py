@@ -2,22 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ellipe
 
 from frontals.curves import (
     BuiltinSpec,
     CurveModel,
     ParamInterval,
     SingularCurveError,
-    arclength_reparametrize,
     build_builtin,
     build_sampled,
+    cumulative_integral,
     fd_mismatch,
     fd_chain,
     fd_d1,
     regular_curvature,
 )
 from frontals.legendre import frontal_from_samples
-from frontals.planar import linear_fn
+from frontals.planar import linear_fn, row_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,34 +121,37 @@ def test_build_sampled_rejects_bad_grids():
         build_sampled(np.linspace(0, 1, 8), np.zeros((8, 2)))  # too few
 
 
+def arc_length(c):
+    return cumulative_integral(row_norm(c.on_grid("d1")), c.interval.step, c.interval.periodic)
+
+
 def test_arclength_circle():
     c = build_builtin(BuiltinSpec("circle", {"r": 2.0}, closed_interval()))
-    cs = arclength_reparametrize(c)
-    assert abs(cs.interval.length - 4.0 * math.pi) <= 1e-8 * 4.0 * math.pi
-    ss = cs.interval.grid
-    assert np.max(np.abs(np.linalg.norm(cs.d1(ss), axis=-1) - 1.0)) <= 1e-6
+    # one more entry than samples: the period end
+    ts = np.append(c.interval.grid, c.interval.t_end)
+    assert np.max(np.abs(arc_length(c) - 2.0 * ts)) <= 1e-12 * 4.0 * math.pi
 
 
 def test_arclength_unit_speed_line_unchanged():
     c = build_builtin(BuiltinSpec("line", {}, ParamInterval(0.0, 5.0, 64)))
-    cs = arclength_reparametrize(c)
-    ss = cs.interval.grid
-    assert np.max(np.linalg.norm(cs.position(ss) - c.position(ss), axis=-1)) <= 1e-10
+    assert np.max(np.abs(arc_length(c) - c.interval.grid)) <= 1e-12
 
 
-def test_arclength_idempotent():
-    c = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, closed_interval()))
-    cs = arclength_reparametrize(c)
-    cs2 = arclength_reparametrize(cs)
-    assert abs(cs2.interval.length - cs.interval.length) <= 1e-8 * cs.interval.length
-    ss = cs.interval.grid
-    assert np.max(np.linalg.norm(cs2.position(ss) - cs.position(ss), axis=-1)) <= 1e-8
+@pytest.mark.parametrize("n", [256, 1024])
+def test_arclength_ellipse_perimeter(n):
+    c = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, closed_interval(n)))
+    perimeter = 8.0 * ellipe(0.75)  # 4 a E(1 - b^2 / a^2)
+    assert abs(arc_length(c)[-1] - perimeter) <= 1e-12 * perimeter
 
 
-def test_arclength_rejects_singular_curve():
-    ast = build_builtin(BuiltinSpec("astroid", {}, closed_interval()))
-    with pytest.raises(SingularCurveError):
-        arclength_reparametrize(ast)
+def test_arclength_open_arc_matches_quad():
+    c = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, ParamInterval(0.0, 1.3, 64)))
+    s = arc_length(c)
+    ref = [quad(lambda t: math.hypot(2.0 * math.sin(t), math.cos(t)), 0.0, t, epsabs=0.0, epsrel=1e-13)[0]
+           for t in c.interval.grid]
+    assert abs(s[-1] - ref[-1]) <= 1e-11 * ref[-1]
+    # the stencil is one-sided in the end cells, so every sample gets a looser bound
+    assert np.max(np.abs(s - ref)) <= 1e-10 * ref[-1]
 
 
 def test_regular_curvature_values():

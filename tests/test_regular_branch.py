@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin
+from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin, build_sampled
 from frontals.legendre import astroid_frontal, circle_frontal, from_regular
 from frontals.mates import _longest_regular_run, check_regular_bertrand, regular_to_legendre_mates, special_operator
 from frontals.planar import constant_fn, linear_fn
@@ -14,6 +14,14 @@ HALF_PI = math.pi / 2.0
 
 def circle_model(r=1.0, n=1024):
     return build_builtin(BuiltinSpec("circle", {"r": r}, ParamInterval(0.0, TWO_PI, n, periodic=True)))
+
+
+def ellipse_model(n=1024, sampled=False):
+    c = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, ParamInterval(0.0, TWO_PI, n, periodic=True)))
+    if sampled:
+        ts = c.interval.grid
+        return build_sampled(ts, c.position(ts), periodic=True)
+    return c
 
 
 class TestCheckRegularBertrand:
@@ -43,6 +51,20 @@ class TestCheckRegularBertrand:
         # 1 + lambda' = 2 along the whole line
         assert np.max(np.abs(rep.cond2_value - 2.0)) <= 1e-10
         assert np.max(np.abs(rep.mate_curvature)) <= 1e-10
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_ellipse_parallel_on_the_curve_grid(self, sampled):
+        # the ellipse's speed runs from 1 to 2, so its arc length is no
+        # multiple of t: the conditions hold at the curve's own samples t_k
+        d = 0.1
+        c = ellipse_model(sampled=sampled)
+        t = c.interval.grid
+        kappa = 2.0 / (4.0 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5  # ab / (a^2 sin^2 + b^2 cos^2)^(3/2)
+        rep = check_regular_bertrand(c, constant_fn(HALF_PI), constant_fn(HALF_PI), constant_fn(d))
+        assert rep.is_mate
+        assert np.max(rep.cond1_residual) <= 1e-12
+        assert np.max(np.abs(rep.cond2_value - (1.0 - d * kappa))) <= 1e-11
+        assert np.max(np.abs(rep.mate_curvature - kappa / (1.0 - d * kappa))) <= 1e-10
 
     def test_singular_input_rejected(self):
         ast = build_builtin(BuiltinSpec("astroid", {}, ParamInterval(0.0, TWO_PI, 512, periodic=True)))
@@ -105,6 +127,12 @@ class TestRegularToLegendreMates:
         data = regular_to_legendre_mates(mp)
         base_tau = float(data.tau_reg.eval(0.0))
         assert abs(base_tau + HALF_PI) <= 1e-12
+
+    def test_ellipse_involute_converts(self):
+        # lambda varies along a curve of varying speed: its t-derivative is
+        # divided by the speed to give the derivative in arc length
+        mp = special_operator(from_regular(ellipse_model(2048)), "involute", lambda0=0.4)
+        assert regular_to_legendre_mates(mp).report.is_mate
 
     def test_astroid_near_cusp_rejected(self):
         lc = astroid_frontal()
