@@ -214,6 +214,10 @@ def parse_job(argv) -> JobSpec:
             raise ValueError(f"{ns.job}: not valid JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})") from None
         if not isinstance(job_file, dict):
             raise ValueError(f"{ns.job}: job file must hold a JSON object, got {type(job_file).__name__}")
+        accepted = [*_FIELDS, "outputs"]
+        unknown = [key for key in job_file if key not in accepted]
+        if unknown:
+            raise ValueError(f"{ns.job}: unknown field {unknown[0]!r}; a job file accepts {', '.join(accepted)}")
 
     def pick(key, default):
         flag = getattr(ns, _FIELDS[key][2].get("dest", key))

@@ -13,9 +13,11 @@ from itertools import combinations
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py patches this name
 
 from .planar import row_dot, row_norm
+
+# Nothing calls this name; perfbench/tracing.py wraps it until ROADMAP item 5 deletes it.
+CubicSpline = None
 
 # Relative tolerance for closed-form vs finite-difference agreement.
 FD_TOL = 1e-5
@@ -324,8 +326,9 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
 def build_builtin(spec: BuiltinSpec) -> CurveModel:
     """Analytic CurveModel with exact closed-form derivatives."""
     position, d1, d2 = _builtin_callables(spec.name, spec.params)
-    pts = position(spec.interval.grid)
-    size = max(float(np.max(np.abs(pts))), float(np.max(np.abs(d1(spec.interval.grid)))))
+    grid = spec.interval.grid
+    pts, vel = position(grid), d1(grid)
+    size = max(float(np.max(np.abs(pts))), float(np.max(np.abs(vel))))
     if size > SAMPLE_MAX:
         values = dict(spec.params, t0=spec.interval.t_start, t1=spec.interval.t_end)
         key = max(values, key=lambda k: abs(values[k]))
@@ -338,7 +341,7 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
         d2=d2,
         interval=spec.interval,
         extent=_bbox_diagonal(pts),
-    )
+    )._seed(position=pts, d1=vel)
     if spec.interval.periodic:
         gap = np.linalg.norm(position(spec.interval.t_end) - position(spec.interval.t_start))
         if gap > model.geom_tol:

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-# Not called here; perfbench/tracing.py patches these names.
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize_scalar
 
 from .curves import (
     CurveModel,
@@ -35,6 +32,9 @@ from .curves import (
     xy_fn,
 )
 from .planar import rotate_j, row_dot, row_norm
+
+# Nothing calls these names; perfbench/tracing.py wraps them until ROADMAP item 5 deletes them.
+CubicSpline = brentq = minimize_scalar = None
 
 # Tangency tolerance scale: analytic normals are exact, sampled normals carry
 # differencing noise.
@@ -453,6 +453,21 @@ class FrameData:
     sign_beta: int
 
 
+def subinterval_mask(grid: np.ndarray, regular: np.ndarray, t0: float | None, t1: float | None) -> np.ndarray:
+    """Mask of the grid samples in [t0, t1] (an end given as None is open);
+    raises when it holds no sample or a sample that is not `regular`."""
+    mask = np.ones(len(grid), dtype=bool)
+    if t0 is not None:
+        mask &= grid >= t0
+    if t1 is not None:
+        mask &= grid <= t1
+    if not np.any(mask):
+        raise ValueError("empty subinterval")
+    if not np.all(regular[mask]):
+        raise SingularCurveError("requested subinterval contains a singular point")
+    return mask
+
+
 def to_regular_frames(lc: LegendreCurve, t0: float | None = None, t1: float | None = None) -> FrameData:
     """Frenet frame on a regular subinterval, recovered from the moving frame.
 
@@ -461,17 +476,8 @@ def to_regular_frames(lc: LegendreCurve, t0: float | None = None, t1: float | No
     singular point or beta changes sign inside it.
     """
     pair = legendre_curvature(lc)
-    mask = np.ones(len(pair.grid), dtype=bool)
-    if t0 is not None:
-        mask &= pair.grid >= t0
-    if t1 is not None:
-        mask &= pair.grid <= t1
-    if not np.any(mask):
-        raise ValueError("empty subinterval")
-    beta = pair.beta[mask]
-    if np.min(np.abs(beta)) <= pair.sing_tol:
-        raise SingularCurveError("requested subinterval contains a singular point")
-    signs = np.sign(beta)
+    mask = subinterval_mask(pair.grid, np.abs(pair.beta) > pair.sing_tol, t0, t1)
+    signs = np.sign(pair.beta[mask])
     if signs.max() != signs.min():
         raise SingularCurveError("beta changes sign inside the requested subinterval")
     sign = int(signs[0])

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py patches this name
 
 from .curves import (
     CurveModel,
@@ -46,9 +45,13 @@ from .legendre import (
     LegendreCurve,
     frontal_from_normal,
     legendre_curvature,
+    subinterval_mask,
     tangency_residual,
 )
 from .planar import ScalarFn, add_fns, constant_fn, frame_field, negate_fn, rotate_j, row_dot, row_norm, turn
+
+# Nothing calls this name; perfbench/tracing.py wraps it until ROADMAP item 5 deletes it.
+CubicSpline = None
 
 # cos(tau) must stay this far from zero for the explicit ODE direction.
 ANGLE_TOL = 1e-6
@@ -201,7 +204,8 @@ def resolve_mode(mode: str, tau_samples) -> str:
             return "algebraic"
         if none_zero:
             return "ode"
-        raise ValueError("cos(tau) mixes zero and nonzero values on the grid; pick a mode")
+        raise ValueError("cos(tau) mixes zero and nonzero values on the grid, so neither the ODE "
+                         "(cos(tau) != 0) nor the pointwise solve (cos(tau) = 0) applies")
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -724,16 +728,7 @@ def regular_to_legendre_mates(
     mask = (np.abs(pair.beta) > pair.sing_tol) & (np.abs(pair_bar.beta) > pair_bar.sing_tol)
     ts = pair.grid
     if t0 is not None or t1 is not None:
-        rng = np.ones_like(mask)
-        if t0 is not None:
-            rng &= ts >= t0
-        if t1 is not None:
-            rng &= ts <= t1
-        if not np.any(rng):
-            raise ValueError("empty subinterval")
-        if not np.all(mask[rng]):
-            raise SingularCurveError("requested subinterval contains a singular point")
-        idx = np.flatnonzero(rng)
+        idx = np.flatnonzero(subinterval_mask(ts, mask, t0, t1))
         i_lo, i_hi = int(idx[0]), int(idx[-1])
     else:
         i_lo, i_hi = _longest_regular_run(mask)

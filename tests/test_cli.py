@@ -283,23 +283,45 @@ class TestRunJob:
 
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # The reader goes away before the summary is printed: no traceback.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.Popen([sys.executable, "-m", "frontals.cli", "cusps", "--curve", "astroid"], cwd=tmp_path,
-                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                                env=_source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
 
-def test_import_leaves_scipy_integrate_out():
+def _source_env() -> dict:
+    """The environment with this checkout's frontals first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, frontals; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _python(code: str, cwd=None) -> subprocess.CompletedProcess:
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=_source_env(), capture_output=True, text=True,
+                         timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out
+
+
+def test_import_leaves_scipy_integrate_out():
+    # No scipy module at all, scipy.integrate among them.
+    out = _python("import sys, frontals, frontals.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    lc = astroid_frontal(512)
+    fio.write_frontal_csv(tmp_path / "astroid.csv", lc.interval.grid, lc.gamma.on_grid("position"), lc.on_grid("nu"))
+    jobs = [
+        ["cusps", "--curve", "astroid"],
+        ["roundtrip", "--curve", "ellipse:a=2,b=1", "--theta", "0", "--tau", "0", "--lambda0", "0.1"],
+        ["involute", "--curve", "csv:astroid.csv", "--periodic", "yes", "--lambda0", "0.75"],
+        ["check-regular", "--curve", "ellipse:a=2,b=1", "--theta", "pi/2", "--tau", "pi/2", "--lambda0", "0.1"],
+    ]
+    code = f"import sys; sys.modules['scipy'] = None\nfrom frontals import cli\nprint([cli.main(a) for a in {jobs!r}])"
+    out = _python(code, cwd=tmp_path)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0]", out.stdout + out.stderr
 
 
 class TestSolverFailure:
@@ -337,6 +359,13 @@ class TestMalformedInput:
         path = tmp_path / "bad.json"
         path.write_text("{bad")
         self.assert_rejected(["mate", "--job", str(path)], capsys, f"{path}: not valid JSON (line 1, column 2")
+
+    def test_job_file_unknown_field(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"curve": "astroid", "thetta": 1, "lamda0": 3}))
+        self.assert_rejected(["cusps", "--job", str(path)], capsys,
+                             f"{path}: unknown field 'thetta'; a job file accepts curve, theta, tau, lambda0, "
+                             "lambda_slope, mode, samples, periodic, outputs")
 
     @pytest.mark.parametrize("curve, message", [
         ("circle:r=1e200", "circle parameter r=1e+200"),

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ellipe
 
+from frontals import curves
 from frontals.curves import (
     BuiltinSpec,
     CurveModel,
@@ -18,7 +20,7 @@ from frontals.curves import (
     fd_d1,
     regular_curvature,
 )
-from frontals.legendre import frontal_from_samples
+from frontals.legendre import from_regular, frontal_from_samples, legendre_curvature
 from frontals.planar import linear_fn, row_norm
 
 TWO_PI = 2.0 * math.pi
@@ -247,3 +249,25 @@ def test_analytic_model_samples_its_callables():
     for name in ("position", "d1", "d2"):
         assert np.array_equal(ellipse.on_grid(name), getattr(ellipse, name)(grid))
     assert ellipse.on_grid("d1") is ellipse.on_grid("d1")  # evaluated once
+
+
+def test_builtin_evaluates_its_grid_once(monkeypatch):
+    # The overflow check's position and d1 samples seed the model.
+    interval = closed_interval(512)
+    calls = Counter()
+    builtin_callables = curves._builtin_callables
+
+    def counted(name, params):
+        def count(field, fn):
+            def f(t):
+                calls[field] += np.shape(t) == (interval.n_samples,)
+                return fn(t)
+            return f
+
+        return tuple(count(field, fn) for field, fn in zip(("position", "d1", "d2"), builtin_callables(name, params)))
+
+    monkeypatch.setattr(curves, "_builtin_callables", counted)
+    c = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, interval))
+    legendre_curvature(from_regular(c))
+    c.on_grid("position")
+    assert calls == {"position": 1, "d1": 1, "d2": 1}

@@ -124,8 +124,12 @@ class TestSolveLambda:
     def test_mixed_cos_tau_rejected(self):
         pair = legendre_curvature(circle_frontal(1.0))
         sweep = angle(lambda t: np.asarray(t, dtype=float), lambda t: np.ones_like(np.asarray(t, dtype=float)))
-        with pytest.raises(ValueError, match="mixes zero and nonzero"):
+        with pytest.raises(ValueError, match="mixes zero and nonzero .* neither the ODE .* nor the pointwise solve"):
             solve_lambda(pair, MateConfig(constant_fn(0.0), sweep))
+        # no mode helps: each one names its own precondition
+        for mode in ("ode", "algebraic"):
+            with pytest.raises(ValueError, match=f"{mode} mode requires"):
+                solve_lambda(pair, MateConfig(constant_fn(0.0), sweep, mode=mode))
 
     def test_mode_preconditions(self):
         pair = legendre_curvature(circle_frontal(1.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin, build_sampled
-from frontals.legendre import astroid_frontal, circle_frontal, from_regular
+from frontals.legendre import astroid_frontal, circle_frontal, from_regular, to_regular_frames
 from frontals.mates import _longest_regular_run, check_regular_bertrand, regular_to_legendre_mates, special_operator
 from frontals.planar import constant_fn, linear_fn
 
@@ -146,3 +146,16 @@ class TestRegularToLegendreMates:
         data = regular_to_legendre_mates(mp, t0=0.35, t1=1.2)
         assert data.report.is_mate
         assert data.sign_beta == 1
+
+
+@pytest.mark.parametrize("convert", [
+    to_regular_frames,
+    lambda lc, t0, t1: regular_to_legendre_mates(special_operator(lc, "parallel", lambda0=0.05), t0, t1),
+], ids=["to_regular_frames", "regular_to_legendre_mates"])
+@pytest.mark.parametrize("t0, t1, error, message", [
+    (7.0, 8.0, ValueError, "empty subinterval"),
+    (0.3, 2.0, SingularCurveError, "requested subinterval contains a singular point"),  # the cusp at pi/2
+])
+def test_subinterval_errors(convert, t0, t1, error, message):
+    with pytest.raises(error, match=message):
+        convert(astroid_frontal(512), t0, t1)
