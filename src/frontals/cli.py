@@ -107,6 +107,8 @@ _FIELDS = {
     "periodic": ("--periodic", ("string",), {"choices": ["auto", "yes", "no"], "help": "csv ingestion periodicity"}),
 }
 _JSON_KINDS = {"string": str, "integer": int, "number": (int, float)}
+# The output kinds a job writes, in the order of their flags --out, --svg and --json-report.
+_OUTPUTS = ("csv", "svg", "json_report")
 
 
 def _job_value(path, key: str, value):
@@ -230,13 +232,13 @@ def parse_job(argv) -> JobSpec:
     outputs = job_file.get("outputs", {})
     if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
         raise ValueError(f"{ns.job}: field 'outputs' must be an object of path strings")
+    unknown = [key for key in outputs if key not in _OUTPUTS]
+    if unknown:
+        raise ValueError(f"{ns.job}: unknown output {unknown[0]!r}; outputs accepts {', '.join(_OUTPUTS)}")
     outputs = dict(outputs)
-    if ns.out:
-        outputs["csv"] = ns.out
-    if ns.svg:
-        outputs["svg"] = ns.svg
-    if ns.json_report:
-        outputs["json_report"] = ns.json_report
+    for key, path in zip(_OUTPUTS, (ns.out, ns.svg, ns.json_report)):
+        if path:
+            outputs[key] = path
 
     curve = pick("curve", None)
     if not curve:
@@ -306,21 +308,18 @@ def _build_frontal(spec: JobSpec):
 
 
 def _check(checks: dict, name: str, residual, tolerance) -> None:
-    """Record one named check; accepts a scalar residual or a residual array
-    (then both max and mean are kept).  A tolerance array holds one
-    tolerance per residual; the check then reports the residual and the
-    tolerance where the residual comes nearest its tolerance."""
+    """Record one named check; accepts a scalar residual or a residual
+    array.  A tolerance array holds one tolerance per residual; the check
+    then reports the residual and the tolerance where the residual comes
+    nearest its tolerance."""
     arr = np.atleast_1d(np.asarray(residual, dtype=float))
     tol = np.broadcast_to(np.asarray(tolerance, dtype=float), arr.shape)
     k = int(np.argmax(arr / tol)) if np.ndim(tolerance) else int(np.argmax(arr))
-    entry = {
+    checks[name] = {
         "max_residual": float(arr[k]),
         "tolerance": float(tol[k]),
         "pass": bool(np.all(arr <= tol)),
     }
-    if arr.size > 1:
-        entry["mean_residual"] = float(np.mean(arr))
-    checks[name] = entry
 
 
 def _curvature_checks(lc, pair) -> dict:

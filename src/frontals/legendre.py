@@ -305,7 +305,7 @@ def _cell_zeros(cp: CurvaturePair, values: np.ndarray, cells) -> tuple[np.ndarra
     def q(x):  # the field where it changes sign across the cell, else field * field'
         powers = x ** np.arange(6.0)[:, None]
         f = (coef * powers).sum(axis=0)
-        return f if crossing.all() else np.where(crossing, f, f * (slope * powers[:5]).sum(axis=0))
+        return np.where(crossing, f, f * (slope * powers[:5]).sum(axis=0))
 
     negative = q(0.0) < 0
     bisect = crossing | (negative & (q(1.0) > 0))
@@ -350,45 +350,39 @@ def _candidate_cells(beta: np.ndarray, below: np.ndarray, periodic: bool):
     return np.flatnonzero(crossing), np.flatnonzero(~below & left_ok & right_ok)
 
 
-def _zero_candidates(cp: CurvaturePair) -> list[float]:
-    """Refined locations where beta vanishes.
+def _zeros(cp: CurvaturePair, values: np.ndarray, tol: float, minima: bool) -> list[float]:
+    """Refined locations where the field `values` (beta or ell) vanishes.
 
-    Candidates come from three detectors: clusters of grid samples below the
-    zero threshold, sign changes between above-threshold neighbors, and
-    strict local minima of |beta| that refine to a sub-threshold value
-    (even-order zeros between samples).  A cluster that holds a sample where
-    beta is exactly 0 gives that sample; every other candidate is a bracket
-    of grid indices, narrowed to one cell and solved there by _cell_zeros.
-    Nearby candidates are merged.
+    Candidates come from three detectors: runs of grid samples flagged by
+    |values| <= tol, sign changes between unflagged neighbors, and (when
+    `minima`) strict local minima of |values| that refine to a flagged value
+    (even-order zeros between samples).  A run that holds a sample where the
+    field is exactly 0 gives its middle such sample; every other candidate
+    is a bracket of grid indices, narrowed to one cell and solved there by
+    _cell_zeros.  Nearby candidates are merged.
     """
-    tol = cp.sing_tol
-    beta = cp.beta
-    n = len(beta)
-    below = np.abs(beta) <= tol
+    n = len(values)
+    below = np.abs(values) <= tol
     h = cp.grid[1] - cp.grid[0]
-
-    clusters = []
-    idx = np.flatnonzero(below)
-    if len(idx):
-        gaps = np.flatnonzero(np.diff(idx) > 1)
-        clusters = list(zip(idx[np.r_[0, gaps + 1]].tolist(), idx[np.r_[gaps, len(idx) - 1]].tolist()))
-        # A periodic grid may split one zero across the seam.
-        if cp.periodic and len(clusters) > 1 and clusters[0][0] == 0 and clusters[-1][1] == n - 1:
-            first = clusters.pop(0)
-            last = clusters.pop()
-            clusters.append((last[0], first[1] + n))
-    crossings, minima = _candidate_cells(beta, below, cp.periodic)
+    starts, ends = below & ~np.roll(below, 1), below & ~np.roll(below, -1)
+    if not cp.periodic:
+        starts[0], ends[-1] = below[0], below[-1]
+    run_lo, run_hi = np.flatnonzero(starts), np.flatnonzero(ends)
+    if len(run_hi) and run_hi[0] < run_lo[0]:  # a periodic run across the seam
+        run_hi = np.r_[run_hi[1:], run_hi[0] + n]
+    crossings, mins = _candidate_cells(values, below, cp.periodic)
+    mins = mins if minima else mins[:0]
     candidates, cells = [], crossings.tolist()
-    for i_lo, i_hi in clusters:
-        exact = np.flatnonzero(beta[np.arange(i_lo, i_hi + 1) % n] == 0.0)
+    for i_lo, i_hi in zip(run_lo.tolist(), run_hi.tolist()):
+        exact = np.flatnonzero(values[np.arange(i_lo, i_hi + 1) % n] == 0.0)
         if len(exact):
             candidates.append(float(cp.grid[(i_lo + exact[(len(exact) - 1) // 2]) % n]))
         else:
-            cells.append(_narrow(beta, i_lo - 1, i_hi + 1, cp.periodic))
-    cells += [_narrow(beta, i - 1, i + 1, cp.periodic) for i in minima.tolist()]
-    ts, at_ts = _cell_zeros(cp, beta, cells)
-    # A minimum of |beta| counts only when it refines to a sub-threshold value.
-    candidates += ts[(np.arange(len(cells)) < len(cells) - len(minima)) | (np.abs(at_ts) <= tol)].tolist()
+            cells.append(_narrow(values, i_lo - 1, i_hi + 1, cp.periodic))
+    cells += [_narrow(values, i - 1, i + 1, cp.periodic) for i in mins.tolist()]
+    ts, at_ts = _cell_zeros(cp, values, cells)
+    # A minimum of |values| counts only when it refines to a flagged value.
+    candidates += ts[(np.arange(len(cells)) < len(cells) - len(mins)) | (np.abs(at_ts) <= tol)].tolist()
 
     if not candidates:
         return []
@@ -409,7 +403,7 @@ def _zero_candidates(cp: CurvaturePair) -> list[float]:
 def classify_singularities(cp: CurvaturePair) -> list[CuspReport]:
     """One CuspReport per singular event of the curve.
 
-    Events are zeros of beta located on the grid (clustered sub-threshold
+    Events are zeros of beta located by _zeros (runs of sub-threshold
     samples, sign changes, and refined local minima); classification uses
     the two-threshold scheme and reports `inconclusive` when no criterion
     fires decisively.  A degenerate pair (beta zero on every sample) has no
@@ -417,7 +411,7 @@ def classify_singularities(cp: CurvaturePair) -> list[CuspReport]:
     """
     if cp.degenerate:
         return []
-    zeros = _zero_candidates(cp)
+    zeros = _zeros(cp, cp.beta, cp.sing_tol, True)
     if not zeros:
         return []
     scales = _scales(cp)
@@ -432,15 +426,11 @@ def classify_point(cp: CurvaturePair, t0: float) -> CuspReport:
 
 
 def inflection_points(cp: CurvaturePair) -> np.ndarray:
-    """Zeros of ell: grid samples where it is exactly 0, and sign changes
-    between the other samples located by _cell_zeros.  A straight pair has
-    none."""
+    """Zeros of ell, located by _zeros with exact zeros flagged; a straight
+    pair has none."""
     if cp.straight:
         return np.array([])
-    exact = cp.ell == 0.0
-    crossings, _ = _candidate_cells(cp.ell, exact, cp.periodic)
-    zeros = cp.grid[exact].tolist() + _cell_zeros(cp, cp.ell, crossings)[0].tolist()
-    return np.array(sorted(set(np.round(zeros, 12))))
+    return np.array(_zeros(cp, cp.ell, 0.0, False))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ produces byte-identical output.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 from .io import _fmt
@@ -51,13 +53,13 @@ def render_svg(curves, markers=None) -> str:
             # Degenerate curve: render its single location as a marker.
             lines.append(
                 f'<circle cx="{_fmt(pts[0, 0])}" cy="{_fmt(-pts[0, 1])}" '
-                f'r="{_fmt(marker_r)}" fill="{color}"><title>{label}</title></circle>'
+                f'r="{_fmt(marker_r)}" fill="{color}"><title>{escape(label)}</title></circle>'
             )
             continue
         d = "M " + " L ".join(f"{x!r},{-y!r}" for x, y in map(np.ndarray.tolist, pts))
         lines.append(
             f'<path d="{d}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(stroke)}"><title>{label}</title></path>'
+            f'stroke-width="{_fmt(stroke)}"><title>{escape(label)}</title></path>'
         )
     if markers is not None:
         for m in np.asarray(markers, dtype=float):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ class TestRunJob:
             out = capsys.readouterr().out
             assert f"straight {label}: the normal turns by at most 1e-09 rad, so no inflection is reported" in out
             assert "inflections at" not in out
+
+    def test_json_report_matches_stdout(self, tmp_path, capsys):
+        # y = sin x on [0, 2 pi] inflects at 0, pi and 2 pi
+        t = np.linspace(0.0, 2.0 * math.pi, 512)
+        fio.write_curve_csv(tmp_path / "sine.csv", t, np.stack((t, np.sin(t)), axis=-1))
+        report = tmp_path / "report.json"
+        assert main(["cusps", "--curve", f"csv:{tmp_path / 'sine.csv'}", "--json-report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert sorted(payload) == ["checks", "cusps", "inflections", "wall_time"]
+        [line] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("inflections at ")]
+        assert line == "inflections at " + ", ".join(f"{z:.9g}" for z in payload["inflections"])
+        assert min(abs(z - math.pi) for z in payload["inflections"]) <= 1e-8
 
     @pytest.mark.parametrize("curve", ["circle:r=3", "csv"])
     def test_inexact_circle_evolute_reports_no_cusp(self, curve, tmp_path, capsys):
@@ -367,6 +380,12 @@ class TestMalformedInput:
                              f"{path}: unknown field 'thetta'; a job file accepts curve, theta, tau, lambda0, "
                              "lambda_slope, mode, samples, periodic, outputs")
 
+    def test_job_file_unknown_output(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"curve": "astroid", "outputs": {"cvs": "typo.csv", "json": "r.json"}}))
+        self.assert_rejected(["cusps", "--job", str(path)], capsys,
+                             f"{path}: unknown output 'cvs'; outputs accepts csv, svg, json_report")
+
     @pytest.mark.parametrize("curve, message", [
         ("circle:r=1e200", "circle parameter r=1e+200"),
         ("circle:r=1,cx=-1e200", "circle parameter cx=-1e+200"),
@@ -513,6 +532,14 @@ class TestSvg:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             render_svg([])
+
+    def test_labels_are_escaped(self):
+        # a CSV curve is labelled by its path, which may hold XML metacharacters
+        t = np.linspace(0, 1, 32)
+        labels = ["a&b<1>.csv", "p<&>"]
+        doc = render_svg([(labels[0], np.stack((t, t**2), axis=-1)), (labels[1], np.zeros((4, 2)))])
+        titles = ElementTree.fromstring(doc.encode()).iter("{http://www.w3.org/2000/svg}title")
+        assert [el.text for el in titles] == labels
 
     def test_byte_identical_for_identical_input(self):
         t = np.linspace(0, 1, 32)

@@ -329,6 +329,30 @@ def test_inflection_across_periodic_seam():
     assert np.allclose(inflection_points(pair), [math.pi - h / 2, TWO_PI - h / 2], rtol=0.0, atol=1e-9)
 
 
+def test_run_of_exact_ell_zeros_is_one_inflection():
+    # ell = max(t, 0) is exactly 0 on samples 0..50: one event, at the run's middle sample
+    pair = synthetic_pair(lambda t: np.maximum(t, 0.0), lambda t: np.ones_like(t), n=101)
+    assert inflection_points(pair).tolist() == [-0.5]
+
+
+def test_run_of_exact_ell_zeros_across_periodic_seam():
+    # samples 63 and 0 form one run of exact zeros across the seam; sin t adds a zero near pi
+    pair = periodic_pair(np.sin, lambda t: np.ones_like(t), n=64)
+    ell = pair.ell.copy()
+    ell[0] = ell[-1] = 0.0
+    pair = CurvaturePair.from_samples(pair.grid, ell, pair.beta, periodic=True)
+    zeros = inflection_points(pair)
+    assert len(zeros) == 2
+    assert abs(zeros[0] - math.pi) <= 1e-6 and zeros[1] == pair.grid[63]
+
+
+def test_inflection_is_not_rounded():
+    # a zero near t = 0 keeps its significant digits
+    c = 1.2345678912e-6
+    [zero] = inflection_points(synthetic_pair(lambda t: t - c, lambda t: np.ones_like(t)))
+    assert abs(zero - c) <= 1e-14
+
+
 def test_repeat_scan_gives_the_same_events():
     pair = legendre_curvature(astroid_frontal())
     first = classify_singularities(pair), inflection_points(pair)
