@@ -197,15 +197,13 @@ def parse_job(argv) -> JobSpec:
         prog="frontals",
         description="Curvature pairs, cusp scans, and mate constructions for plane curves.",
     )
-    sub = parser.add_subparsers(dest="operator", required=True)
-    for name in OPERATORS:
-        p = sub.add_parser(name)
-        for flag, _, opts in _FIELDS.values():
-            p.add_argument(flag, **opts)
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--svg", help="output SVG path")
-        p.add_argument("--json-report", dest="json_report", help="output JSON report path")
-        p.add_argument("--job", help="JSON job file; explicit flags override it")
+    parser.add_argument("operator", choices=OPERATORS)
+    for flag, _, opts in _FIELDS.values():
+        parser.add_argument(flag, **opts)
+    parser.add_argument("--out", help="output CSV path")
+    parser.add_argument("--svg", help="output SVG path")
+    parser.add_argument("--json-report", dest="json_report", help="output JSON report path")
+    parser.add_argument("--job", help="JSON job file; explicit flags override it")
     ns = parser.parse_args(argv)
 
     job_file = {}

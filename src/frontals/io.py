@@ -3,13 +3,16 @@ pairs, and mate results.
 
 Numbers are written with the shortest round-trip decimal representation, so
 export followed by re-ingestion reproduces values exactly and identical
-inputs produce byte-identical files.
+inputs produce byte-identical files.  A CSV body is read by np.loadtxt; a
+file that loadtxt does not read cleanly is read again row by row, and that
+reader's values or message are the result.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +30,20 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def format_rows(rows, row_fmt: str):
+    """Text of the rows of an (n, k) float array, in blocks of _ROW_BLOCK
+    rows: each block is one %-format of row_fmt repeated over its Python floats."""
+    for b in range(0, len(rows), _ROW_BLOCK):
+        block = rows[b:b + _ROW_BLOCK]
+        yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
+
+
 def _write_rows(path, header, columns) -> None:
-    """CSV in csv.writer's layout (\\r\\n line ends), formatted from Python
-    floats and streamed in blocks of _ROW_BLOCK rows."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    """CSV in csv.writer's layout (\\r\\n line ends), each value its repr."""
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        for b in range(0, len(columns[0]), _ROW_BLOCK):
-            rows = zip(*[c[b:b + _ROW_BLOCK].tolist() for c in columns])
-            f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        f.writelines(format_rows(rows, ",".join(["%r"] * len(header)) + "\r\n"))
 
 
 def write_curve_csv(path, ts, points) -> None:
@@ -67,7 +75,28 @@ def write_mate_csv(path, mp) -> None:
 
 
 def read_csv_columns(path):
-    """(header, dict of column arrays) from a numeric CSV with a header row."""
+    """(header, dict of column arrays) from a numeric CSV with a header row.
+
+    np.loadtxt parses the body.  When it fails, or returns no rows, another
+    width than the header or a non-finite value, _read_rows reads the file
+    again, and its values or its message are the result."""
+    with open(path, newline="") as f:
+        header = next(csv.reader(f), None)
+        try:
+            with warnings.catch_warnings():
+                # An empty body: _read_rows names it, numpy's warning is not shown.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if header is None or data is None or not len(data) or data.shape[1] != len(header) \
+            or not np.isfinite(data).all():
+        return _read_rows(path)
+    return header, {name: data[:, i] for i, name in enumerate(header)}
+
+
+def _read_rows(path):
+    """read_csv_columns row by row through csv, naming the first bad row."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)

@@ -2,18 +2,28 @@
 
 The y axis is flipped so the picture matches mathematical orientation, the
 viewBox is the joint bounding box plus a 5% margin, and identical input
-produces byte-identical output.
+produces byte-identical output.  Coordinates are written in the curve's own
+units with a fixed number of decimals, enough to resolve 1/100 px of the
+640-px picture.
 """
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import math
 
 import numpy as np
 
-from .io import _fmt
+from .io import _fmt, format_rows
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# Coordinates resolve the larger viewBox side into this many steps: 1/100 px
+# of the 640-px picture.
+_STEPS = 64000.0
+
+
+def _escape(text: str) -> str:
+    """Character data with &, < and > escaped, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_svg(curves, markers=None) -> str:
@@ -40,6 +50,10 @@ def render_svg(curves, markers=None) -> str:
     vb = (x0 - margin, y0 - margin, w + 2 * margin, h + 2 * margin)
     stroke = max(vb[2], vb[3]) / 400.0
     marker_r = 3.0 * stroke
+    # max() before ceil: a non-finite side gives 0 decimals, not an error.
+    decimals = math.ceil(max(0.0, -math.log10(max(vb[2], vb[3]) / _STEPS)))
+    xy = f"%.{decimals}f,%.{decimals}f"
+    center = f'cx="%.{decimals}f" cy="%.{decimals}f"'
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -52,19 +66,19 @@ def render_svg(curves, markers=None) -> str:
         if len(pts) == 1 or np.ptp(pts, axis=0).max() == 0.0:
             # Degenerate curve: render its single location as a marker.
             lines.append(
-                f'<circle cx="{_fmt(pts[0, 0])}" cy="{_fmt(-pts[0, 1])}" '
-                f'r="{_fmt(marker_r)}" fill="{color}"><title>{escape(label)}</title></circle>'
+                f'<circle {center % (pts[0, 0], -pts[0, 1])} '
+                f'r="{_fmt(marker_r)}" fill="{color}"><title>{_escape(label)}</title></circle>'
             )
             continue
-        d = "M " + " L ".join(f"{x!r},{-y!r}" for x, y in map(np.ndarray.tolist, pts))
+        path = "".join(format_rows(pts * (1.0, -1.0), " L " + xy))
         lines.append(
-            f'<path d="{d}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(stroke)}"><title>{escape(label)}</title></path>'
+            f'<path d="M {path[len(" L "):]}" fill="none" stroke="{color}" '
+            f'stroke-width="{_fmt(stroke)}"><title>{_escape(label)}</title></path>'
         )
     if markers is not None:
         for m in np.asarray(markers, dtype=float):
             lines.append(
-                f'<circle cx="{_fmt(m[0])}" cy="{_fmt(-m[1])}" r="{_fmt(marker_r)}" '
+                f'<circle {center % (m[0], -m[1])} r="{_fmt(marker_r)}" '
                 'fill="none" stroke="#000000" '
                 f'stroke-width="{_fmt(stroke)}"/>'
             )

@@ -10,7 +10,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from frontals import cli, curves, legendre, mates
+from frontals import cli, curves, legendre, mates, svgplot
 from frontals import io as fio
 from frontals.cli import JobSpec, main, parse_angle, parse_job, run_job
 from frontals.curves import MAX_SAMPLES, build_sampled
@@ -67,6 +67,20 @@ class TestParsing:
     def test_missing_operator_parameter(self):
         with pytest.raises(ValueError, match="requires"):
             parse_job(["evolutoid", "--curve", "circle:r=1"])
+
+    def test_unknown_operator_is_an_invalid_choice(self, capsys):
+        assert main(["nosuchop", "--curve", "astroid"]) == 2
+        assert "argument operator: invalid choice: 'nosuchop'" in capsys.readouterr().err
+
+    def test_missing_operator(self, capsys):
+        assert main(["--curve", "astroid"]) == 2
+        assert capsys.readouterr().err == "error: the following arguments are required: operator\n"
+
+    def test_operator_help_exits_0(self):
+        out = subprocess.run([sys.executable, "-m", "frontals.cli", "roundtrip", "--help"], env=_source_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("usage: frontals")
 
     def test_every_named_operator_is_a_subcommand(self):
         for name, (_, required) in mates.OPERATOR_TABLE.items():
@@ -323,6 +337,16 @@ def test_import_leaves_scipy_integrate_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_leaves_xml_and_network_modules_out():
+    # xml.sax.saxutils alone pulls in urllib.request, http.client and email.
+    # numpy's own import may load urllib.parse (through pathlib): count only
+    # what frontals.cli adds on top of numpy.
+    out = _python("import sys, numpy\nbefore = set(sys.modules)\nimport frontals.cli\n"
+                  "print(sorted(m for m in set(sys.modules) - before "
+                  "if m.split('.')[0] in ('xml', 'urllib', 'http', 'email')))")
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_runs_without_scipy(tmp_path):
     lc = astroid_frontal(512)
     fio.write_frontal_csv(tmp_path / "astroid.csv", lc.interval.grid, lc.gamma.on_grid("position"), lc.on_grid("nu"))
@@ -425,6 +449,15 @@ class TestMalformedInput:
         path = tmp_path / "curve.csv"
         path.write_text("")
         self.assert_rejected(["curvature", "--curve", f"csv:{path}"], capsys, f"{path}: no data rows")
+
+    @pytest.mark.parametrize("text", ["", "t,x,y\n"])
+    def test_empty_csv_shows_no_numpy_warning(self, tmp_path, text):
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        out = subprocess.run([sys.executable, "-W", "error", "-m", "frontals.cli", "curvature", "--curve",
+                              f"csv:{path}"], env=_source_env(), capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert out.stderr == f"error: {path}: no data rows\n"
 
     @pytest.mark.parametrize("field, value, message", [
         ("curve", 5, "field 'curve' must be a string, got int"),
@@ -540,6 +573,39 @@ class TestSvg:
         doc = render_svg([(labels[0], np.stack((t, t**2), axis=-1)), (labels[1], np.zeros((4, 2)))])
         titles = ElementTree.fromstring(doc.encode()).iter("{http://www.w3.org/2000/svg}title")
         assert [el.text for el in titles] == labels
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 3e4])
+    def test_coordinates_within_half_a_written_decimal(self, scale):
+        t = np.linspace(0, 2 * math.pi, 200)
+        ast = scale * np.stack((np.cos(t) ** 3 + 0.3, np.sin(t) ** 3), axis=-1)
+        ev = scale * np.stack((2.0 * np.cos(t), np.sin(t) - 0.7), axis=-1)
+        point = np.full((5, 2), scale * 0.25)
+        markers = scale * np.array([[1.3, 0.0], [0.3, 1.0 / 3.0]])
+        root = ElementTree.fromstring(render_svg([("a", ast), ("e", ev), ("p", point)], markers).encode())
+        ns = "{http://www.w3.org/2000/svg}"
+        side = max(float(v) for v in root.get("viewBox").split()[2:])
+        written, true = [], []
+        for path, pts in zip(root.iter(f"{ns}path"), (ast, ev)):
+            pairs = path.get("d")[len("M "):].split(" L ")
+            assert len(pairs) == len(pts)
+            written += [tuple(pair.split(",")) for pair in pairs]
+            true += pts.tolist()
+        circles = list(root.iter(f"{ns}circle"))
+        assert len(circles) == 1 + len(markers)
+        written += [(c.get("cx"), c.get("cy")) for c in circles]
+        true += [point[0].tolist(), *markers.tolist()]
+        decimals = {len(v.partition(".")[2]) for pair in written for v in pair}
+        assert len(decimals) == 1
+        step = 10.0 ** -decimals.pop()
+        assert step <= side / 64000 < 10 * step or step == 1.0  # 1/100 px of the 640-px picture
+        got = np.array(written, dtype=float) * (1.0, -1.0)  # y is written flipped
+        assert np.all(np.abs(got - np.array(true)) <= 0.5 * step + 4 * np.finfo(float).eps * np.abs(got))
+
+    def test_escape_matches_saxutils(self):
+        from xml.sax.saxutils import escape
+
+        corpus = ["", "plain.csv", "a&b<1>.csv", "&amp;", "<<>>&&", "x>y", "quote\"'", "tab\tnew\nline", "é&ü"]
+        assert [svgplot._escape(label) for label in corpus] == [escape(label) for label in corpus]
 
     def test_byte_identical_for_identical_input(self):
         t = np.linspace(0, 1, 32)

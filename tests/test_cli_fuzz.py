@@ -3,7 +3,8 @@
 Every generated job is malformed in one place: a curve spec, a numeric flag,
 an angle literal, a CSV row or a job-file field.  Each must be rejected with
 exit status 2 and a one-line frontals message, never a traceback or an
-exception escaping `main`.
+exception escaping `main`.  The CSV reader's loadtxt path must agree with
+the row-by-row reader on every fuzzed file, accepted or rejected.
 """
 
 import contextlib
@@ -15,9 +16,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frontals import io as fio
 from frontals.cli import _FIELDS, CURVE_PARAMS, main
 from frontals.curves import MAX_SAMPLES
 
@@ -117,3 +120,56 @@ def test_malformed_input_exits_2_with_a_message(case):
     assert code == 2, (argv, files, out.getvalue())
     assert err.getvalue().startswith("error: "), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# CSV body fields: numbers that must keep every bit (-0.0, the smallest
+# subnormal, a huge value), numbers only one reader takes (1_0, a quoted
+# value), and fields both must refuse.
+CSV_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1e300", "inf", "-inf", "nan", "1e400", "1_0", '"1"', " 2 ",
+                     "+.5", "1.", "", "one", "0x10", "1d5"]),
+)
+# Whole lines besides data rows.
+CSV_ODD_LINES = st.sampled_from(["", "   ", "\t", "#comment", "# 1,2"])
+
+
+@st.composite
+def csv_files(draw):
+    width = draw(st.integers(1, 4))
+    header = ",".join(draw(st.sampled_from(["t", "x", "y", "nx"])) for _ in range(width))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(CSV_ODD_LINES))
+            continue
+        size = draw(st.sampled_from([width] * 6 + [width - 1, width + 1]))
+        row = ",".join(draw(CSV_FIELDS) for _ in range(size))
+        lines.append(row + ("," if draw(st.integers(0, 7)) == 0 else ""))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _read(reader, path):
+    try:
+        header, cols = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return header, {name: (col.shape, col.tobytes()) for name, col in cols.items()}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(csv_files())
+def test_csv_reader_matches_the_row_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.csv"
+        path.write_text(text, newline="")
+        assert _read(fio.read_csv_columns, path) == _read(fio._read_rows, path), repr(text)
+
+
+def test_clean_csv_skips_the_row_reader(tmp_path, monkeypatch):
+    path = tmp_path / "curve.csv"
+    path.write_text("t,x,y\r\n0.0,-0.0,5e-324\r\n1.0,1e300,2.5\r\n")
+    expected = _read(fio._read_rows, path)
+    monkeypatch.setattr(fio, "_read_rows", lambda path: pytest.fail("the row reader ran on a clean file"))
+    assert _read(fio.read_csv_columns, path) == expected
