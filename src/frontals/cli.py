@@ -277,12 +277,12 @@ def _build_frontal(spec: JobSpec):
     kind, _, rest = spec.curve.partition(":")
     if kind == "csv":
         ts, points, normals = fio.read_curve_csv(rest)
-        if spec.periodic == "auto":
+        periodic = False
+        if spec.periodic != "no":
             gap = np.linalg.norm(points[-1] - points[0])
-            step = np.median(row_norm(np.diff(points, axis=0)))
-            periodic = bool(gap <= 3.0 * step)
-        else:
-            periodic = spec.periodic == "yes"
+            periodic = bool(gap <= 3.0 * np.median(row_norm(np.diff(points, axis=0))))
+            if spec.periodic == "yes" and not periodic:
+                raise ValueError(f"periodic interval but curve does not close (gap {gap:g})")
         gamma = build_sampled(ts, points, periodic=periodic)
         if normals is not None:
             return frontal_from_samples(gamma, normals), rest

@@ -76,6 +76,12 @@ class ParamInterval:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
 
 
+# 4th-order one-sided second-derivative stencils (times 12 h^2) of the
+# first six samples, at samples 0 and 1.
+_D2_END = np.array([[45.0, -154.0, 214.0, -156.0, 61.0, -10.0],
+                    [10.0, -15.0, -4.0, 14.0, -6.0, 1.0]])
+
+
 def fd_d1(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     """4th-order first derivative of uniformly spaced samples (axis 0).
 
@@ -104,9 +110,17 @@ def fd_d1(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
 
 
 def fd_chain(values: np.ndarray, h: float, periodic: bool):
-    """(d1, d2) by two successive applications of fd_d1."""
+    """(d1, d2) by two successive applications of fd_d1, except d2 at the two
+    samples on each end of an open grid: there fd_d1 twice would difference
+    one-sided first derivatives, so d2 takes 4th-order one-sided stencils of
+    the samples themselves."""
     d1 = fd_d1(values, h, periodic)
-    return d1, fd_d1(d1, h, periodic)
+    d2 = fd_d1(d1, h, periodic)
+    if not periodic:
+        f = np.asarray(values, dtype=float)
+        d2[:2] = _D2_END @ f[:6] / (12.0 * h * h)
+        d2[:-3:-1] = _D2_END @ f[:-7:-1] / (12.0 * h * h)
+    return d1, d2
 
 
 def fd_mismatch(vals: np.ndarray, dv: np.ndarray, h: float) -> float:
@@ -184,18 +198,25 @@ def quintic_fn(grid: np.ndarray, values: np.ndarray, periodic: bool, t_end: floa
     return evaluate
 
 
-# 3-point Gauss-Legendre nodes (steps into a cell) and weights: exact up to degree 5.
-_GAUSS_X = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
-_GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
+# The integral over one cell, in steps, of the local quintic, as weights of
+# the six samples it reads: nodes -2..3 from the start of an inner cell, and
+# the first six samples for cells 0 and 1 of an open grid, whose last two
+# cells read the last six samples with the rows mirrored.
+_CELL_W = np.array([11.0, -93.0, 802.0, 802.0, -93.0, 11.0]) / 1440.0
+_END_W = np.array([[475.0, 1427.0, -798.0, 482.0, -173.0, 27.0],
+                   [-27.0, 637.0, 1022.0, -258.0, 77.0, -11.0]]) / 1440.0
 
 
 def cumulative_integral(values, h: float, periodic: bool) -> np.ndarray:
     """Integral of the local_quintic of samples on a grid of step h, from the
     first sample to each sample and, on a periodic grid, to the period end
-    (one more entry).  Each cell sums 3-point Gauss-Legendre on its quintic,
-    which is exact for it."""
-    cells = np.arange(len(values) if periodic else len(values) - 1)
-    per_cell = sum(w * local_quintic(values, cells, x, periodic) for x, w in zip(_GAUSS_X, _GAUSS_W))
+    (one more entry).  Each cell sums fixed weights of its six samples, which
+    integrate its quintic exactly."""
+    f = np.asarray(values, dtype=float)
+    padded = np.concatenate((f[-2:], f, f[:3])) if periodic else f
+    per_cell = sum(w * padded[j : len(padded) - 5 + j] for j, w in enumerate(_CELL_W))
+    if not periodic:
+        per_cell = np.concatenate((_END_W @ f[:6], per_cell, _END_W[::-1, ::-1] @ f[-6:]))
     return np.concatenate(([0.0], np.cumsum(h * per_cell)))
 
 

@@ -81,14 +81,14 @@ def read_csv_columns(path):
     width than the header or a non-finite value, _read_rows reads the file
     again, and its values or its message are the result."""
     with open(path, newline="") as f:
-        header = next(csv.reader(f), None)
         try:
+            header = next(csv.reader(f), None)
             with warnings.catch_warnings():
                 # An empty body: _read_rows names it, numpy's warning is not shown.
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
+        except (ValueError, csv.Error):
+            header = data = None
     if header is None or data is None or not len(data) or data.shape[1] != len(header) \
             or not np.isfinite(data).all():
         return _read_rows(path)
@@ -97,10 +97,17 @@ def read_csv_columns(path):
 
 def _read_rows(path):
     """read_csv_columns row by row through csv, naming the first bad row."""
+    header, rows = None, []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        rows = [row for row in reader if row]
+        try:
+            header = next(reader, None)
+            for row in reader:
+                if row:
+                    rows.append(row)
+        except csv.Error as exc:  # a field above csv's size limit, say
+            where = "the header" if header is None else f"data row {len(rows) + 1}"
+            raise ValueError(f"{path}: {where} is unreadable: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     values = []

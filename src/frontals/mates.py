@@ -8,7 +8,7 @@ function lambda is pinned by one first-order condition,
     (beta sin(theta) + lambda') cos(tau)
         - (beta cos(theta) + lambda (theta' + ell)) sin(tau) = 0,
 
-solved here either as an explicit ODE (classical RK4 on the grid step, when
+solved here either as an explicit linear ODE (by its integrating factor, when
 cos(tau) stays away from zero) or pointwise (when cos(tau) vanishes
 identically).  The classical named constructions (parallel, evolute,
 involute, evolutoid, involutoid and the two rotating-frame families) are
@@ -50,8 +50,9 @@ from .legendre import (
 )
 from .planar import ScalarFn, add_fns, constant_fn, frame_field, negate_fn, rotate_j, row_dot, row_norm, turn
 
-# Nothing calls this name; perfbench/tracing.py wraps it until ROADMAP item 5 deletes it.
+# Nothing calls these names; perfbench/tracing.py wraps them until ROADMAP item 5 deletes them.
 CubicSpline = None
+_rk4_linear = None
 
 # cos(tau) must stay this far from zero for the explicit ODE direction.
 ANGLE_TOL = 1e-6
@@ -67,10 +68,10 @@ LAMBDA_ZERO_SCALE = 1e-10
 # Relative gap between lambda at the period end and lambda[0] within which
 # lambda closes over the period.
 CLOSURE_RTOL = 1e-9
-# Steps per block of the RK4 recurrence scan (see _rk4_linear).  Each block
-# restarts the cumulative product of the step factors, so that product, and
-# the growth or decay it must hold within the floats, spans this many steps.
-_RK4_BLOCK = 256
+# Largest |int A| the integrating factor E = exp(int A) of the ODE may reach:
+# E and 1 / E stay within e^600 ~ 4e260, which leaves B / E and lambda0
+# about 1e47 before the floats overflow at 1.8e308.
+LOG_GROWTH_MAX = 600.0
 
 _HALF_PI = math.pi / 2.0
 # Named mate constructions: name -> ((theta, tau) from the given angles, the
@@ -209,64 +210,20 @@ def resolve_mode(mode: str, tau_samples) -> str:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _rk4_linear(a_fine: np.ndarray, b_fine: np.ndarray, h_sub: float, y0: float) -> np.ndarray:
-    """RK4 for y' = a(t) y + b(t), coefficients sampled every h_sub / 2.
-
-    a_fine/b_fine hold values at all stage times; index 2*k is the k-th
-    substep node, odd indices are midpoints.  Returns y at every substep
-    node, length (len(a_fine) + 1) // 2.
-
-    The equation is linear, so each RK4 step is an affine map
-    y[k+1] = P[k] y[k] + Q[k]; stage i is k_i = p_i y + q_i, and P and Q
-    fold the four stages.  The recurrence is solved in blocks of _RK4_BLOCK
-    steps as y = Phi (y_start + cumsum(Q / Phi)) with Phi = cumprod(P) over
-    the block, which rounds step by step as the plain recurrence does.  Only
-    the block ends are carried from block to block.  A block where Phi
-    reaches 0 or Q / Phi leaves the floats runs the plain recurrence.
-    """
-    a0, am, a1 = a_fine[:-1:2], a_fine[1::2], a_fine[2::2]
-    b0, bm, b1 = b_fine[:-1:2], b_fine[1::2], b_fine[2::2]
-    half = 0.5 * h_sub
-    p2, q2 = am * (1.0 + half * a0), am * (half * b0) + bm
-    p3, q3 = am * (1.0 + half * p2), am * (half * q2) + bm
-    p4, q4 = a1 * (1.0 + h_sub * p3), a1 * (h_sub * q3) + b1
-    n_steps = len(a0)
-    n_blocks = -(-n_steps // _RK4_BLOCK)
-    pad = (0, n_blocks * _RK4_BLOCK - n_steps)  # identity steps fill the last block
-    P = np.pad(1.0 + h_sub * (a0 + 2.0 * p2 + 2.0 * p3 + p4) / 6.0, pad, constant_values=1.0).reshape(n_blocks, -1)
-    Q = np.pad(h_sub * (b0 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0, pad).reshape(n_blocks, -1)
-
-    with np.errstate(all="ignore"):
-        phi = np.cumprod(P, axis=1)
-        S = np.cumsum(Q / phi, axis=1)
-    scan_ok = np.all(np.isfinite(phi) & (phi != 0.0), axis=1) & np.all(np.isfinite(S), axis=1)
-    y = np.empty_like(P)
-    starts = np.empty(n_blocks)
-    cur = y0
-    for blk, (ok, phi_end, s_end) in enumerate(zip(scan_ok.tolist(), phi[:, -1].tolist(), S[:, -1].tolist())):
-        starts[blk] = cur
-        if ok:
-            cur = phi_end * (cur + s_end)
-            continue
-        for k in range(_RK4_BLOCK):
-            cur = P[blk, k] * cur + Q[blk, k]
-            y[blk, k] = cur
-    with np.errstate(all="ignore"):
-        y[scan_ok] = (phi * (starts[:, None] + S))[scan_ok]
-    return np.concatenate(([y0], y.ravel()[:n_steps]))
-
-
 def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -> LambdaSolution:
     """Scale function satisfying the mate condition for this curvature pair.
 
-    ODE mode integrates lambda' = tan(tau) (beta cos(theta)
-    + lambda (theta' + ell)) - beta sin(theta) from lambda0 with classical
-    RK4 on the grid step; the pointwise mode (cos(tau) = 0) divides
+    ODE mode solves lambda' = A lambda + B from lambda0, with
+    A = tan(tau) (theta' + ell) and B = beta (tan(tau) cos(theta) - sin(theta)),
+    as lambda = E (lambda0 + int B / E) with E = exp(int A), both integrals
+    by cumulative_integral on the grid; it raises ResidualError when |int A|
+    exceeds LOG_GROWTH_MAX.  The pointwise mode (cos(tau) = 0) divides
     lambda = -beta cos(theta) / (theta' + ell) and ignores lambda0.
     The returned residual is evaluated with a differenced lambda', so it
     measures the solve rather than restating the construction.
     """
     ts = pair.grid
+    n = len(ts)
     h = ts[1] - ts[0]
     t_end = pair.interval_end
     a = config.angles(ts)
@@ -302,47 +259,35 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
         lam_d1 = fd_d1(lam, h, periodic=_closes(lam, wrap))
         return _solution(pair, config, lam, lam_d1, "algebraic", wrap, _near_zero(lam, extent))
 
-    # ODE direction.  Coefficients are linear in lambda:
-    # lambda' = A(t) lambda + B(t).  At the grid nodes they read the samples
-    # of beta, ell and the angles; between the nodes beta and ell come from
-    # their local quintic and the angle functions are evaluated.  The period end wraps beta and ell to sample 0.
-    def coefs(tan_ta, thd, cos_th, sin_th, b, el):
-        return tan_ta * (thd + el), tan_ta * b * cos_th - b * sin_th
-
-    def coefs_at(times, b, el):
-        th, thd, ta = (np.asarray(f(times), dtype=float)
-                       for f in (config.theta.eval, config.theta.deriv, config.tau.eval))
-        return coefs(np.tan(ta), thd, np.cos(th), np.sin(th), b, el)
-
-    fields = np.stack((pair.beta, pair.ell), axis=-1)
-    n = len(ts)
-    n_steps = n if pair.periodic else n - 1
-    at_nodes = coefs(np.tan(a.ta), a.thd, a.cos_th, a.sin_th, pair.beta, pair.ell)
-    for substeps in (1, 2):
-        h_sub = h / substeps
-        stages = 2 * substeps  # stage times per grid step
-        fine = ts[0] + 0.5 * h_sub * np.arange(stages * n_steps + 1)
-        a_fine, b_fine = np.empty((2, len(fine)))
-        a_fine[: stages * n : stages], b_fine[: stages * n : stages] = at_nodes
-        for j in range(1, stages):
-            b, el = local_quintic(fields, np.arange(n_steps), j / stages, pair.periodic).T
-            a_fine[j::stages], b_fine[j::stages] = coefs_at(fine[j::stages], b, el)
-        if pair.periodic:
-            a_fine[-1:], b_fine[-1:] = coefs_at(fine[-1:], pair.beta[:1], pair.ell[:1])
-        y_all = _rk4_linear(a_fine, b_fine, h_sub, config.lambda0)
-        # Difference the trajectory at the integration resolution: the retry
-        # then cuts both the integrator and the differentiation error 16x.
-        d1_all = fd_d1(y_all, h_sub, periodic=False)
-        y_nodes, d1_nodes = y_all[::substeps], d1_all[::substeps]
-        if pair.periodic:
-            lam, lam_d1, wrap = y_nodes[:-1], d1_nodes[:-1], float(y_nodes[-1])
-        else:
-            lam, lam_d1, wrap = y_nodes, d1_nodes, None
-        sol = _solution(pair, config, lam, lam_d1, "ode", wrap, _near_zero(lam, extent))
-        excess = _residual_excess(sol, pair, config)
-        if excess is None:
-            return sol
-    raise ResidualError(f"condition {excess} with {substeps} substep(s)")
+    # ODE direction: lambda' = A lambda + B, solved by its integrating factor
+    # E = exp(int A) as lambda = E (lambda0 + int B / E).
+    tan_ta = np.tan(a.ta)
+    coef_a = tan_ta * (a.thd + pair.ell)
+    coef_b = tan_ta * pair.beta * a.cos_th - pair.beta * a.sin_th
+    if pair.periodic:
+        # The period end: the angles there, beta and ell wrapped to sample 0.
+        th_end, thd_end, ta_end = (float(f(t_end)) for f in (config.theta.eval, config.theta.deriv, config.tau.eval))
+        tan_end = math.tan(ta_end)
+        coef_a = np.append(coef_a, tan_end * (thd_end + pair.ell[0]))
+        coef_b = np.append(coef_b, tan_end * pair.beta[0] * math.cos(th_end) - pair.beta[0] * math.sin(th_end))
+    # Both integrals run on an open grid: A and B / E need not close over a
+    # period (a linear angle sweep is legitimate).
+    log_e = cumulative_integral(coef_a, h, periodic=False)
+    k = int(np.argmax(np.abs(log_e)))
+    if abs(log_e[k]) > LOG_GROWTH_MAX:
+        raise ResidualError(f"lambda {'grows' if log_e[k] > 0 else 'decays'} by e^{abs(log_e[k]):.0f}, "
+                            "beyond the floats")
+    e = np.exp(log_e)
+    y = e * (config.lambda0 + cumulative_integral(coef_b / e, h, periodic=False))
+    # lambda' differences lambda's own local quintic, so the residual
+    # measures the solve rather than restating the equation.
+    lam_d1 = local_quintic(y, np.arange(n), 0.0, False, 1, h)
+    lam, wrap = y[:n], (float(y[-1]) if pair.periodic else None)
+    sol = _solution(pair, config, lam, lam_d1, "ode", wrap, _near_zero(lam, extent))
+    excess = _residual_excess(sol, pair, config)
+    if excess is not None:
+        raise ResidualError(f"condition {excess}")
+    return sol
 
 
 def mate_curvature(pair: CurvaturePair, config: MateConfig, lam: LambdaSolution) -> CurvaturePair:

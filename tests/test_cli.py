@@ -205,6 +205,16 @@ class TestRunJob:
         assert report.passed
         assert len(report.cusps) == 4
 
+    def test_open_mate_csv_passes_the_ell_kappa_relation(self, tmp_path):
+        # lambda grows over the period, so the astroid's mate does not close.
+        # Read back as an open curve, its end samples failed the relation
+        # (residual 3.27e-4 > 1e-4) while d2 there differenced d1 twice.
+        out = tmp_path / "rt.csv"
+        assert main(["roundtrip", "--curve", "astroid", "--samples", "512", "--theta", "0.3", "--tau", "0.2",
+                     "--lambda0", "0.5", "--out", str(out)]) == 0
+        report = run_job(JobSpec(curve=f"csv:{out}", operator="cusps", periodic="no"))
+        assert report.checks["ell_kappa_relation"]["pass"] and report.passed
+
     def test_curvature_pair_csv_export(self, tmp_path):
         out = tmp_path / "pair.csv"
         report = run_job(JobSpec(curve="circle:r=2", operator="curvature", outputs={"csv": str(out)}))
@@ -370,11 +380,11 @@ class TestSolverFailure:
 
     def test_residual_error(self, monkeypatch, capsys):
         def failing(pair, config, extent=1.0):
-            raise mates.ResidualError("condition residual 1 exceeds 1e-07 with 2 substep(s)")
+            raise mates.ResidualError("condition residual 1 exceeds 1e-07 at t = 0")
 
         monkeypatch.setattr(mates, "solve_lambda", failing)
         assert main(["involute", "--curve", "astroid", "--lambda0", "0.75", "--samples", "64"]) == 1
-        assert capsys.readouterr().err == "error: condition residual 1 exceeds 1e-07 with 2 substep(s)\n"
+        assert capsys.readouterr().err == "error: condition residual 1 exceeds 1e-07 at t = 0\n"
 
 
 class TestMalformedInput:
@@ -439,11 +449,27 @@ class TestMalformedInput:
         ("0.5,1", "data row 2 has 2 fields, the header has 3"),
         ("0.5,1,0,7", "data row 2 has 4 fields, the header has 3"),
         ("0.5,one,0", "data row 2 holds a non-numeric value"),
+        pytest.param("a" * 140000 + ",1,0", "data row 2 is unreadable: field larger than field limit",
+                     id="oversized-field"),
     ])
     def test_malformed_csv_row(self, tmp_path, capsys, row, message):
         path = tmp_path / "curve.csv"
         path.write_text(f"t,x,y\n0,1,0\n{row}\n1,0,1\n")
         self.assert_rejected(["curvature", "--curve", f"csv:{path}"], capsys, f"{path}: {message}")
+
+    def test_oversized_csv_header(self, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        path.write_text("t" * 140000 + ",x,y\n0,1,0\n")
+        self.assert_rejected(["curvature", "--curve", f"csv:{path}"], capsys,
+                             f"{path}: the header is unreadable: field larger than field limit")
+
+    def test_periodic_csv_must_close(self, tmp_path, capsys):
+        # a half circle: the ends lie 2 apart, far beyond 3 grid steps
+        path = tmp_path / "arc.csv"
+        ts = np.linspace(0.0, math.pi, 64)
+        fio.write_curve_csv(path, ts, np.stack((np.cos(ts), np.sin(ts)), axis=-1))
+        self.assert_rejected(["cusps", "--curve", f"csv:{path}", "--periodic", "yes"], capsys,
+                             "periodic interval but curve does not close (gap 2)")
 
     def test_empty_csv(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"

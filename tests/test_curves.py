@@ -156,6 +156,15 @@ def test_arclength_open_arc_matches_quad():
     assert np.max(np.abs(s - ref)) <= 1e-10 * ref[-1]
 
 
+def test_cumulative_integral_is_exact_for_quintics():
+    # every cell of an open grid, the two at each end included
+    coefs = np.random.default_rng(5).normal(size=6)
+    t = np.linspace(-1.0, 2.0, 17)
+    got = cumulative_integral(np.polyval(coefs, t), t[1] - t[0], periodic=False)
+    want = np.polyval(np.polyint(coefs), t)
+    assert np.max(np.abs(np.diff(got) - np.diff(want))) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_regular_curvature_values():
     circle = build_builtin(BuiltinSpec("circle", {"r": 2.0}, closed_interval()))
     assert np.allclose(regular_curvature(circle, [0.0, 1.0, 4.0]), 0.5)
