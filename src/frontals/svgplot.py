@@ -52,7 +52,6 @@ def render_svg(curves, markers=None) -> str:
     marker_r = 3.0 * stroke
     # max() before ceil: a non-finite side gives 0 decimals, not an error.
     decimals = math.ceil(max(0.0, -math.log10(max(vb[2], vb[3]) / _STEPS)))
-    xy = f"%.{decimals}f,%.{decimals}f"
     center = f'cx="%.{decimals}f" cy="%.{decimals}f"'
 
     lines = [
@@ -63,16 +62,16 @@ def render_svg(curves, markers=None) -> str:
     for i, (label, pts) in enumerate(curves):
         pts = np.asarray(pts, dtype=float)
         color = _PALETTE[i % len(_PALETTE)]
-        if len(pts) == 1 or np.ptp(pts, axis=0).max() == 0.0:
+        if len(pts) == 1 or all(col.max() - col.min() == 0.0 for col in pts.T):
             # Degenerate curve: render its single location as a marker.
             lines.append(
                 f'<circle {center % (pts[0, 0], -pts[0, 1])} '
                 f'r="{_fmt(marker_r)}" fill="{color}"><title>{_escape(label)}</title></circle>'
             )
             continue
-        path = "".join(format_rows(pts * (1.0, -1.0), " L " + xy))
+        path = b"".join(format_rows(pts * (1.0, -1.0), (",", " L "), decimals)).decode()
         lines.append(
-            f'<path d="M {path[len(" L "):]}" fill="none" stroke="{color}" '
+            f'<path d="M {path[:-len(" L ")]}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(stroke)}"><title>{_escape(label)}</title></path>'
         )
     if markers is not None:

@@ -165,6 +165,17 @@ def test_cumulative_integral_is_exact_for_quintics():
     assert np.max(np.abs(np.diff(got) - np.diff(want))) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_bbox_diagonal_matches_the_axis_reduction():
+    rng = np.random.default_rng(7)
+    cases = [rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-8, 8) for n in (1, 2, 8192)]
+    cases += [rng.normal(size=(64, 4))[:, 1:3], np.array([[1.0, np.nan], [2.0, 0.0]])]
+    for pts in cases:
+        spans = pts.max(axis=0) - pts.min(axis=0)
+        want = float(math.hypot(spans[0], spans[1]))
+        got = curves._bbox_diagonal(pts)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 def test_regular_curvature_values():
     circle = build_builtin(BuiltinSpec("circle", {"r": 2.0}, closed_interval()))
     assert np.allclose(regular_curvature(circle, [0.0, 1.0, 4.0]), 0.5)
