@@ -280,9 +280,11 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     e = np.exp(log_e)
     y = e * (config.lambda0 + cumulative_integral(coef_b / e, h, periodic=False))
     # lambda' differences lambda's own local quintic, so the residual
-    # measures the solve rather than restating the equation.
-    lam_d1 = local_quintic(y, np.arange(n), 0.0, False, 1, h)
+    # measures the solve rather than restating the equation.  A lambda that
+    # closes wraps the stencil, as the pointwise branch does.
     lam, wrap = y[:n], (float(y[-1]) if pair.periodic else None)
+    closes = _closes(lam, wrap)
+    lam_d1 = local_quintic(lam if closes else y, np.arange(n), 0.0, closes, 1, h)
     sol = _solution(pair, config, lam, lam_d1, "ode", wrap, _near_zero(lam, extent))
     excess = _residual_excess(sol, pair, config)
     if excess is not None:

@@ -688,3 +688,12 @@ class TestGridQuantitiesOnce:
         lam = solve_lambda(pair, MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=0.4))
         assert len(attempts) == 1
         assert np.max(np.abs(lam.lam - (0.75 * np.cos(2.0 * pair.grid) - 0.35))) <= 2e-8
+
+    def test_closing_ode_lambda_wraps_its_derivative_stencil(self):
+        # lambda closes over the period, so lambda' wraps the quintic stencil
+        # and the residual at samples 0 and n - 1 is at the interior's level
+        # (one-sided stencils read 0.47 and 0.094 of lambda_tol there).
+        mp = special_operator(astroid_frontal(256), "involute", lambda0=0.4)
+        ratio = np.abs(mp.lam.residual) / mates.lambda_tol(mp.source_curvature, mp.config, mp.lam.lam)
+        assert max(ratio[0], ratio[-1]) <= 1.1 * np.max(ratio[1:-1])
+        assert np.max(ratio) <= 0.06
