@@ -202,7 +202,8 @@ def _text(x, decimals, seps):
     lengths += np.tile([len(s) for s in seps], len(x) // len(seps))
     slow = np.flatnonzero(~ok)
     if len(slow):
-        words = np.array([(fmt % v).encode() + seps[i % len(seps)] for i, v in zip(slow, x[slow].tolist())])
+        words = np.array([(fmt % v).encode() + seps[j]
+                          for v, j in zip(x[slow].tolist(), (slow % len(seps)).tolist())])
         if words.itemsize > text.shape[1]:
             text = np.pad(text, ((0, 0), (0, words.itemsize - text.shape[1])))
         text[slow, :words.itemsize] = words.view(np.uint8).reshape(len(slow), -1)

@@ -148,7 +148,7 @@ class TestRunJob:
         # Unlike r=1, these evolutes carry rounding noise, so beta_bar is not
         # exactly 0 and `degenerate` would not fire.  Today the mate tangency
         # gate refuses them first: its floor is tied to the vanishing mate
-        # speed (ROADMAP item 4).  A fix of that floor changes the exit status
+        # speed (ROADMAP item 2).  A fix of that floor changes the exit status
         # here, but must still report no cusp of the collapsed curve.
         if curve == "csv":
             t = np.arange(256) * (2.0 * math.pi / 256)
