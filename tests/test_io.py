@@ -87,12 +87,12 @@ def test_edge_values():
 
 
 def test_fixed_halfway_cases_round_half_even():
-    # k / 2**j has an exact 5 right after the last kept decimal: a tie that
-    # '%.{d}f' rounds to even.
+    # An odd k over 2**(d + 1), times 10**d, is k 5**d / 2: an exact tie
+    # right after the last kept decimal, which '%.{d}f' rounds to even.
+    rng = np.random.default_rng(11)
     for decimals in range(1, 13):
-        ties = (np.arange(-200, 200) + 0.5) / 10.0**decimals
-        exact = ties[np.array([float(v) * 10**decimals % 1 == 0.5 for v in ties])]
-        halves = np.concatenate([exact, (np.arange(1, 64) * 2 + 1) / 2.0 ** (decimals + 1)])
+        odd = np.concatenate([np.arange(-63, 64), rng.integers(-2**36, 2**36, 256)]) * 2 + 1
+        halves = odd / 2.0 ** (decimals + 1)
         assert kernel(halves, decimals) == python(halves, decimals)
     assert kernel([0.125, 0.375, -0.625, 2.5e-5], 2) == "0.12\n0.38\n-0.62\n0.00\n"
 
