@@ -42,10 +42,8 @@ from .mates import (
     ResidualError,
     check_regular_bertrand,
     inverse_mate,
-    lambda_tol,
     mate_tol,
     operator_config,
-    resolve_mode,
     solve_mate,
     verify_mate_curvature,
 )
@@ -61,8 +59,6 @@ OPERATORS = (
     "check-regular",
     "plot",
 )
-# Subcommands that solve for a mate.
-MATE_OPERATORS = ("mate", "roundtrip", *SPECIAL_OPERATORS)
 # The inverse of a roundtrip job must restore the source normal this closely.
 ROUNDTRIP_NORMAL_TOL = 1e-8
 
@@ -102,7 +98,6 @@ _FIELDS = {
                 {"type": float, "help": "initial / constant value of the scale function"}),
     "lambda_slope": ("--lambda-slope", ("string", "number"),
                      {"type": float, "help": "slope for a linear scale function (check-regular)"}),
-    "mode": ("--mode", ("string",), {"choices": ["ode", "algebraic", "auto"]}),
     "samples": ("--samples", ("string", "integer"), {"type": int, "dest": "n_samples"}),
     "periodic": ("--periodic", ("string",), {"choices": ["auto", "yes", "no"], "help": "csv ingestion periodicity"}),
 }
@@ -136,7 +131,6 @@ class JobSpec:
     tau: float | None = None
     lambda0: float = 0.0
     lambda_slope: float = 0.0
-    mode: str = "auto"
     n_samples: int = 1024
     periodic: str = "auto"  # csv ingestion: auto | yes | no
     outputs: dict = field(default_factory=dict)  # csv | svg | json_report -> path
@@ -250,7 +244,6 @@ def parse_job(argv) -> JobSpec:
         tau=None if tau is None else parse_angle(tau),
         lambda0=pick("lambda0", 0.0),
         lambda_slope=pick("lambda_slope", 0.0),
-        mode=pick("mode", "auto"),
         n_samples=pick("samples", 1024),
         periodic=pick("periodic", "auto"),
         outputs=outputs,
@@ -260,16 +253,13 @@ def parse_job(argv) -> JobSpec:
 
 
 def _validate_job(spec: JobSpec) -> None:
-    if spec.operator not in OPERATORS:
-        raise ValueError(f"unknown operator {spec.operator!r}")
     if spec.operator in ("mate", "roundtrip") and (spec.theta is None or spec.tau is None):
         raise ValueError(f"{spec.operator} requires --theta and --tau")
     for name in ("lambda0", "lambda_slope"):
         if not math.isfinite(getattr(spec, name)):
             raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
-    if spec.operator in MATE_OPERATORS:
-        cfg = _mate_config(spec)  # a named operator checks its angles here
-        resolve_mode(cfg.mode, cfg.tau.eval(0.0))  # before any curve is built
+    if spec.operator in SPECIAL_OPERATORS:
+        operator_config(spec.operator, spec.theta, spec.tau)  # checks its angles before any curve is built
 
 
 def _build_frontal(spec: JobSpec):
@@ -334,13 +324,13 @@ def _curvature_checks(lc, pair) -> dict:
 
 def _mate_config(spec: JobSpec) -> MateConfig:
     if spec.operator in SPECIAL_OPERATORS:
-        return operator_config(spec.operator, spec.theta, spec.tau, spec.lambda0, spec.mode)
-    return MateConfig(constant_fn(spec.theta), constant_fn(spec.tau), spec.lambda0, spec.mode)
+        return operator_config(spec.operator, spec.theta, spec.tau, spec.lambda0)
+    return MateConfig(constant_fn(spec.theta), constant_fn(spec.tau), spec.lambda0)
 
 
 def _mate_checks(mp, extent: float, kind: str) -> dict:
     checks = {}
-    _check(checks, "lambda_residual", mp.lam.residual, lambda_tol(mp.source_curvature, mp.config, mp.lam.lam))
+    _check(checks, "lambda_residual", mp.lam.residual, mp.lam.tolerance)
     _check(checks, "direction_coincidence", mp.direction_residual, mate_tol(extent, kind))
     _check(checks, "mate_tangency", mp.mate_tangency_residual, mp.mate.leg_tol)
     cross = verify_mate_curvature(mp)

@@ -120,9 +120,12 @@ class CurvaturePair:
         return cls(*(np.asarray(v, dtype=float) for v in (grid, ell, beta)), periodic)
 
     @property
+    def step(self) -> float:
+        return self.grid[1] - self.grid[0]
+
+    @property
     def interval_end(self) -> float:
-        h = self.grid[1] - self.grid[0]
-        return self.grid[-1] + h if self.periodic else self.grid[-1]
+        return self.grid[-1] + self.step if self.periodic else self.grid[-1]
 
     @property
     def sing_tol(self) -> float:
@@ -137,8 +140,7 @@ class CurvaturePair:
     def straight(self) -> bool:
         """The normal turns by at most STRAIGHT_TOL, measured as h * max|cumsum(ell)|:
         a bound on max|ell| would not tell sampling noise from slow turning."""
-        h = self.grid[1] - self.grid[0]
-        return bool(h * np.max(np.abs(np.cumsum(self.ell))) <= STRAIGHT_TOL)
+        return bool(self.step * np.max(np.abs(np.cumsum(self.ell))) <= STRAIGHT_TOL)
 
 
 @dataclass(frozen=True)
@@ -275,8 +277,7 @@ def _witnesses(cp: CurvaturePair, ts) -> list[dict]:
 
 
 def _scales(cp: CurvaturePair) -> dict:
-    h = cp.grid[1] - cp.grid[0]
-    (ell_d1, ell_d2), (beta_d1, beta_d2) = (fd_chain(v, h, cp.periodic) for v in (cp.ell, cp.beta))
+    (ell_d1, ell_d2), (beta_d1, beta_d2) = (fd_chain(v, cp.step, cp.periodic) for v in (cp.ell, cp.beta))
     wr = ell_d2 * beta_d1 - ell_d1 * beta_d2
     return {
         "beta": float(np.max(np.abs(cp.beta))),
@@ -296,7 +297,7 @@ def _cell_zeros(cp: CurvaturePair, values: np.ndarray, cells) -> tuple[np.ndarra
     the sign change of the field between the cell's samples, else on that of
     field * field' (a minimum of |field|), else its end of smaller |field|."""
     cells = np.asarray(cells, dtype=int)
-    n, h = len(values), cp.grid[1] - cp.grid[0]
+    n, h = len(values), cp.step
     coef = local_quintic(values, cells, 0.0, cp.periodic, tuple(range(6))) / np.cumprod([1.0, 1, 2, 3, 4, 5])[:, None]
     slope = coef[1:] * np.arange(1.0, 6.0)[:, None]  # field' in the same expansion
     f_lo, f_hi = values[cells % n], values[(cells + 1) % n]
@@ -363,7 +364,7 @@ def _zeros(cp: CurvaturePair, values: np.ndarray, tol: float, minima: bool) -> l
     """
     n = len(values)
     below = np.abs(values) <= tol
-    h = cp.grid[1] - cp.grid[0]
+    h = cp.step
     starts, ends = below & ~np.roll(below, 1), below & ~np.roll(below, -1)
     if not cp.periodic:
         starts[0], ends[-1] = below[0], below[-1]

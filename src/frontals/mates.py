@@ -106,12 +106,11 @@ AngleSamples = namedtuple("AngleSamples", "th thd ta tad cos_th sin_th cos_ta si
 
 @dataclass(frozen=True)
 class MateConfig:
-    """Angle functions, initial scale value, and the solve mode."""
+    """Angle functions and the initial scale value."""
 
     theta: ScalarFn
     tau: ScalarFn
     lambda0: float = 0.0
-    mode: str = "auto"  # ode | algebraic | auto
     # [grid, AngleSamples] of the last grid the angles were sampled on
     _angles: list = field(default_factory=list, init=False, compare=False, repr=False)
 
@@ -136,6 +135,7 @@ class LambdaSolution:
     lam: np.ndarray
     lam_d1: np.ndarray
     residual: np.ndarray
+    tolerance: np.ndarray  # lambda_tol of lam, pointwise
     mode: str  # ode | algebraic | prescribed
     near_zero: bool
     wrap_value: Optional[float]  # value at the period end, when meaningful
@@ -180,52 +180,50 @@ def _near_zero(lam: np.ndarray, extent: float) -> bool:
 def _solution(pair: CurvaturePair, config: MateConfig, lam, lam_d1, mode: str,
               wrap: Optional[float], near_zero: bool) -> LambdaSolution:
     """Scale function lam (derivative lam_d1) on pair's grid, with the defect
-    of the defining condition for `config`."""
+    of the defining condition for `config` and its tolerance lambda_tol."""
     residual = condition_residual(pair, config, lam, lam_d1)
-    return LambdaSolution(pair.grid, lam, lam_d1, residual, mode, near_zero, wrap)
+    return LambdaSolution(pair.grid, lam, lam_d1, residual, lambda_tol(pair, config, lam), mode, near_zero, wrap)
 
 
-def resolve_mode(mode: str, tau_samples) -> str:
-    """The solve that `mode` (ode | algebraic | auto) picks for these samples
-    of tau: the ODE needs cos(tau) != 0 everywhere, the pointwise solve
-    cos(tau) = 0 everywhere."""
+def _gate(sol: LambdaSolution) -> LambdaSolution:
+    """sol, unless its condition residual exceeds its tolerance at some grid
+    point; the error names the point where it does so the most."""
+    k = int(np.argmax(sol.residual / sol.tolerance))
+    if not sol.residual[k] <= sol.tolerance[k]:
+        raise ResidualError(f"lambda residual {sol.residual[k]:.3g} exceeds {sol.tolerance[k]:.3g} "
+                            f"at t = {sol.grid[k]:.6g}")
+    return sol
+
+
+def resolve_mode(tau_samples) -> str:
+    """The solve these samples of tau pick: the ODE where cos(tau) != 0 on
+    the whole grid, the pointwise solve where cos(tau) = 0 on it."""
     cos_tau = np.abs(np.cos(np.asarray(tau_samples, dtype=float)))
-    all_zero = np.max(cos_tau) <= ANGLE_TOL
-    none_zero = np.min(cos_tau) > ANGLE_TOL
-    if mode == "algebraic":
-        if not all_zero:
-            raise ValueError("algebraic mode requires cos(tau) = 0 on the whole grid")
+    if np.max(cos_tau) <= ANGLE_TOL:
         return "algebraic"
-    if mode == "ode":
-        if not none_zero:
-            raise ValueError("ode mode requires cos(tau) != 0 on the whole grid")
+    if np.min(cos_tau) > ANGLE_TOL:
         return "ode"
-    if mode == "auto":
-        if all_zero:
-            return "algebraic"
-        if none_zero:
-            return "ode"
-        raise ValueError("cos(tau) mixes zero and nonzero values on the grid, so neither the ODE "
-                         "(cos(tau) != 0) nor the pointwise solve (cos(tau) = 0) applies")
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ValueError("cos(tau) mixes zero and nonzero values on the grid, so neither the ODE "
+                     "(cos(tau) != 0) nor the pointwise solve (cos(tau) = 0) applies")
 
 
 def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -> LambdaSolution:
     """Scale function satisfying the mate condition for this curvature pair.
 
-    ODE mode solves lambda' = A lambda + B from lambda0, with
+    tau picks the solve (resolve_mode).  Where cos(tau) != 0 it solves the
+    ODE lambda' = A lambda + B from lambda0, with
     A = tan(tau) (theta' + ell) and B = beta (tan(tau) cos(theta) - sin(theta)),
     as lambda = E (lambda0 + int B / E) with E = exp(int A), both integrals
     by cumulative_integral on the grid; it raises ResidualError when |int A|
-    exceeds LOG_GROWTH_MAX.  The pointwise mode (cos(tau) = 0) divides
+    exceeds LOG_GROWTH_MAX.  Where cos(tau) = 0 it divides
     lambda = -beta cos(theta) / (theta' + ell) and ignores lambda0.
-    The returned residual is evaluated with a differenced lambda', so it
-    measures the solve rather than restating the construction.
+    The residual is evaluated with a differenced lambda', so it measures the
+    solve rather than restating the construction, and either solve raises
+    ResidualError when it exceeds lambda_tol.
     """
     ts = pair.grid
     n = len(ts)
-    h = ts[1] - ts[0]
-    t_end = pair.interval_end
+    h = pair.step
     a = config.angles(ts)
     # One-sided differencing regardless of grid periodicity: angle functions
     # need not close over the period (a linear sweep is legitimate).
@@ -234,7 +232,11 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
         if err > FD_TOL:
             raise ValueError(f"{name}.deriv disagrees with {name}.eval (relative error {err:.2g})")
 
-    mode = resolve_mode(config.mode, a.ta)
+    mode = resolve_mode(a.ta)
+    if pair.periodic:
+        # The period end: the angles there, beta and ell wrapped to sample 0.
+        t_end = pair.interval_end
+        th_end, thd_end, ta_end = (float(f(t_end)) for f in (config.theta.eval, config.theta.deriv, config.tau.eval))
 
     if mode == "algebraic":
         denom = a.thd + pair.ell
@@ -247,49 +249,36 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
                 locations=bad,
             )
         lam = -pair.beta * a.cos_th / denom
-        if pair.periodic:
-            # ell and beta at the period end are their first samples.
-            th_end = float(config.theta.eval(t_end))
-            den_end = float(config.theta.deriv(t_end)) + float(pair.ell[0])
-            wrap = -float(pair.beta[0]) * math.cos(th_end) / den_end
-        else:
-            wrap = None
+        wrap = -float(pair.beta[0]) * math.cos(th_end) / (thd_end + float(pair.ell[0])) if pair.periodic else None
         # A nonconstant theta can break the period even on a periodic pair;
         # wrap the difference stencil only when lambda actually closes.
         lam_d1 = fd_d1(lam, h, periodic=_closes(lam, wrap))
-        return _solution(pair, config, lam, lam_d1, "algebraic", wrap, _near_zero(lam, extent))
-
-    # ODE direction: lambda' = A lambda + B, solved by its integrating factor
-    # E = exp(int A) as lambda = E (lambda0 + int B / E).
-    tan_ta = np.tan(a.ta)
-    coef_a = tan_ta * (a.thd + pair.ell)
-    coef_b = tan_ta * pair.beta * a.cos_th - pair.beta * a.sin_th
-    if pair.periodic:
-        # The period end: the angles there, beta and ell wrapped to sample 0.
-        th_end, thd_end, ta_end = (float(f(t_end)) for f in (config.theta.eval, config.theta.deriv, config.tau.eval))
-        tan_end = math.tan(ta_end)
-        coef_a = np.append(coef_a, tan_end * (thd_end + pair.ell[0]))
-        coef_b = np.append(coef_b, tan_end * pair.beta[0] * math.cos(th_end) - pair.beta[0] * math.sin(th_end))
-    # Both integrals run on an open grid: A and B / E need not close over a
-    # period (a linear angle sweep is legitimate).
-    log_e = cumulative_integral(coef_a, h, periodic=False)
-    k = int(np.argmax(np.abs(log_e)))
-    if abs(log_e[k]) > LOG_GROWTH_MAX:
-        raise ResidualError(f"lambda {'grows' if log_e[k] > 0 else 'decays'} by e^{abs(log_e[k]):.0f}, "
-                            "beyond the floats")
-    e = np.exp(log_e)
-    y = e * (config.lambda0 + cumulative_integral(coef_b / e, h, periodic=False))
-    # lambda' differences lambda's own local quintic, so the residual
-    # measures the solve rather than restating the equation.  A lambda that
-    # closes wraps the stencil, as the pointwise branch does.
-    lam, wrap = y[:n], (float(y[-1]) if pair.periodic else None)
-    closes = _closes(lam, wrap)
-    lam_d1 = local_quintic(lam if closes else y, np.arange(n), 0.0, closes, 1, h)
-    sol = _solution(pair, config, lam, lam_d1, "ode", wrap, _near_zero(lam, extent))
-    excess = _residual_excess(sol, pair, config)
-    if excess is not None:
-        raise ResidualError(f"condition {excess}")
-    return sol
+    else:
+        # lambda' = A lambda + B, solved by its integrating factor
+        # E = exp(int A) as lambda = E (lambda0 + int B / E).
+        tan_ta = np.tan(a.ta)
+        coef_a = tan_ta * (a.thd + pair.ell)
+        coef_b = tan_ta * pair.beta * a.cos_th - pair.beta * a.sin_th
+        if pair.periodic:
+            tan_end = math.tan(ta_end)
+            coef_a = np.append(coef_a, tan_end * (thd_end + pair.ell[0]))
+            coef_b = np.append(coef_b, tan_end * pair.beta[0] * math.cos(th_end) - pair.beta[0] * math.sin(th_end))
+        # Both integrals run on an open grid: A and B / E need not close over a
+        # period (a linear angle sweep is legitimate).
+        log_e = cumulative_integral(coef_a, h, periodic=False)
+        k = int(np.argmax(np.abs(log_e)))
+        if abs(log_e[k]) > LOG_GROWTH_MAX:
+            raise ResidualError(f"lambda {'grows' if log_e[k] > 0 else 'decays'} by e^{abs(log_e[k]):.0f}, "
+                                "beyond the floats")
+        e = np.exp(log_e)
+        y = e * (config.lambda0 + cumulative_integral(coef_b / e, h, periodic=False))
+        # lambda' differences lambda's own local quintic, so the residual
+        # measures the solve rather than restating the equation.  A lambda that
+        # closes wraps the stencil, as the pointwise branch does.
+        lam, wrap = y[:n], (float(y[-1]) if pair.periodic else None)
+        closes = _closes(lam, wrap)
+        lam_d1 = local_quintic(lam if closes else y, np.arange(n), 0.0, closes, 1, h)
+    return _gate(_solution(pair, config, lam, lam_d1, mode, wrap, _near_zero(lam, extent)))
 
 
 def mate_curvature(pair: CurvaturePair, config: MateConfig, lam: LambdaSolution) -> CurvaturePair:
@@ -335,24 +324,6 @@ class MatePair:
         return turn(self.source.on_grid("nu"), a.cos_th, a.sin_th)
 
 
-def _residual_excess(lam: LambdaSolution, pair: CurvaturePair, config: MateConfig) -> Optional[str]:
-    """None when lam's condition residual on `pair` is within lambda_tol at
-    every grid point; else where it exceeds that tolerance the most."""
-    tol = lambda_tol(pair, config, lam.lam)
-    k = int(np.argmax(lam.residual / tol))
-    if lam.residual[k] <= tol[k]:
-        return None
-    return f"residual {lam.residual[k]:.3g} exceeds {tol[k]:.3g} at t = {lam.grid[k]:.6g}"
-
-
-def _residual_gate(lam: LambdaSolution, pair: CurvaturePair, config: MateConfig) -> None:
-    """Reject a scale function whose condition residual on `pair` exceeds
-    lambda_tol at any grid point."""
-    excess = _residual_excess(lam, pair, config)
-    if excess is not None:
-        raise ResidualError(f"lambda {excess}")
-
-
 def _direction_gate(v: np.ndarray, mate_nu: np.ndarray, a: AngleSamples, tol: float) -> float:
     """max |v - w_bar|, where w_bar = cos(tau) nu_bar + sin(tau) mu_bar on the
     mate frame; rejects a pair whose fields do not coincide within tol."""
@@ -376,7 +347,7 @@ def build_mate(
     scheme, so later cross-checks against the curvature formulas compare two
     genuinely different computation paths.
     """
-    _residual_gate(lam, pair, config)
+    _gate(lam)
     ts = pair.grid
     a = config.angles(ts)
     nu = lc.on_grid("nu")
@@ -412,7 +383,7 @@ class CrossCheckReport:
     passed: bool
 
 
-def verify_mate_curvature(mp: MatePair, tolerance: float = CROSS_TOL) -> CrossCheckReport:
+def verify_mate_curvature(mp: MatePair) -> CrossCheckReport:
     """Compare the curvature formulas against the pair measured directly on
     the constructed mate (differenced positions, differenced normal)."""
     direct = legendre_curvature(mp.mate)
@@ -424,13 +395,13 @@ def verify_mate_curvature(mp: MatePair, tolerance: float = CROSS_TOL) -> CrossCh
     return CrossCheckReport(
         max_ell_discrepancy=d_ell,
         max_beta_discrepancy=d_beta,
-        tolerance=tolerance,
-        passed=max(d_ell, d_beta) <= tolerance,
+        tolerance=CROSS_TOL,
+        passed=max(d_ell, d_beta) <= CROSS_TOL,
     )
 
 
 def operator_config(which: str, theta: float | None = None, tau: float | None = None,
-                    lambda0: float = 0.0, mode: str = "auto") -> MateConfig:
+                    lambda0: float = 0.0) -> MateConfig:
     """MateConfig of a named construction (see OPERATOR_TABLE)."""
     if which not in OPERATOR_TABLE:
         raise ValueError(f"unknown operator {which!r}; expected one of {SPECIAL_OPERATORS}")
@@ -438,7 +409,7 @@ def operator_config(which: str, theta: float | None = None, tau: float | None = 
     if required is not None and {"theta": theta, "tau": tau}[required] is None:
         raise ValueError(f"{which} needs {required}: it requires --{required} or {required}=")
     th, ta = rule(theta, tau)
-    return MateConfig(constant_fn(th), constant_fn(ta), lambda0, mode)
+    return MateConfig(constant_fn(th), constant_fn(ta), lambda0)
 
 
 def solve_mate(lc: LegendreCurve, config: MateConfig, pair: CurvaturePair, which: str = "mate") -> MatePair:
@@ -540,8 +511,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     if mp12.lam.wrap_value is not None and mp23.lam.wrap_value is not None:
         wrap = mp12.lam.wrap_value + mp23.lam.wrap_value
     # Not near zero: the identity case returned above.
-    lam = _solution(pair1, cfg, lam_sum, mp12.lam.lam_d1 + mp23.lam.lam_d1, "prescribed", wrap, False)
-    _residual_gate(lam, pair1, cfg)
+    lam = _gate(_solution(pair1, cfg, lam_sum, mp12.lam.lam_d1 + mp23.lam.lam_d1, "prescribed", wrap, False))
 
     v1 = mp12.direction()
     chain_gap = float(np.max(row_norm(far_pos - (src_pos + lam_sum[:, None] * v1))))

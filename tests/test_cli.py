@@ -34,35 +34,13 @@ class TestParsing:
         spec = parse_job(["curvature", "--curve", "circle:r=1"])
         assert spec.operator == "curvature"
         assert spec.curve == "circle:r=1"
-        assert spec.n_samples == 1024 and spec.lambda0 == 0.0 and spec.mode == "auto"
+        assert spec.n_samples == 1024 and spec.lambda0 == 0.0
 
     def test_parse_involute_style_mate_job(self):
         spec = parse_job(
             ["mate", "--curve", "astroid", "--theta", "pi/2", "--tau", "0", "--lambda0", "0.75"]
         )
         assert spec.theta == math.pi / 2 and spec.tau == 0.0 and spec.lambda0 == 0.75
-
-    def test_algebraic_mode_requires_perpendicular_tau(self):
-        with pytest.raises(ValueError, match="algebraic"):
-            parse_job(
-                ["mate", "--curve", "circle:r=1", "--tau", "pi/3", "--theta", "pi/2",
-                 "--mode", "algebraic"]
-            )
-
-    def test_ode_mode_rejected_at_parse_time(self):
-        # cos(tau) = 0 for the evolute: the job fails before any curve is built
-        with pytest.raises(ValueError, match="ode mode requires"):
-            parse_job(["evolute", "--curve", "circle:r=1", "--mode", "ode"])
-
-    @pytest.mark.parametrize("argv,code,message", [
-        (["evolute", "--mode", "ode"], 2, "ode mode requires"),
-        (["evolute", "--mode", "algebraic"], 0, None),
-        (["involute", "--mode", "algebraic"], 2, "algebraic mode requires"),
-    ])
-    def test_named_operators_honour_mode(self, argv, code, message, capsys):
-        assert main([*argv, "--curve", "circle:r=1", "--samples", "256"]) == code
-        if message is not None:
-            assert message in capsys.readouterr().err
 
     def test_missing_operator_parameter(self):
         with pytest.raises(ValueError, match="requires"):
@@ -260,6 +238,17 @@ class TestRunJob:
         assert main(argv) == 0
         assert len(calls) == 2
 
+    def test_roundtrip_computes_each_lambda_tolerance_once(self, monkeypatch):
+        """One lambda_tol per scale function, the source's and the inverse's:
+        the gates and the lambda_residual check read the stored tolerance."""
+        calls = []
+        counted = lambda *args, _f=mates.lambda_tol: calls.append(args) or _f(*args)
+        for module in (cli, mates):
+            monkeypatch.setattr(module, "lambda_tol", counted, raising=False)
+        assert main(["roundtrip", "--curve", "astroid", "--theta", "0.3", "--tau", "0.2", "--lambda0", "0.5",
+                     "--samples", "256"]) == 0
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("normals", [False, True])
     def test_roundtrip_interpolates_only_off_grid_values(self, tmp_path, monkeypatch, normals):
         """Grid values are read from the samples a model holds: every read of
@@ -380,11 +369,11 @@ class TestSolverFailure:
 
     def test_residual_error(self, monkeypatch, capsys):
         def failing(pair, config, extent=1.0):
-            raise mates.ResidualError("condition residual 1 exceeds 1e-07 at t = 0")
+            raise mates.ResidualError("lambda residual 1 exceeds 1e-07 at t = 0")
 
         monkeypatch.setattr(mates, "solve_lambda", failing)
         assert main(["involute", "--curve", "astroid", "--lambda0", "0.75", "--samples", "64"]) == 1
-        assert capsys.readouterr().err == "error: condition residual 1 exceeds 1e-07 at t = 0\n"
+        assert capsys.readouterr().err == "error: lambda residual 1 exceeds 1e-07 at t = 0\n"
 
 
 class TestMalformedInput:
@@ -412,7 +401,15 @@ class TestMalformedInput:
         path.write_text(json.dumps({"curve": "astroid", "thetta": 1, "lamda0": 3}))
         self.assert_rejected(["cusps", "--job", str(path)], capsys,
                              f"{path}: unknown field 'thetta'; a job file accepts curve, theta, tau, lambda0, "
-                             "lambda_slope, mode, samples, periodic, outputs")
+                             "lambda_slope, samples, periodic, outputs")
+
+    def test_mode_is_no_longer_an_option(self, tmp_path, capsys):
+        # tau picks the solve: --mode and a job file's mode are unknown input
+        self.assert_rejected(["evolute", "--curve", "circle:r=1", "--mode", "ode"], capsys,
+                             "unrecognized arguments: --mode ode")
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"curve": "circle:r=1", "mode": "ode"}))
+        self.assert_rejected(["evolute", "--job", str(path)], capsys, f"{path}: unknown field 'mode'")
 
     def test_job_file_unknown_output(self, tmp_path, capsys):
         path = tmp_path / "job.json"

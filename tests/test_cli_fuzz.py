@@ -98,7 +98,7 @@ def job_file_cases(draw):
                                st.dictionaries(st.just("csv"), st.integers(), min_size=1)))
     elif field in ("theta", "tau", "lambda0", "lambda_slope"):
         value = draw(st.one_of(wrong_kind, MALFORMED_NUMBER, st.sampled_from([math.nan, math.inf])))
-    elif field in ("mode", "periodic"):
+    elif field == "periodic":
         value = draw(st.one_of(wrong_kind, st.sampled_from(["odee", "maybe", ""])))
     else:
         value = draw(wrong_kind)

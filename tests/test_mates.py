@@ -151,17 +151,30 @@ class TestSolveLambda:
         sweep = angle(lambda t: np.asarray(t, dtype=float), lambda t: np.ones_like(np.asarray(t, dtype=float)))
         with pytest.raises(ValueError, match="mixes zero and nonzero .* neither the ODE .* nor the pointwise solve"):
             solve_lambda(pair, MateConfig(constant_fn(0.0), sweep))
-        # no mode helps: each one names its own precondition
-        for mode in ("ode", "algebraic"):
-            with pytest.raises(ValueError, match=f"{mode} mode requires"):
-                solve_lambda(pair, MateConfig(constant_fn(0.0), sweep, mode=mode))
 
-    def test_mode_preconditions(self):
-        pair = legendre_curvature(circle_frontal(1.0))
-        with pytest.raises(ValueError, match="algebraic mode requires"):
-            solve_lambda(pair, MateConfig(constant_fn(0.0), constant_fn(math.pi / 3), mode="algebraic"))
-        with pytest.raises(ValueError, match="ode mode requires"):
-            solve_lambda(pair, MateConfig(constant_fn(0.0), constant_fn(HALF_PI), mode="ode"))
+    def test_pointwise_solve_gates_its_own_residual(self, monkeypatch):
+        lc = from_regular(build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0},
+                                                    ParamInterval(0.0, 2.0 * math.pi, 256, periodic=True))))
+        pair = legendre_curvature(lc)
+        cfg = mates.operator_config("evolute")
+        assert solve_lambda(pair, cfg).mode == "algebraic"
+        monkeypatch.setattr(mates, "ODE_TOL_SCALE", 1e-30)
+        with pytest.raises(mates.ResidualError, match="^lambda residual .* exceeds .* at t = "):
+            solve_lambda(pair, cfg)
+
+    def test_each_solution_carries_its_lambda_tol(self):
+        """The stored tolerance is the one the gates recomputed before: bit
+        for bit lambda_tol of the solution's own pair, config and lambda."""
+        def mate(lc, theta, tau, lambda0):
+            pair, cfg = legendre_curvature(lc), MateConfig(constant_fn(theta), constant_fn(tau), lambda0)
+            return build_mate(lc, cfg, solve_lambda(pair, cfg, extent=lc.gamma.extent), pair)
+
+        mp = mate(astroid_frontal(512), 0.6, -0.2, 0.3)
+        # the second pair's direction is the first's coincident field: theta2 = tau1
+        composite = compose_mates(mp, mate(mp.mate, -0.2, 0.1, 0.2))
+        assert composite.lam.mode == "prescribed"
+        for m in (mp, inverse_mate(mp), composite):
+            assert np.array_equal(m.lam.tolerance, mates.lambda_tol(m.source_curvature, m.config, m.lam.lam))
 
     def test_denominator_blowup(self):
         # a straight line has ell = 0 everywhere: the pointwise solve divides by zero
@@ -265,8 +278,8 @@ class TestVerifyMateCurvature:
         cfg = MateConfig(constant_fn(0.6), constant_fn(-0.4), lambda0=0.3)
         lam = solve_lambda(pair, cfg, extent=lc.gamma.extent)
         mp = build_mate(lc, cfg, lam, pair=pair)
-        rep = verify_mate_curvature(mp, tolerance=1e-5)
-        assert rep.passed
+        rep = verify_mate_curvature(mp)
+        assert max(rep.max_ell_discrepancy, rep.max_beta_discrepancy) <= 1e-5
 
 
 class TestLowOrderData:

@@ -57,7 +57,8 @@ def check_fixture_laws(seed: int) -> None:
     tol = mate_tol(lc.gamma.extent, lc.gamma.kind)
     assert mp.direction_residual <= tol
     assert mp.mate_tangency_residual <= mp.mate.leg_tol
-    assert verify_mate_curvature(mp, tolerance=1e-5).passed
+    cross = verify_mate_curvature(mp)
+    assert max(cross.max_ell_discrepancy, cross.max_beta_discrepancy) <= 1e-5
 
     # inverse recovers the source
     back = inverse_mate(mp)
