@@ -65,60 +65,70 @@ ROUNDTRIP_NORMAL_TOL = 1e-8
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?$")
 
 
-def parse_angle(text) -> float:
+class AngleError(ValueError, argparse.ArgumentTypeError):
+    """A malformed angle literal; argparse prints it after the flag's name."""
+
+
+def parse_angle(text: str) -> float:
     """Angle literal: decimal radians or pi expressions like pi/2, -pi, 2pi."""
-    if isinstance(text, (int, float)):
-        value = float(text)
+    s = text.strip().lower()
+    m = _ANGLE_RE.match(s)
+    if m:
+        sign = -1.0 if m.group(1) == "-" else 1.0
+        coeff = float(m.group(2)) if m.group(2) else 1.0
+        div = float(m.group(3)) if m.group(3) else 1.0
+        value = sign * coeff * math.pi / div if div else math.inf
     else:
-        s = text.strip().lower()
-        m = _ANGLE_RE.match(s)
-        if m:
-            sign = -1.0 if m.group(1) == "-" else 1.0
-            coeff = float(m.group(2)) if m.group(2) else 1.0
-            div = float(m.group(3)) if m.group(3) else 1.0
-            value = sign * coeff * math.pi / div if div else math.inf
-        else:
-            try:
-                value = float(s)
-            except ValueError:
-                raise ValueError(f"cannot parse angle {text!r}") from None
+        try:
+            value = float(s)
+        except ValueError:
+            raise AngleError(f"cannot parse angle {text!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"angle {text!r} is not finite")
+        raise AngleError(f"angle {text!r} is not finite")
     return value
 
 
-# Job-file key -> (flag, JSON kinds a job file may give, argparse options).
-# A job file's value is converted and checked as its flag would be.
+# Job-file key -> (flag, argparse options).  A job file's fields are parsed as
+# `--flag=value` arguments ahead of the command line, so explicit flags win.
 _FIELDS = {
-    "curve": ("--curve", ("string",),
-              {"help": "builtin spec (circle:r=1, astroid, ellipse:a=2,b=1, line:dx=1) or csv:path"}),
-    "theta": ("--theta", ("string", "number"), {"help": "angle of the translation direction (pi literals ok)"}),
-    "tau": ("--tau", ("string", "number"), {"help": "angle of the coincident field seen from the mate"}),
-    "lambda0": ("--lambda0", ("string", "number"),
-                {"type": float, "help": "initial / constant value of the scale function"}),
-    "lambda_slope": ("--lambda-slope", ("string", "number"),
-                     {"type": float, "help": "slope for a linear scale function (check-regular)"}),
-    "samples": ("--samples", ("string", "integer"), {"type": int, "dest": "n_samples"}),
-    "periodic": ("--periodic", ("string",), {"choices": ["auto", "yes", "no"], "help": "csv ingestion periodicity"}),
+    "curve": ("--curve", {"help": "builtin spec (circle:r=1, astroid, ellipse:a=2,b=1, line:dx=1) or csv:path"}),
+    "theta": ("--theta", {"type": parse_angle, "help": "angle of the translation direction (pi literals ok)"}),
+    "tau": ("--tau", {"type": parse_angle, "help": "angle of the coincident field seen from the mate"}),
+    "lambda0": ("--lambda0", {"type": float, "help": "initial / constant value of the scale function"}),
+    "lambda_slope": ("--lambda-slope", {"type": float, "help": "slope for a linear scale function (check-regular)"}),
+    "samples": ("--samples", {"type": int, "dest": "n_samples"}),
+    "periodic": ("--periodic", {"choices": ["auto", "yes", "no"], "help": "csv ingestion periodicity"}),
 }
-_JSON_KINDS = {"string": str, "integer": int, "number": (int, float)}
-# The output kinds a job writes, in the order of their flags --out, --svg and --json-report.
-_OUTPUTS = ("csv", "svg", "json_report")
+# Output kind (a key of a job file's `outputs`) -> (flag, help).
+_OUTPUTS = {
+    "csv": ("--out", "output CSV path"),
+    "svg": ("--svg", "output SVG path"),
+    "json_report": ("--json-report", "output JSON report path"),
+}
 
 
-def _job_value(path, key: str, value):
-    """A job-file value, converted and checked against its flag's choices."""
-    _, kinds, opts = _FIELDS[key]
-    where = f"{path}: field {key!r}"
-    if isinstance(value, bool) or not isinstance(value, tuple(_JSON_KINDS[k] for k in kinds)):
-        raise ValueError(f"{where} must be a {' or '.join(kinds)}, got {type(value).__name__}")
+def _job_arguments(path) -> list[str]:
+    """A job file's fields as `--flag=value` arguments, once the file's own form is checked."""
     try:
-        value = (parse_angle if key in ("theta", "tau") else opts.get("type", str))(value)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    if value not in opts.get("choices", [value]):
-        raise ValueError(f"{where} must be one of {', '.join(opts['choices'])}, got {value!r}")
-    return value
+        job = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})") from None
+    if not isinstance(job, dict):
+        raise ValueError(f"job file must hold a JSON object, got {type(job).__name__}")
+    accepted = [*_FIELDS, "outputs"]
+    unknown = [key for key in job if key not in accepted]
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}; a job file accepts {', '.join(accepted)}")
+    outputs = job.get("outputs", {})
+    if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
+        raise ValueError("field 'outputs' must be an object of path strings")
+    unknown = [key for key in outputs if key not in _OUTPUTS]
+    if unknown:
+        raise ValueError(f"unknown output {unknown[0]!r}; outputs accepts {', '.join(_OUTPUTS)}")
+    # A value's text fails its flag's conversion where its JSON kind is wrong (True, 64.0, [1]),
+    # and a float's text is its shortest repr, which reads back as the same float.
+    argv = [f"{flag}={job[key]}" for key, (flag, _) in _FIELDS.items() if job.get(key) is not None]
+    return argv + [f"{_OUTPUTS[kind][0]}={target}" for kind, target in outputs.items()]
 
 
 @dataclass
@@ -180,7 +190,13 @@ def _parse_params(kind: str, text: str) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a ValueError, like any other rejected input."""
+    """Reports a bad command line as a ValueError, like any other rejected
+    input, and reads -1e-05 as a negative number, not as an option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # argparse's own pattern has no exponent form, so it takes -1e-05 for an option.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ValueError(message)
@@ -190,64 +206,26 @@ def parse_job(argv) -> JobSpec:
     parser = _Parser(
         prog="frontals",
         description="Curvature pairs, cusp scans, and mate constructions for plane curves.",
+        argument_default=argparse.SUPPRESS,  # JobSpec holds the defaults
     )
     parser.add_argument("operator", choices=OPERATORS)
-    for flag, _, opts in _FIELDS.values():
+    for flag, opts in _FIELDS.values():
         parser.add_argument(flag, **opts)
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--svg", help="output SVG path")
-    parser.add_argument("--json-report", dest="json_report", help="output JSON report path")
-    parser.add_argument("--job", help="JSON job file; explicit flags override it")
-    ns = parser.parse_args(argv)
-
-    job_file = {}
-    if ns.job:
-        try:
-            job_file = json.loads(Path(ns.job).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{ns.job}: not valid JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})") from None
-        if not isinstance(job_file, dict):
-            raise ValueError(f"{ns.job}: job file must hold a JSON object, got {type(job_file).__name__}")
-        accepted = [*_FIELDS, "outputs"]
-        unknown = [key for key in job_file if key not in accepted]
-        if unknown:
-            raise ValueError(f"{ns.job}: unknown field {unknown[0]!r}; a job file accepts {', '.join(accepted)}")
-
-    def pick(key, default):
-        flag = getattr(ns, _FIELDS[key][2].get("dest", key))
-        if flag is not None:
-            return flag
-        if job_file.get(key) is not None:
-            return _job_value(ns.job, key, job_file[key])
-        return default
-
-    outputs = job_file.get("outputs", {})
-    if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
-        raise ValueError(f"{ns.job}: field 'outputs' must be an object of path strings")
-    unknown = [key for key in outputs if key not in _OUTPUTS]
-    if unknown:
-        raise ValueError(f"{ns.job}: unknown output {unknown[0]!r}; outputs accepts {', '.join(_OUTPUTS)}")
-    outputs = dict(outputs)
-    for key, path in zip(_OUTPUTS, (ns.out, ns.svg, ns.json_report)):
-        if path:
-            outputs[key] = path
-
-    curve = pick("curve", None)
-    if not curve:
+    for kind, (flag, text) in _OUTPUTS.items():
+        parser.add_argument(flag, dest=kind, metavar="PATH", help=text)
+    parser.add_argument("--job", help="JSON job file, read as --flag=value arguments ahead of the flags given")
+    args = vars(parser.parse_args(argv))
+    job = args.pop("job", None)
+    if job:
+        try:  # the command line alone parsed: the job file is at fault, json.loads' digit limit too
+            args = vars(parser.parse_args([*_job_arguments(job), *argv]))
+        except ValueError as exc:
+            raise ValueError(f"{job}: {exc}") from None
+        del args["job"]
+    outputs = {kind: path for kind in _OUTPUTS if (path := args.pop(kind, None))}
+    if not args.get("curve"):
         parser.error("a curve is required (--curve or job file)")
-    theta = pick("theta", None)
-    tau = pick("tau", None)
-    spec = JobSpec(
-        curve=curve,
-        operator=ns.operator,
-        theta=None if theta is None else parse_angle(theta),
-        tau=None if tau is None else parse_angle(tau),
-        lambda0=pick("lambda0", 0.0),
-        lambda_slope=pick("lambda_slope", 0.0),
-        n_samples=pick("samples", 1024),
-        periodic=pick("periodic", "auto"),
-        outputs=outputs,
-    )
+    spec = JobSpec(outputs=outputs, **args)
     _validate_job(spec)
     return spec
 

@@ -444,9 +444,19 @@ class FrameData:
     sign_beta: int
 
 
-def subinterval_mask(grid: np.ndarray, regular: np.ndarray, t0: float | None, t1: float | None) -> np.ndarray:
-    """Mask of the grid samples in [t0, t1] (an end given as None is open);
-    raises when it holds no sample or a sample that is not `regular`."""
+def regular_arcs(*pairs: CurvaturePair) -> np.ndarray:
+    """Label (1, 2, ...) of the regular arc that holds each grid sample, 0 where
+    some pair's |beta| <= sing_tol.  Neighbouring regular samples whose beta
+    differ in sign on some pair lie on different arcs: beta vanishes between them."""
+    regular = np.logical_and.reduce([np.abs(p.beta) > p.sing_tol for p in pairs])
+    flips = np.logical_or.reduce([np.sign(p.beta[1:]) != np.sign(p.beta[:-1]) for p in pairs])
+    starts = regular & np.concatenate(([True], ~regular[:-1] | flips))
+    return np.where(regular, np.cumsum(starts), 0)
+
+
+def subinterval_mask(grid: np.ndarray, arcs: np.ndarray, t0: float | None, t1: float | None) -> np.ndarray:
+    """Mask of the grid samples in [t0, t1] (an end given as None is open); raises
+    when it holds no sample, or samples not all on one arc of regular_arcs."""
     mask = np.ones(len(grid), dtype=bool)
     if t0 is not None:
         mask &= grid >= t0
@@ -454,7 +464,7 @@ def subinterval_mask(grid: np.ndarray, regular: np.ndarray, t0: float | None, t1
         mask &= grid <= t1
     if not np.any(mask):
         raise ValueError("empty subinterval")
-    if not np.all(regular[mask]):
+    if arcs[mask].min() == 0 or arcs[mask].min() != arcs[mask].max():
         raise SingularCurveError("requested subinterval contains a singular point")
     return mask
 
@@ -467,11 +477,8 @@ def to_regular_frames(lc: LegendreCurve, t0: float | None = None, t1: float | No
     singular point or beta changes sign inside it.
     """
     pair = legendre_curvature(lc)
-    mask = subinterval_mask(pair.grid, np.abs(pair.beta) > pair.sing_tol, t0, t1)
-    signs = np.sign(pair.beta[mask])
-    if signs.max() != signs.min():
-        raise SingularCurveError("beta changes sign inside the requested subinterval")
-    sign = int(signs[0])
+    mask = subinterval_mask(pair.grid, regular_arcs(pair), t0, t1)
+    sign = int(np.sign(pair.beta[mask][0]))
     nu = lc.on_grid("nu")[mask]
     mu = rotate_j(nu)
     return FrameData(grid=pair.grid[mask], tangent=sign * mu, normal=-sign * nu, sign_beta=sign)

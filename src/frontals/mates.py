@@ -45,6 +45,7 @@ from .legendre import (
     LegendreCurve,
     frontal_from_normal,
     legendre_curvature,
+    regular_arcs,
     subinterval_mask,
     tangency_residual,
 )
@@ -619,15 +620,13 @@ class RegularMateData:
     report: RegularBertrandReport
 
 
-def _longest_regular_run(mask: np.ndarray):
-    """(first, last) index of the first longest run of True in mask."""
-    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    if starts.size == 0:
+def _longest_regular_run(arcs: np.ndarray):
+    """(first, last) index of the first longest arc labelled in arcs (see regular_arcs)."""
+    counts = np.bincount(arcs)
+    if counts.size == 1:
         raise SingularCurveError("no regular subinterval")
-    ends = np.flatnonzero(edges == -1) - 1
-    k = int(np.argmax(ends - starts))  # argmax picks the first of equal runs
-    return int(starts[k]), int(ends[k])
+    idx = np.flatnonzero(arcs == 1 + np.argmax(counts[1:]))  # argmax picks the first of equal arcs
+    return int(idx[0]), int(idx[-1])
 
 
 def regular_to_legendre_mates(
@@ -642,13 +641,13 @@ def regular_to_legendre_mates(
     """
     pair = mp.source_curvature
     pair_bar = mp.mate_curvature
-    mask = (np.abs(pair.beta) > pair.sing_tol) & (np.abs(pair_bar.beta) > pair_bar.sing_tol)
+    arcs = regular_arcs(pair, pair_bar)
     ts = pair.grid
     if t0 is not None or t1 is not None:
-        idx = np.flatnonzero(subinterval_mask(ts, mask, t0, t1))
+        idx = np.flatnonzero(subinterval_mask(ts, arcs, t0, t1))
         i_lo, i_hi = int(idx[0]), int(idx[-1])
     else:
-        i_lo, i_hi = _longest_regular_run(mask)
+        i_lo, i_hi = _longest_regular_run(arcs)
     if i_hi - i_lo + 1 < 16:
         raise SingularCurveError("regular subinterval is too short to evaluate")
 

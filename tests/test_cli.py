@@ -42,6 +42,11 @@ class TestParsing:
         )
         assert spec.theta == math.pi / 2 and spec.tau == 0.0 and spec.lambda0 == 0.75
 
+    def test_negative_numbers_in_exponent_form(self):
+        # argparse before Python 3.13 reads a token like -1e-05 as an option
+        spec = parse_job(["mate", "--curve", "circle:r=1", "--theta", "-1e-05", "--tau", "-.5", "--lambda0", "-2.5E-7"])
+        assert (spec.theta, spec.tau, spec.lambda0) == (-1e-05, -0.5, -2.5e-07)
+
     def test_missing_operator_parameter(self):
         with pytest.raises(ValueError, match="requires"):
             parse_job(["evolutoid", "--curve", "circle:r=1"])
@@ -396,6 +401,11 @@ class TestMalformedInput:
         path.write_text("{bad")
         self.assert_rejected(["mate", "--job", str(path)], capsys, f"{path}: not valid JSON (line 1, column 2")
 
+    def test_job_file_integer_beyond_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text('{"curve": "circle:r=1", "lambda0": 1' + "0" * 5000 + "}")
+        self.assert_rejected(["involute", "--job", str(path)], capsys, f"{path}: Exceeds the limit")
+
     def test_job_file_unknown_field(self, tmp_path, capsys):
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"curve": "astroid", "thetta": 1, "lamda0": 3}))
@@ -438,7 +448,8 @@ class TestMalformedInput:
     def test_non_finite_angle_in_job_file(self, tmp_path, capsys):
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"curve": "circle:r=1", "theta": float("nan"), "tau": 0}))
-        self.assert_rejected(["mate", "--job", str(path)], capsys, "angle nan is not finite")
+        assert main(["mate", "--job", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: argument --theta: angle 'nan' is not finite\n"
 
     @pytest.mark.parametrize("row, message", [
         ("0.5,nan,0", "data row 2 holds a non-finite value"),
@@ -483,19 +494,22 @@ class TestMalformedInput:
         assert out.stderr == f"error: {path}: no data rows\n"
 
     @pytest.mark.parametrize("field, value, message", [
-        ("curve", 5, "field 'curve' must be a string, got int"),
-        ("theta", [1], "field 'theta' must be a string or number, got list"),
-        ("lambda0", [1], "field 'lambda0' must be a string or number, got list"),
+        ("curve", 5, "unknown curve spec '5'"),
+        ("theta", [1], "argument --theta: cannot parse angle '[1]'"),
+        ("lambda0", [1], "argument --lambda0: invalid float value: '[1]'"),
         ("outputs", 3, "field 'outputs' must be an object of path strings"),
-        ("periodic", "maybe", "field 'periodic' must be one of auto, yes, no, got 'maybe'"),
-        ("samples", True, "field 'samples' must be a string or integer, got bool"),
-        ("samples", "abc", "field 'samples': invalid literal for int()"),
+        ("periodic", "maybe", "argument --periodic: invalid choice: 'maybe' (choose from 'auto', 'yes', 'no')"),
+        ("samples", True, "argument --samples: invalid int value: 'True'"),
+        ("samples", "abc", "argument --samples: invalid int value: 'abc'"),
     ])
     def test_job_file_field_type(self, tmp_path, capsys, field, value, message):
         job = {"curve": "circle:r=1", "theta": "pi/2", "tau": 0, field: value}
         path = tmp_path / "job.json"
         path.write_text(json.dumps(job))
-        self.assert_rejected(["mate", "--job", str(path)], capsys, f"{path}: {message}")
+        # a bad curve string is refused where the curve is built, with no path
+        expected = message if field == "curve" else f"{path}: {message}"
+        assert main(["mate", "--job", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     @pytest.mark.parametrize("curve, message", [
         ("ellipse:a=abc", "curve parameter a='abc' is not a number"),

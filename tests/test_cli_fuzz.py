@@ -3,7 +3,8 @@
 Every generated job is malformed in one place: a curve spec, a numeric flag,
 an angle literal, a CSV row or a job-file field.  Each must be rejected with
 exit status 2 and a one-line frontals message, never a traceback or an
-exception escaping `main`.  The CSV reader's loadtxt path must agree with
+exception escaping `main`.  A well-formed job file must parse to the same
+job as the equivalent flags.  The CSV reader's loadtxt path must agree with
 the row-by-row reader on every fuzzed file, accepted or rejected.
 """
 
@@ -21,13 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontals import io as fio
-from frontals.cli import _FIELDS, CURVE_PARAMS, main
+from frontals.cli import _FIELDS, CURVE_PARAMS, main, parse_job
 from frontals.curves import MAX_SAMPLES
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e999", "NaN", "Infinity"])
 # Never a number: the trailing letter breaks both float() and the angle syntax.
 NOT_A_NUMBER = st.text(alphabet="0123456789.eE+-pi/ ", max_size=6).map(lambda s: s + "q")
 MALFORMED_NUMBER = st.one_of(NON_FINITE, NOT_A_NUMBER)
+# A JSON integer of 310 to 400 digits: beyond the float range, within int()'s digit limit.
+HUGE_INTEGER = st.builds(lambda sign, lead, e: sign * lead * 10**e, st.sampled_from([1, -1]), st.integers(1, 9),
+                         st.integers(309, 399))
 SAMPLES = ["--samples", "64"]
 
 
@@ -93,7 +97,9 @@ def job_file_cases(draw):
     field = draw(st.sampled_from(sorted([*_FIELDS, "outputs"])))
     wrong_kind = st.one_of(st.lists(st.integers(), max_size=2), st.booleans(),
                            st.dictionaries(st.just("k"), st.integers(), min_size=1))
-    if field == "outputs":
+    if field in ("theta", "tau", "lambda0", "lambda_slope", "samples") and draw(st.booleans()):
+        value = draw(HUGE_INTEGER)
+    elif field == "outputs":
         value = draw(st.one_of(st.lists(st.text(), max_size=2), st.booleans(), st.integers(),
                                st.dictionaries(st.just("csv"), st.integers(), min_size=1)))
     elif field in ("theta", "tau", "lambda0", "lambda_slope"):
@@ -120,6 +126,51 @@ def test_malformed_input_exits_2_with_a_message(case):
     assert code == 2, (argv, files, out.getvalue())
     assert err.getvalue().startswith("error: "), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+# Valid values of each job-file field, as JSON gives them.
+VALID_FIELDS = {
+    "curve": st.sampled_from(["circle:r=1", "astroid", "ellipse:a=2,b=1", "line:dx=-1e-05"]),
+    "theta": st.one_of(st.sampled_from(["pi", "pi/2", "-pi/4", "2pi", " -3pi / 2 ", "-1e-05"]), FLOAT,
+                       st.integers(-10**6, 10**6)),
+    "lambda0": st.one_of(FLOAT, st.integers(-10**6, 10**6), FLOAT.map(repr)),
+    "samples": st.one_of(st.integers(16, 4096), st.integers(16, 4096).map(lambda n: f" {n}")),
+    "periodic": st.sampled_from(["auto", "yes", "no"]),
+}
+VALID_FIELDS.update(tau=VALID_FIELDS["theta"], lambda_slope=VALID_FIELDS["lambda0"])
+
+
+def _flag_argv(key, value):
+    """The flag that carries a job-file value: a number as its own token, as a
+    script would pass it, and text after `=`, since a pi literal may start with -."""
+    flag = _FIELDS[key][0]
+    return [f"{flag}={value}"] if isinstance(value, str) else [flag, repr(value)]
+
+
+@st.composite
+def equivalent_jobs(draw):
+    job = {key: draw(values) for key, values in VALID_FIELDS.items() if key == "curve" or draw(st.booleans())}
+    if draw(st.booleans()):
+        job["outputs"] = {"svg": "plot.svg"}
+    flags = [arg for key, value in job.items() if key != "outputs" for arg in _flag_argv(key, value)]
+    flags += ["--svg", "plot.svg"] if "outputs" in job else []
+    key = draw(st.sampled_from(sorted(VALID_FIELDS)))
+    return job, flags, key, _flag_argv(key, draw(VALID_FIELDS[key]))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(equivalent_jobs())
+def test_job_file_parses_as_its_flags(case):
+    job, flags, key, override = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps(job))
+        assert parse_job(["curvature", "--job", str(path)]) == parse_job(["curvature", *flags])
+        overridden = parse_job(["curvature", "--job", str(path), *override])
+    assert overridden == parse_job(["curvature", *flags, *override])
+    dest = _FIELDS[key][1].get("dest", key)  # the flag wins over the job file
+    assert getattr(overridden, dest) == getattr(parse_job(["curvature", "--curve=astroid", *override]), dest)
 
 
 # CSV body fields: numbers that must keep every bit (-0.0, the smallest

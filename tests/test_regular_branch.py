@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin, build_sampled
-from frontals.legendre import astroid_frontal, circle_frontal, from_regular, to_regular_frames
+from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin, build_sampled, xy_fn
+from frontals.legendre import (
+    CurvaturePair,
+    LegendreCurve,
+    astroid_frontal,
+    circle_frontal,
+    from_regular,
+    regular_arcs,
+    to_regular_frames,
+)
 from frontals.mates import _longest_regular_run, check_regular_bertrand, regular_to_legendre_mates, special_operator
 from frontals.planar import constant_fn, linear_fn
 
@@ -72,31 +80,33 @@ class TestCheckRegularBertrand:
             check_regular_bertrand(ast, constant_fn(0.0), constant_fn(0.0), constant_fn(0.5))
 
 
-def longest_regular_run_loop(mask):
-    """Per-sample loop equivalent to _longest_regular_run, as its reference."""
+def longest_regular_run_loop(signs):
+    """Per-sample loop equivalent to _longest_regular_run(regular_arcs(pair)), as
+    its reference: a run holds neighbouring nonzero signs that agree."""
     best = (0, -1)
     start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        if (not ok or i == len(mask) - 1) and start is not None:
-            end = i if ok else i - 1
-            if end - start > best[1] - best[0]:
-                best = (start, end)
+    for i, sign in enumerate([*signs, 0]):
+        if start is not None and sign != signs[start]:
+            if i - 1 - start > best[1] - best[0]:
+                best = (start, i - 1)
             start = None
+        if sign != 0 and start is None:
+            start = i
     return best
 
 
 def test_longest_regular_run_matches_loop_reference():
-    # short masks make ties between equal runs and runs at both ends common
+    # short sign sequences make ties between equal runs and runs at both ends common
     for seed in range(300):
         rng = np.random.default_rng(seed)
-        mask = rng.random(int(rng.integers(1, 24))) < rng.uniform(0.1, 0.9)
-        if not mask.any():
+        signs = rng.choice([-1, 0, 1], size=int(rng.integers(1, 24)), p=rng.dirichlet([1.0, 1.0, 1.0]))
+        n = len(signs)
+        arcs = regular_arcs(CurvaturePair.from_samples(np.arange(n), np.ones(n), signs * 0.5, False))
+        if not signs.any():
             with pytest.raises(SingularCurveError):
-                _longest_regular_run(mask)
+                _longest_regular_run(arcs)
             continue
-        assert _longest_regular_run(mask) == longest_regular_run_loop(mask)
+        assert _longest_regular_run(arcs) == longest_regular_run_loop(list(signs))
 
 
 class TestRegularToLegendreMates:
@@ -139,6 +149,28 @@ class TestRegularToLegendreMates:
         mp = special_operator(lc, "evolutoid", theta=math.pi / 4)
         with pytest.raises(SingularCurveError):
             regular_to_legendre_mates(mp, t0=-0.2, t1=0.2)
+
+    def test_cusps_between_samples_break_the_run(self):
+        # A grid shifted by 0.37 steps puts each cusp of the astroid between two
+        # samples, where beta changes sign and no sample is singular.
+        h = TWO_PI / 1024
+        interval = ParamInterval(0.37 * h, 0.37 * h + TWO_PI, 1024, periodic=True)
+        lc = LegendreCurve(gamma=build_builtin(BuiltinSpec("astroid", {}, interval)), nu=xy_fn(np.sin, np.cos),
+                           nu_d1=xy_fn(np.cos, lambda t: -np.sin(t)), interval=interval)
+        grid = interval.grid
+        # (operator, parameter, first and last sample of the first longest regular arc)
+        for name, kw, (i_lo, i_hi) in [("parallel", {"lambda0": 0.75}, (256, 511)),
+                                       ("involute", {"lambda0": 0.75}, (0, 127)),
+                                       ("evolutoid", {"theta": 0.5}, (0, 149))]:
+            mp = special_operator(lc, name, **kw)
+            data = regular_to_legendre_mates(mp)
+            assert (data.t_start, data.t_end) == (grid[i_lo], grid[i_hi]), name
+            run = slice(i_lo, i_hi + 1)
+            assert np.all(np.sign(mp.source_curvature.beta[run]) == data.sign_beta)
+            assert np.all(np.sign(mp.mate_curvature.beta[run]) == data.sign_beta_bar)
+            assert data.report.is_mate, name
+        with pytest.raises(SingularCurveError, match="requested subinterval contains a singular point"):
+            regular_to_legendre_mates(special_operator(lc, "parallel", lambda0=0.05), 0.2, 2.0)  # the cusp at pi/2
 
     def test_astroid_regular_arc_converts(self):
         lc = astroid_frontal(2048)
