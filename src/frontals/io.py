@@ -261,9 +261,9 @@ def write_mate_csv(path, mp) -> None:
 def read_csv_columns(path):
     """(header, dict of column arrays) from a numeric CSV with a header row.
 
-    np.loadtxt parses the body.  When it fails, or returns no rows, another
-    width than the header or a non-finite value, _read_rows reads the file
-    again, and its values or its message are the result."""
+    np.loadtxt parses the body.  When it fails, returns no rows, another
+    width than the header or a non-finite value, or the header repeats a
+    name, _read_rows reads the file again for its values or its message."""
     with open(path, newline="") as f:
         try:
             header = next(csv.reader(f), None)
@@ -274,7 +274,7 @@ def read_csv_columns(path):
         except (ValueError, csv.Error):
             header = data = None
     if header is None or data is None or not len(data) or data.shape[1] != len(header) \
-            or not np.isfinite(data).all():
+            or len(set(header)) < len(header) or not np.isfinite(data).all():
         return _read_rows(path)
     return header, {name: data[:, i] for i, name in enumerate(header)}
 
@@ -294,6 +294,9 @@ def _read_rows(path):
             raise ValueError(f"{path}: {where} is unreadable: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    repeated = [name for k, name in enumerate(header) if name in header[:k]]
+    if repeated:
+        raise ValueError(f"{path}: column {repeated[0]!r} appears twice in the header")
     values = []
     for k, row in enumerate(rows, start=1):
         if len(row) != len(header):

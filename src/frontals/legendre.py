@@ -289,49 +289,44 @@ def _scales(cp: CurvaturePair) -> dict:
     }
 
 
-def _cell_zeros(cp: CurvaturePair, values: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
-    """(t, value): a zero in each cell (unwrapped on a periodic grid) of the
-    local quintic of the field `values` on cp's grid, and the field there.
-    Each cell's quintic, expanded at its start (the kernel's derivatives), is
-    bisected, all cells at once, until each midpoint time equals an end: on
-    the sign change of the field between the cell's samples, else on that of
-    field * field' (a minimum of |field|), else its end of smaller |field|."""
-    cells = np.asarray(cells, dtype=int)
-    n, h = len(values), cp.step
+def _unit_roots(coef: np.ndarray) -> np.ndarray:
+    """The real roots in [0, 1] of the polynomials whose ascending
+    coefficients are the columns of coef, NaN where a column has fewer: the
+    real eigenvalues of their companion matrices, one eigvals call per degree
+    (np.roots' method).  A column's degree is that of its last nonzero
+    coefficient."""
+    degree = ((coef != 0) * np.arange(len(coef))[:, None]).max(axis=0)
+    roots = np.full((len(coef) - 1, coef.shape[1]), np.nan)
+    for d in range(1, len(coef)):
+        col = np.flatnonzero(degree == d)
+        if len(col):
+            companion = np.tile(np.eye(d, k=-1), (len(col), 1, 1))
+            companion[:, 0] = -(coef[d - 1::-1, col] / coef[d, col]).T
+            z = np.linalg.eigvals(companion).T
+            roots[:d, col] = np.where((z.imag == 0) & (z.real >= 0) & (z.real <= 1), z.real, np.nan)
+    return roots
+
+
+def _cell_zeros(cp: CurvaturePair, values: np.ndarray, brackets) -> tuple[np.ndarray, np.ndarray]:
+    """(t, value) for each bracket (first, last) of cells, unwrapped on a
+    periodic grid and clamped on an open one: where the local quintic of the
+    field `values` on cp's grid is least in magnitude over the bracket, and
+    the quintic there.  The candidates on each cell, its quintic expanded at
+    its start (the kernel's derivatives), are its two ends and the real roots
+    in [0, 1] of the quintic and of its derivative."""
+    first, last = np.asarray(brackets, dtype=int).reshape(-1, 2).T
+    if not cp.periodic:
+        first, last = np.maximum(first, 0), np.minimum(last, len(values) - 2)
+    owner = np.repeat(np.arange(len(first)), last - first + 1)
+    cells = first[owner] + np.arange(len(owner)) - np.searchsorted(owner, owner)
     coef = local_quintic(values, cells, 0.0, cp.periodic, tuple(range(6))) / np.cumprod([1.0, 1, 2, 3, 4, 5])[:, None]
-    slope = coef[1:] * np.arange(1.0, 6.0)[:, None]  # field' in the same expansion
-    f_lo, f_hi = values[cells % n], values[(cells + 1) % n]
-    crossing = f_lo * f_hi < 0
-
-    def q(x):  # the field where it changes sign across the cell, else field * field'
-        powers = x ** np.arange(6.0)[:, None]
-        f = (coef * powers).sum(axis=0)
-        return np.where(crossing, f, f * (slope * powers[:5]).sum(axis=0))
-
-    negative = q(0.0) < 0
-    bisect = crossing | (negative & (q(1.0) > 0))
-    start = cp.grid[0] + cells * h
-    # one halving per bit of h above the float spacing at the cell's smaller end, at most 52
-    spacing = np.maximum(np.spacing(np.minimum(np.abs(start), np.abs(start + h))), h * 2.0**-52)
-    lo, hi = np.zeros(len(cells)), np.ones(len(cells))
-    for _ in range(int(np.max(np.log2(h / spacing), initial=0.0)) + 2):
-        mid = 0.5 * (lo + hi)
-        right = (q(mid) < 0) == negative
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    x = np.where(bisect, lo, np.abs(f_hi) < np.abs(f_lo))
-    return start + x * h, (coef * x ** np.arange(6.0)[:, None]).sum(axis=0)
-
-
-def _narrow(values: np.ndarray, i_lo: int, i_hi: int, periodic: bool) -> int:
-    """The cell of the bracket of samples i_lo..i_hi (unwrapped on a periodic
-    grid, clamped on an open one) next to its sample of smallest magnitude,
-    on the side where the field changes sign, else of the smaller neighbour."""
-    if not periodic:
-        i_lo, i_hi = max(i_lo, 0), min(i_hi, len(values) - 1)
-    v = values[np.arange(i_lo, i_hi + 1) % len(values)].tolist()
-    k = min(range(len(v)), key=lambda i: abs(v[i]))
-    sides = [c for c in (k - 1, k) if 0 <= c < len(v) - 1]
-    return i_lo + min(sides, key=lambda c: (v[c] * v[c + 1] >= 0, abs(v[c]) + abs(v[c + 1])))
+    x = np.vstack((np.zeros(len(cells)), np.ones(len(cells)), _unit_roots(coef),
+                   _unit_roots(coef[1:] * np.arange(1.0, 6.0)[:, None])))  # one row per candidate
+    f = (coef.T * x[..., None] ** np.arange(6.0)).sum(axis=-1).ravel()
+    key = np.tile(owner, len(x))
+    order = np.lexsort((np.abs(f), key))  # NaN, a missing root, sorts last
+    best = order[np.searchsorted(key[order], np.arange(len(first)))]
+    return cp.grid[0] + cells[best % len(cells)] * cp.step + x.ravel()[best] * cp.step, f[best]
 
 
 def _candidate_cells(beta: np.ndarray, below: np.ndarray, periodic: bool):
@@ -358,13 +353,13 @@ def _zeros(cp: CurvaturePair, values: np.ndarray, tol: float, minima: bool) -> l
     |values| <= tol, sign changes between unflagged neighbors, and (when
     `minima`) strict local minima of |values| that refine to a flagged value
     (even-order zeros between samples).  A run that holds a sample where the
-    field is exactly 0 gives its middle such sample; every other candidate
-    is a bracket of grid indices, narrowed to one cell and solved there by
-    _cell_zeros.  Nearby candidates are merged.
+    field is exactly 0 gives its middle such sample.  Every other candidate
+    is a bracket of cells (a sign change its cell, another run the cells
+    from the sample before it to the one after it, a minimum the cells on
+    both sides), located by _cell_zeros.  Nearby candidates are merged.
     """
     n = len(values)
     below = np.abs(values) <= tol
-    h = cp.step
     starts, ends = below & ~np.roll(below, 1), below & ~np.roll(below, -1)
     if not cp.periodic:
         starts[0], ends[-1] = below[0], below[-1]
@@ -373,17 +368,17 @@ def _zeros(cp: CurvaturePair, values: np.ndarray, tol: float, minima: bool) -> l
         run_hi = np.r_[run_hi[1:], run_hi[0] + n]
     crossings, mins = _candidate_cells(values, below, cp.periodic)
     mins = mins if minima else mins[:0]
-    candidates, cells = [], crossings.tolist()
+    candidates, brackets = [], [(i, i) for i in crossings.tolist()]
     for i_lo, i_hi in zip(run_lo.tolist(), run_hi.tolist()):
         exact = np.flatnonzero(values[np.arange(i_lo, i_hi + 1) % n] == 0.0)
         if len(exact):
             candidates.append(float(cp.grid[(i_lo + exact[(len(exact) - 1) // 2]) % n]))
         else:
-            cells.append(_narrow(values, i_lo - 1, i_hi + 1, cp.periodic))
-    cells += [_narrow(values, i - 1, i + 1, cp.periodic) for i in mins.tolist()]
-    ts, at_ts = _cell_zeros(cp, values, cells)
+            brackets.append((i_lo - 1, i_hi))
+    brackets += [(i - 1, i) for i in mins.tolist()]
+    ts, at_ts = _cell_zeros(cp, values, brackets)
     # A minimum of |values| counts only when it refines to a flagged value.
-    candidates += ts[(np.arange(len(cells)) < len(cells) - len(mins)) | (np.abs(at_ts) <= tol)].tolist()
+    candidates += ts[(np.arange(len(brackets)) < len(brackets) - len(mins)) | (np.abs(at_ts) <= tol)].tolist()
 
     if not candidates:
         return []
@@ -394,9 +389,9 @@ def _zeros(cp: CurvaturePair, values: np.ndarray, tol: float, minima: bool) -> l
     candidates.sort()
     merged = [candidates[0]]
     for t0 in candidates[1:]:
-        if t0 - merged[-1] > 0.5 * h:
+        if t0 - merged[-1] > 0.5 * cp.step:
             merged.append(t0)
-    if cp.periodic and len(merged) > 1 and (merged[0] + period) - merged[-1] <= 0.5 * h:
+    if cp.periodic and len(merged) > 1 and (merged[0] + period) - merged[-1] <= 0.5 * cp.step:
         merged.pop()
     return merged
 

@@ -465,6 +465,14 @@ class TestMalformedInput:
         path.write_text(f"t,x,y\n0,1,0\n{row}\n1,0,1\n")
         self.assert_rejected(["curvature", "--curve", f"csv:{path}"], capsys, f"{path}: {message}")
 
+    @pytest.mark.parametrize("last_row", ["1,0,1,0,1,0.5", "1,0,one,0,1,0.5"], ids=["numeric", "non-numeric"])
+    def test_repeated_csv_column(self, tmp_path, capsys, last_row):
+        # np.loadtxt reads the numeric body, _read_rows the other: both refuse the header
+        path = tmp_path / "dup.csv"
+        path.write_text(f"t,x,y,nx,ny,x\n0,1,0,1,0,0.5\n{last_row}\n")
+        self.assert_rejected(["cusps", "--curve", f"csv:{path}", "--periodic", "no"], capsys,
+                             f"{path}: column 'x' appears twice in the header")
+
     def test_oversized_csv_header(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"
         path.write_text("t" * 140000 + ",x,y\n0,1,0\n")

@@ -296,6 +296,54 @@ def test_double_zero_on_coarse_grid_is_4_3(c, periodic):
     assert [r.kind for r in classify_singularities(pair)] == [CUSP_4_3] * len(want)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_unit_roots_match_np_roots(seed):
+    # seeded columns of degree 5 down to 1, their higher coefficients exactly 0
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=(6, 500))
+    degree = 5 - np.arange(500) % 5
+    coef[np.arange(6)[:, None] > degree] = 0.0
+    roots = legendre._unit_roots(coef)
+    assert roots.shape == (5, 500)
+    found = 0
+    for col, d in enumerate(degree):
+        want = np.roots(coef[d::-1, col])
+        want = np.sort(want.real[(want.imag == 0) & (want.real >= 0) & (want.real <= 1)])
+        got = np.sort(roots[:, col][~np.isnan(roots[:, col])])
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        found += len(got)
+    assert found >= 100
+
+
+@pytest.mark.parametrize("beta_fn, zeros", [
+    (lambda t: 2.0 * (t - 0.3217), [0.3217]),
+    (lambda t: (t + 0.61) * (t - 0.55), [-0.61, 0.55]),
+    (lambda t: (t + 0.3) * (t - 0.123) * (t - 0.77), [-0.3, 0.123, 0.77]),
+], ids=["linear", "quadratic", "cubic"])
+def test_polynomial_beta_located_exactly(beta_fn, zeros):
+    # every zero lies between samples, and the cell's quintic is beta itself
+    pair = synthetic_pair(lambda t: np.ones_like(t), beta_fn)
+    assert np.min(np.abs(pair.grid[:, None] - zeros)) > 0.01 * pair.step
+    reports = classify_singularities(pair)
+    assert [r.kind for r in reports] == [CUSP_3_2] * len(zeros)
+    assert np.max(np.abs(np.array([r.t0 for r in reports]) - zeros)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta_fn, zeros", [
+    (lambda t: (t - 0.05) ** 3, [0.05]),
+    (lambda t: (t - 0.05) ** 3 - 1e-8 * (t - 0.05), [0.0499, 0.05, 0.0501]),
+], ids=["triple-zero", "three-close-zeros"])
+def test_flagged_run_without_exact_zero_is_one_event(beta_fn, zeros):
+    # one event, at one of the run's zeros: a cluster of zeros is located
+    # only to about the cube root of the rounding in its quintic
+    pair = synthetic_pair(lambda t: np.ones_like(t), beta_fn)
+    flagged = np.flatnonzero(np.abs(pair.beta) <= pair.sing_tol)
+    assert len(flagged) >= 5 and np.all(np.diff(flagged) == 1) and np.all(pair.beta != 0.0)
+    [report] = classify_singularities(pair)
+    assert np.min(np.abs(report.t0 - np.array(zeros))) <= 1e-6
+
+
 def test_equal_neighbouring_minima_give_one_candidate(monkeypatch):
     # |beta| takes the same value on samples 511 and 512, either side of its
     # zero; the tie-break flags only one of them for refinement.

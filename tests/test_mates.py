@@ -44,7 +44,7 @@ def angle(t_fn, d_fn):
 def forbid_scipy_solvers(monkeypatch):
     """Make scipy's spline and root solvers raise wherever the pipeline could
     reach them: off-grid reads go through the local quintic kernel and zeros
-    through its bisection."""
+    through the companion roots of its cell quintics."""
     def fail(*args, **kwargs):
         raise AssertionError("a scipy spline or root solver was called")
 
