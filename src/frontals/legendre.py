@@ -186,9 +186,11 @@ def from_regular(c: CurveModel) -> LegendreCurve:
     The resulting curvature pair is (|gamma'| * kappa, -|gamma'|).
     """
     g1, g2 = c.on_grid("d1"), c.on_grid("d2")
-    vmin = float(np.min(row_norm(g1)))
-    if vmin <= c.reg_tol:
-        raise SingularCurveError(f"curve has singular points (min speed {vmin:.3g})")
+    speed = row_norm(g1)
+    i = int(np.argmin(speed))
+    if speed[i] <= c.reg_tol:
+        raise SingularCurveError(
+            f"curve is singular near t = {c.interval.grid[i]:.6g} (|d1| = {speed[i]:.3g} <= {c.reg_tol:.3g})")
 
     def lift(g1):
         return rotate_j(g1) / row_norm(g1)[..., None]

@@ -31,7 +31,6 @@ from .curves import (
     _bbox_diagonal,
     build_sampled,
     cumulative_integral,
-    determinant_curvature,
     fd_d1,
     fd_mismatch,
     local_quintic,
@@ -43,6 +42,7 @@ from .legendre import (
     CROSS_TOL,
     CurvaturePair,
     LegendreCurve,
+    from_regular,
     frontal_from_normal,
     legendre_curvature,
     regular_arcs,
@@ -541,47 +541,26 @@ class RegularBertrandReport:
     cond2_value: np.ndarray
     is_mate: bool
     mate_curvature: Optional[np.ndarray]
-    reg_tol: float  # |condition 2| must stay above this for a mate
+    reg_tol: float  # condition 2 must keep one sign and |condition 2| stay above this for a mate
+    regularity_shortfall: float  # reg_tol - min|condition 2|, at least 0; reg_tol where it changes sign
 
 
-def _arc_length_run(c: CurveModel, run: slice, periodic: bool):
-    """(s, speed, kappa, reg_tol) on the grid samples `run` of c: their arc
-    length from the first, speed and curvature, and the threshold
-    REG_TOL_SCALE * extent / arc length that condition 2 must stay above;
-    raises at a singular sample."""
-    ts = c.interval.grid[run]
-    g1 = c.on_grid("d1")[run]
-    speed = row_norm(g1)
-    if np.min(speed) <= c.reg_tol:
-        i = int(np.argmin(speed))
-        raise SingularCurveError(
-            f"curve is singular near t = {ts[i]:.6g} (|d1| = {speed[i]:.3g} <= {c.reg_tol:.3g})"
-        )
+def _regular_report(c: CurveModel, run: slice, speed: np.ndarray, periodic: bool, conditions) -> RegularBertrandReport:
+    """Report on the grid samples `run` of c of speed `speed`, at their arc
+    length s from the first.  `conditions(s)` gives the Legendre mate's
+    condition residual, beta_bar signed by the mate's Frenet frame, and
+    ell_bar: over the speed, conditions 1 and 2; ell_bar / |beta_bar|, the
+    mate's curvature."""
     s = cumulative_integral(speed, c.interval.step, periodic)
-    kappa = determinant_curvature(g1, c.on_grid("d2")[run], ts, c.reg_tol)
     reg_tol = REG_TOL_SCALE * _bbox_diagonal(c.on_grid("position")[run]) / s[-1]
-    return s[: len(ts)], speed, kappa, reg_tol
-
-
-def _regular_conditions(s, kappa, th, thd, ta, tad, lv, ld, reg_tol: float) -> RegularBertrandReport:
-    """The two regular-branch conditions from samples at the arc lengths s of
-    the curvature kappa, the angles, the scale function and their
-    derivatives in arc length."""
-    a = np.cos(th) + ld
-    b = np.sin(th) - lv * (thd + kappa)
-    cond1 = np.abs(a * np.sin(ta) - b * np.cos(ta))
-    cond2 = a * np.cos(ta) + b * np.sin(ta)
-
-    is_mate = bool(np.max(cond1) <= ODE_TOL_SCALE and np.min(np.abs(cond2)) > reg_tol)
-    kbar = (thd - tad + kappa) / np.abs(cond2) if is_mate else None
-    return RegularBertrandReport(
-        grid=s,
-        cond1_residual=cond1,
-        cond2_value=cond2,
-        is_mate=is_mate,
-        mate_curvature=kbar,
-        reg_tol=reg_tol,
-    )
+    s = s[: len(speed)]
+    residual, beta_bar, ell_bar = conditions(s)
+    cond1, cond2 = residual / speed, beta_bar / speed
+    # Where condition 2 changes sign it passes 0 between samples.
+    clearance = float(np.min(np.abs(cond2))) if np.all(cond2 > 0) or np.all(cond2 < 0) else 0.0
+    is_mate = bool(np.max(cond1) <= ODE_TOL_SCALE and clearance > reg_tol)
+    kbar = ell_bar / np.abs(beta_bar) if is_mate else None
+    return RegularBertrandReport(s, cond1, cond2, is_mate, kbar, reg_tol, max(0.0, reg_tol - clearance))
 
 
 def check_regular_bertrand(
@@ -590,8 +569,8 @@ def check_regular_bertrand(
     """Test the regular-branch mate conditions for given angle and scale
     functions of arc length.
 
-    The functions are read at the arc length s(t_k) of each grid sample and
-    kappa at t_k; the two conditions are
+    The functions are read at the arc length s(t_k) of each grid sample; the
+    two conditions are
 
         (cos(theta) + lambda') sin(tau)
             - (sin(theta) - lambda (theta' + kappa)) cos(tau) = 0,
@@ -599,12 +578,28 @@ def check_regular_bertrand(
             + (sin(theta) - lambda (theta' + kappa)) sin(tau) != 0,
 
     and when both hold the mate's curvature is
-    (theta' - tau' + kappa) / |condition 2|.  |Condition 2| must stay above
-    REG_TOL_SCALE * extent / arc length.
+    (theta' - tau' + kappa) / |condition 2|.  Condition 2 must keep one sign
+    and |condition 2| stay above REG_TOL_SCALE * extent / arc length.
+
+    Both are read on the canonical lift of c, of curvature
+    (|gamma'| kappa, -|gamma'|), with the angles theta - pi/2 and tau - pi/2
+    and t-derivatives |gamma'| d/ds: condition 1 is the mate condition's
+    residual over |gamma'|, condition 2 is -beta_bar / |gamma'|.
     """
-    s, _, kappa, reg_tol = _arc_length_run(c, slice(None), c.interval.periodic)
-    th, thd, ta, tad, lv, ld = (np.asarray(f(s), dtype=float) for fn in (theta, tau, lam) for f in (fn.eval, fn.deriv))
-    return _regular_conditions(s, kappa, th, thd, ta, tad, lv, ld, reg_tol)
+    pair = legendre_curvature(from_regular(c))
+    speed = np.abs(pair.beta)
+
+    def conditions(s):
+        th, thd, ta, tad, lv, ld = (np.asarray(f(s), dtype=float) for fn in (theta, tau, lam) for f in (fn.eval, fn.deriv))
+        th, ta = th - _HALF_PI, ta - _HALF_PI
+        # The config's angles are read only through these samples on the lift's grid.
+        cfg = MateConfig(theta, tau)._seed_angles(pair.grid, AngleSamples(
+            th, thd * speed, ta, tad * speed, np.cos(th), np.sin(th), np.cos(ta), np.sin(ta)))
+        sol = _solution(pair, cfg, lv, ld * speed, "prescribed", None, False)
+        mcurv = mate_curvature(pair, cfg, sol)
+        return sol.residual, -mcurv.beta, mcurv.ell
+
+    return _regular_report(c, slice(None), speed, c.interval.periodic, conditions)
 
 
 @dataclass(frozen=True)
@@ -636,8 +631,9 @@ def regular_to_legendre_mates(
 
     Works on a subinterval where both curves are regular; the direction
     angles shift by pi/2 with a sign correction from the sign of beta, and
-    the regular-branch conditions are evaluated on the subinterval's grid
-    samples, as check_regular_bertrand does.
+    the regular-branch conditions on the subinterval's grid samples are read
+    from the pair's scale solution and mate curvature, as
+    check_regular_bertrand reads them on the canonical lift.
     """
     pair = mp.source_curvature
     pair_bar = mp.mate_curvature
@@ -651,21 +647,17 @@ def regular_to_legendre_mates(
     if i_hi - i_lo + 1 < 16:
         raise SingularCurveError("regular subinterval is too short to evaluate")
 
-    sgn = np.sign(pair.beta[i_lo : i_hi + 1])
-    sgn_bar = np.sign(pair_bar.beta[i_lo : i_hi + 1])
-    sign_beta, sign_beta_bar = int(sgn[0]), int(sgn_bar[0])
+    sign_beta, sign_beta_bar = int(np.sign(pair.beta[i_lo])), int(np.sign(pair_bar.beta[i_lo]))
 
     shift = -_HALF_PI + (0.0 if sign_beta > 0 else math.pi)
     shift_bar = -_HALF_PI + (0.0 if sign_beta_bar > 0 else math.pi)
     theta_reg = add_fns(mp.config.theta, constant_fn(shift))
     tau_reg = add_fns(mp.config.tau, constant_fn(shift_bar))
 
-    # The run's own grid samples: a t-derivative over the speed is the s-derivative.
+    # Conditions 1 and 2 are the mate condition's residual and sign_beta_bar * beta_bar over the speed |beta|.
     run = slice(i_lo, i_hi + 1)
-    s, speed, kappa, reg_tol = _arc_length_run(mp.source.gamma, run, periodic=False)
-    a = mp.config.angles(ts)
-    report = _regular_conditions(s, kappa, a.th[run] + shift, a.thd[run] / speed, a.ta[run] + shift_bar,
-                                 a.tad[run] / speed, mp.lam.lam[run], mp.lam.lam_d1[run] / speed, reg_tol)
+    report = _regular_report(mp.source.gamma, run, np.abs(pair.beta[run]), False,
+                             lambda s: (mp.lam.residual[run], sign_beta_bar * pair_bar.beta[run], pair_bar.ell[run]))
     return RegularMateData(
         t_start=float(ts[i_lo]),
         t_end=float(ts[i_hi]),

@@ -179,6 +179,16 @@ class TestRunJob:
         assert main(argv) == 0
         assert "PASS mate_regularity" in capsys.readouterr().out
 
+    def test_check_regular_fails_where_condition_2_changes_sign(self, capsys):
+        # condition 2 is 1 - 0.6 kappa, from -0.2 to 0.85: |condition 2| stays
+        # above reg_tol on every sample, but passes 0 between samples
+        argv = ["check-regular", "--curve", "ellipse:a=2,b=1", "--theta", "pi/2", "--tau", "pi/2", "--lambda0", "0.6"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "PASS mate_condition" in out
+        # the residual is reg_tol = REG_TOL_SCALE * extent / arc length
+        assert "\nFAIL mate_regularity: max residual 4.62e-08 (tol 0)\n" in out
+
     def test_csv_reingestion_matches_builtin(self, tmp_path):
         lc = astroid_frontal(512)
         ts = lc.interval.grid
@@ -538,6 +548,13 @@ class TestMalformedInput:
         (["cusps", "--curve", "circle:r=1", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
     ])
     def test_malformed_number_flag(self, capsys, argv, message):
+        self.assert_rejected(argv, capsys, message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-regular", "--curve", "astroid"], "curve is singular near t = 0 (|d1| = 0 <= 4.5e-08)"),
+        (["cusps", "--curve", "ellipse:a=1e8,b=1"], "curve is singular near t = 0 (|d1| = 1 <= 3.18)"),
+    ])
+    def test_singular_regular_curve_is_located(self, capsys, argv, message):
         self.assert_rejected(argv, capsys, message)
 
     @pytest.mark.parametrize("field, value, message", [

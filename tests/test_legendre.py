@@ -120,7 +120,7 @@ def test_from_regular_line():
 
 def test_from_regular_rejects_singular():
     ast = build_builtin(BuiltinSpec("astroid", {}, ParamInterval(0.0, TWO_PI, 512, periodic=True)))
-    with pytest.raises(SingularCurveError):
+    with pytest.raises(SingularCurveError, match=r"^curve is singular near t = 0 \(\|d1\| = 0 <= "):
         from_regular(ast)
 
 

@@ -1,9 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin, build_sampled, xy_fn
+from frontals.curves import (
+    REG_TOL_SCALE,
+    BuiltinSpec,
+    ParamInterval,
+    SingularCurveError,
+    build_builtin,
+    build_sampled,
+    cumulative_integral,
+    determinant_curvature,
+    xy_fn,
+)
 from frontals.legendre import (
     CurvaturePair,
     LegendreCurve,
@@ -13,7 +24,15 @@ from frontals.legendre import (
     regular_arcs,
     to_regular_frames,
 )
-from frontals.mates import _longest_regular_run, check_regular_bertrand, regular_to_legendre_mates, special_operator
+from frontals.mates import (
+    ODE_TOL_SCALE,
+    _longest_regular_run,
+    check_regular_bertrand,
+    compose_mates,
+    inverse_mate,
+    regular_to_legendre_mates,
+    special_operator,
+)
 from frontals.planar import constant_fn, linear_fn
 
 TWO_PI = 2.0 * math.pi
@@ -69,15 +88,28 @@ class TestCheckRegularBertrand:
         t = c.interval.grid
         kappa = 2.0 / (4.0 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5  # ab / (a^2 sin^2 + b^2 cos^2)^(3/2)
         rep = check_regular_bertrand(c, constant_fn(HALF_PI), constant_fn(HALF_PI), constant_fn(d))
-        assert rep.is_mate
+        assert rep.is_mate and rep.regularity_shortfall == 0.0
         assert np.max(rep.cond1_residual) <= 1e-12
         assert np.max(np.abs(rep.cond2_value - (1.0 - d * kappa))) <= 1e-11
         assert np.max(np.abs(rep.mate_curvature - kappa / (1.0 - d * kappa))) <= 1e-10
 
     def test_singular_input_rejected(self):
         ast = build_builtin(BuiltinSpec("astroid", {}, ParamInterval(0.0, TWO_PI, 512, periodic=True)))
-        with pytest.raises(SingularCurveError):
+        with pytest.raises(SingularCurveError, match=r"^curve is singular near t = 0 \(\|d1\| = 0 <= "):
             check_regular_bertrand(ast, constant_fn(0.0), constant_fn(0.0), constant_fn(0.5))
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_condition_2_changing_sign_is_not_a_mate(self, sampled):
+        # condition 2 is 1 - 0.6 kappa, from -0.2 at the ends of the major axis to
+        # 0.85 at the ends of the minor one: it passes 0 between samples four
+        # times, while |condition 2| stays above reg_tol on every sample
+        rep = check_regular_bertrand(ellipse_model(sampled=sampled), constant_fn(HALF_PI), constant_fn(HALF_PI),
+                                     constant_fn(0.6))
+        assert np.max(rep.cond1_residual) <= 1e-12
+        assert np.min(np.abs(rep.cond2_value)) > rep.reg_tol
+        assert np.count_nonzero(np.diff(np.sign(np.r_[rep.cond2_value, rep.cond2_value[0]]))) == 4
+        assert not rep.is_mate and rep.mate_curvature is None
+        assert rep.regularity_shortfall == rep.reg_tol
 
 
 def longest_regular_run_loop(signs):
@@ -191,3 +223,119 @@ class TestRegularToLegendreMates:
 def test_subinterval_errors(convert, t0, t1, error, message):
     with pytest.raises(error, match=message):
         convert(astroid_frontal(512), t0, t1)
+
+
+# Reference: the regular-branch conditions written out in arc length, with
+# kappa from the determinant formula and the speed |gamma'|, as they were
+# computed before both entry points read them from the Legendre pipeline.
+def reference_arc_length(c, run, periodic):
+    """(s, speed, kappa, reg_tol) on the grid samples `run` of c."""
+    g1 = c.on_grid("d1")[run]
+    speed = np.linalg.norm(g1, axis=-1)
+    s = cumulative_integral(speed, c.interval.step, periodic)
+    kappa = determinant_curvature(g1, c.on_grid("d2")[run], c.interval.grid[run], c.reg_tol)
+    reg_tol = REG_TOL_SCALE * np.linalg.norm(np.ptp(c.on_grid("position")[run], axis=0)) / s[-1]
+    return s[: len(g1)], speed, kappa, reg_tol
+
+
+def reference_conditions(s, kappa, th, thd, ta, tad, lv, ld, reg_tol):
+    """Both conditions from arc-length samples; is_mate without the sign rule."""
+    a = np.cos(th) + ld
+    b = np.sin(th) - lv * (thd + kappa)
+    cond1 = np.abs(a * np.sin(ta) - b * np.cos(ta))
+    cond2 = a * np.cos(ta) + b * np.sin(ta)
+    is_mate = bool(np.max(cond1) <= ODE_TOL_SCALE and np.min(np.abs(cond2)) > reg_tol)
+    kbar = (thd - tad + kappa) / np.abs(cond2) if is_mate else None
+    return SimpleNamespace(grid=s, cond1_residual=cond1, cond2_value=cond2, is_mate=is_mate,
+                           mate_curvature=kbar, reg_tol=reg_tol)
+
+
+def reference_check(c, theta, tau, lam):
+    s, _, kappa, reg_tol = reference_arc_length(c, slice(None), c.interval.periodic)
+    values = (np.asarray(f(s), dtype=float) for fn in (theta, tau, lam) for f in (fn.eval, fn.deriv))
+    return reference_conditions(s, kappa, *values, reg_tol)
+
+
+def reference_convert(mp, data):
+    """The conditions on data's run, from t-derivatives over the speed."""
+    ts = mp.lam.grid
+    i_lo, i_hi = np.searchsorted(ts, [data.t_start, data.t_end])
+    run = slice(i_lo, i_hi + 1)
+    s, speed, kappa, reg_tol = reference_arc_length(mp.source.gamma, run, False)
+    th, ta = data.theta_reg, data.tau_reg
+    return reference_conditions(s, kappa, th.eval(ts[run]), th.deriv(ts[run]) / speed, ta.eval(ts[run]),
+                                ta.deriv(ts[run]) / speed, mp.lam.lam[run], mp.lam.lam_d1[run] / speed, reg_tol)
+
+
+def assert_matches_reference(rep, ref, rtol=1e-12):
+    """Same verdict, where the reference's condition 2 keeps one sign (else
+    no mate), and every value within rtol * max(1, |reference|)."""
+    one_sign = np.all(ref.cond2_value > 0) or np.all(ref.cond2_value < 0)
+    assert rep.is_mate == (ref.is_mate and one_sign)
+    assert (rep.mate_curvature is None) == (not rep.is_mate)
+    pairs = [(rep.grid, ref.grid), (rep.cond1_residual, ref.cond1_residual), (rep.cond2_value, ref.cond2_value),
+             (rep.reg_tol, ref.reg_tol)]
+    for got, want in pairs + ([(rep.mate_curvature, ref.mate_curvature)] if rep.is_mate else []):
+        assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want)))
+
+
+REFERENCE_CURVES = {
+    "circle": lambda: circle_model(1.0),
+    "ellipse": lambda: ellipse_model(),
+    "ellipse_sampled": lambda: ellipse_model(sampled=True),
+    "line": lambda: build_builtin(BuiltinSpec("line", {"dx": 2.0}, ParamInterval(0.0, 1.0, 1024))),
+}
+
+
+@pytest.mark.parametrize("curve", list(REFERENCE_CURVES))
+@pytest.mark.parametrize("theta, tau, lambda0, slope", [
+    (HALF_PI, HALF_PI, 0.5, 0.0),
+    (0.0, 0.0, 0.5, 0.0),
+    (HALF_PI, HALF_PI, 0.1, 0.0),
+    (0.0, 0.0, 0.0, -0.99999985),
+    (0.3, 0.2, 0.1, 0.05),
+    (HALF_PI, HALF_PI, 0.6, 0.0),  # condition 2 changes sign on both ellipses
+], ids=["normal-0.5", "tangent-0.5", "normal-0.1", "tangent-slope", "oblique", "normal-0.6"])
+def test_check_regular_matches_reference(curve, theta, tau, lambda0, slope):
+    c = REFERENCE_CURVES[curve]()
+    fns = constant_fn(theta), constant_fn(tau), linear_fn(lambda0, slope)
+    assert_matches_reference(check_regular_bertrand(c, *fns), reference_check(c, *fns))
+
+
+def _ellipse_pairs():
+    lift = from_regular(ellipse_model(2048))
+    parallel = special_operator(lift, "parallel", lambda0=0.3)
+    return {
+        "involute": special_operator(lift, "involute", lambda0=0.4),
+        "parallel": parallel,
+        "evolute": special_operator(lift, "evolute"),
+        "composite": compose_mates(parallel, special_operator(parallel.mate, "parallel", lambda0=0.1)),
+    }
+
+
+@pytest.mark.parametrize("build", [
+    lambda: special_operator(astroid_frontal(2048), "parallel", lambda0=0.05),
+    lambda: special_operator(astroid_frontal(2048), "involute", lambda0=0.75),
+    lambda: special_operator(astroid_frontal(2048), "evolutoid", theta=0.5),
+    *(lambda name=name: _ellipse_pairs()[name] for name in ("involute", "parallel", "evolute", "composite")),
+], ids=["astroid-parallel", "astroid-involute", "astroid-evolutoid",
+        "ellipse-involute", "ellipse-parallel", "ellipse-evolute", "ellipse-composite"])
+def test_regular_to_legendre_mates_matches_reference(build):
+    mp = build()
+    data = regular_to_legendre_mates(mp)
+    assert_matches_reference(data.report, reference_convert(mp, data))
+
+
+def test_inverse_pair_reads_the_pair_it_was_built_on():
+    # The inverse's source is the sampled mate, and its curvature pair is the
+    # formula pair the scale function was solved on.  The reference divides
+    # that pair's lambda' by the differenced speed of the sampled mate, and
+    # agrees with the formula pair only to the difference scheme's truncation
+    # error: its condition 1 reads 4.6e-7, above ODE_TOL_SCALE.
+    mp = inverse_mate(_ellipse_pairs()["involute"])
+    data = regular_to_legendre_mates(mp)
+    rep = data.report
+    assert rep.is_mate and np.max(rep.cond1_residual) <= 1e-12
+    ref = reference_convert(mp, data)
+    for got, want in [(rep.grid, ref.grid), (rep.cond2_value, ref.cond2_value)]:
+        assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
