@@ -41,8 +41,8 @@ from .mates import (
     MateConfig,
     ResidualError,
     check_regular_bertrand,
+    compose_mates,
     inverse_mate,
-    mate_tol,
     operator_config,
     solve_mate,
     verify_mate_curvature,
@@ -306,10 +306,10 @@ def _mate_config(spec: JobSpec) -> MateConfig:
     return MateConfig(constant_fn(spec.theta), constant_fn(spec.tau), spec.lambda0)
 
 
-def _mate_checks(mp, extent: float, kind: str) -> dict:
+def _mate_checks(mp) -> dict:
     checks = {}
     _check(checks, "lambda_residual", mp.lam.residual, mp.lam.tolerance)
-    _check(checks, "direction_coincidence", mp.direction_residual, mate_tol(extent, kind))
+    _check(checks, "direction_coincidence", mp.direction_residual, mp.direction_tolerance)
     _check(checks, "mate_tangency", mp.mate_tangency_residual, mp.mate.leg_tol)
     cross = verify_mate_curvature(mp)
     _check(
@@ -352,13 +352,12 @@ def run_job(spec: JobSpec) -> RunReport:
                 fio.write_pair_csv(spec.outputs["csv"], pair)
         else:
             mp = solve_mate(lc, _mate_config(spec), pair, spec.operator)
-            checks.update(_mate_checks(mp, lc.gamma.extent, lc.gamma.kind))
+            checks.update(_mate_checks(mp))
             if spec.operator == "roundtrip":
-                back = inverse_mate(mp)
-                pos_err = float(np.max(row_norm(back.mate.gamma.on_grid("position") - lc.gamma.on_grid("position"))))
-                nrm_err = float(np.max(row_norm(back.mate.on_grid("nu") - lc.on_grid("nu"))))
-                _check(checks, "roundtrip_position", pos_err, mate_tol(lc.gamma.extent, lc.gamma.kind))
-                _check(checks, "roundtrip_normal", nrm_err, ROUNDTRIP_NORMAL_TOL)
+                # The mate composed with its inverse is the identity: lambda - lambda = 0.
+                ident = compose_mates(mp, inverse_mate(mp))
+                _check(checks, "roundtrip_position", ident.position_gap, ident.tolerance)
+                _check(checks, "roundtrip_normal", ident.normal_gap, ROUNDTRIP_NORMAL_TOL)
             svg_curves.append((spec.operator, mp.mate.gamma.on_grid("position")))
             label, scanned, scanned_pair = spec.operator, mp.mate, mp.mate_curvature
             if "csv" in spec.outputs:

@@ -327,14 +327,7 @@ def read_curve_csv(path):
 def report_to_json(report) -> str:
     """Serialize a RunReport-shaped object to the stable JSON layout."""
     payload = {
-        "checks": {
-            name: {
-                "max_residual": float(c["max_residual"]),
-                "tolerance": float(c["tolerance"]),
-                "pass": bool(c["pass"]),
-            }
-            for name, c in report.checks.items()
-        },
+        "checks": report.checks,  # name -> {max_residual, tolerance, pass}, as the CLI records them
         "cusps": [{"t0": float(c.t0), "kind": c.kind} for c in report.cusps],
         "inflections": [float(t) for t in report.inflections],
         "wall_time": float(report.wall_time),

@@ -160,7 +160,7 @@ def lambda_tol(pair: CurvaturePair, config: MateConfig, lam) -> np.ndarray:
     return ODE_TOL_SCALE * np.maximum(np.abs(lam * (thd + pair.ell)), floor)
 
 
-def mate_tol(extent: float, kind: str = "analytic") -> float:
+def mate_tol(extent: float, kind: str) -> float:
     scale = MATE_TOL_ANALYTIC if kind == "analytic" else MATE_TOL_SAMPLED
     return scale * extent + 1e-12
 
@@ -218,6 +218,7 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     by cumulative_integral on the grid; it raises ResidualError when |int A|
     exceeds LOG_GROWTH_MAX.  Where cos(tau) = 0 it divides
     lambda = -beta cos(theta) / (theta' + ell) and ignores lambda0.
+    On a periodic pair the period end is one more sample; lambda there is wrap_value.
     The residual is evaluated with a differenced lambda', so it measures the
     solve rather than restating the construction, and either solve raises
     ResidualError when it exceeds lambda_tol.
@@ -234,36 +235,31 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
             raise ValueError(f"{name}.deriv disagrees with {name}.eval (relative error {err:.2g})")
 
     mode = resolve_mode(a.ta)
-    if pair.periodic:
-        # The period end: the angles there, beta and ell wrapped to sample 0.
-        t_end = pair.interval_end
-        th_end, thd_end, ta_end = (float(f(t_end)) for f in (config.theta.eval, config.theta.deriv, config.tau.eval))
+    cols = [a.thd, pair.ell, pair.beta, a.cos_th, a.sin_th, np.tan(a.ta)]
+    if pair.periodic:  # the period end: the angles there, beta and ell wrapped to sample 0
+        th_e, thd_e, ta_e = (float(f(pair.interval_end))
+                             for f in (config.theta.eval, config.theta.deriv, config.tau.eval))
+        ends = (thd_e, pair.ell[0], pair.beta[0], math.cos(th_e), math.sin(th_e), math.tan(ta_e))
+        cols = [np.append(c, e) for c, e in zip(cols, ends)]
+    thd, ell, beta, cos_th, sin_th, tan_ta = cols
 
     if mode == "algebraic":
-        denom = a.thd + pair.ell
-        denom_tol = DENOM_RTOL * max(float(np.max(np.abs(denom))), 1e-30)
-        if np.min(np.abs(denom)) <= denom_tol:
-            bad = ts[np.abs(denom) <= denom_tol]
+        denom = thd + ell
+        grid_denom = np.abs(denom[:n])  # the gate reads the grid samples only
+        denom_tol = DENOM_RTOL * max(float(np.max(grid_denom)), 1e-30)
+        if np.min(grid_denom) <= denom_tol:
+            bad = ts[grid_denom <= denom_tol]
             raise DenominatorError(
                 f"theta' + ell vanishes near t = {np.round(bad[:6], 6)}; "
                 "the pointwise solve blows up there",
                 locations=bad,
             )
-        lam = -pair.beta * a.cos_th / denom
-        wrap = -float(pair.beta[0]) * math.cos(th_end) / (thd_end + float(pair.ell[0])) if pair.periodic else None
-        # A nonconstant theta can break the period even on a periodic pair;
-        # wrap the difference stencil only when lambda actually closes.
-        lam_d1 = fd_d1(lam, h, periodic=_closes(lam, wrap))
+        y = -beta * cos_th / denom
     else:
         # lambda' = A lambda + B, solved by its integrating factor
         # E = exp(int A) as lambda = E (lambda0 + int B / E).
-        tan_ta = np.tan(a.ta)
-        coef_a = tan_ta * (a.thd + pair.ell)
-        coef_b = tan_ta * pair.beta * a.cos_th - pair.beta * a.sin_th
-        if pair.periodic:
-            tan_end = math.tan(ta_end)
-            coef_a = np.append(coef_a, tan_end * (thd_end + pair.ell[0]))
-            coef_b = np.append(coef_b, tan_end * pair.beta[0] * math.cos(th_end) - pair.beta[0] * math.sin(th_end))
+        coef_a = tan_ta * (thd + ell)
+        coef_b = tan_ta * beta * cos_th - beta * sin_th
         # Both integrals run on an open grid: A and B / E need not close over a
         # period (a linear angle sweep is legitimate).
         log_e = cumulative_integral(coef_a, h, periodic=False)
@@ -273,12 +269,13 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
                                 "beyond the floats")
         e = np.exp(log_e)
         y = e * (config.lambda0 + cumulative_integral(coef_b / e, h, periodic=False))
-        # lambda' differences lambda's own local quintic, so the residual
-        # measures the solve rather than restating the equation.  A lambda that
-        # closes wraps the stencil, as the pointwise branch does.
-        lam, wrap = y[:n], (float(y[-1]) if pair.periodic else None)
-        closes = _closes(lam, wrap)
-        lam_d1 = local_quintic(lam if closes else y, np.arange(n), 0.0, closes, 1, h)
+    lam, wrap = y[:n], (float(y[n]) if pair.periodic else None)
+    # A nonconstant theta can break the period even on a periodic pair, so the
+    # stencil wraps only where lambda closes.  The ODE's lambda' differences
+    # lambda's own local quintic: the residual measures the solve.
+    closes = _closes(lam, wrap)
+    lam_d1 = (fd_d1(lam, h, periodic=closes) if mode == "algebraic"
+              else local_quintic(lam if closes else y, np.arange(n), 0.0, closes, 1, h))
     return _gate(_solution(pair, config, lam, lam_d1, mode, wrap, _near_zero(lam, extent)))
 
 
@@ -292,18 +289,14 @@ def mate_curvature(pair: CurvaturePair, config: MateConfig, lam: LambdaSolution)
     beta_bar = (pair.beta * a.cos_th + lam.lam * (a.thd + pair.ell)) * a.cos_ta + (
         pair.beta * a.sin_th + lam.lam_d1
     ) * a.sin_ta
-    return CurvaturePair.from_samples(pair.grid, ell_bar, beta_bar, _mate_is_periodic(pair, lam))
+    return CurvaturePair.from_samples(pair.grid, ell_bar, beta_bar, _closes(lam.lam, lam.wrap_value))
 
 
 def _closes(lam: np.ndarray, wrap: Optional[float]) -> bool:
-    """Whether lambda's value `wrap` at the period end returns to lam[0]."""
+    """Whether lambda's value `wrap` at the period end returns to lam[0], so its mate is periodic."""
     if wrap is None:
         return False
     return abs(wrap - float(lam[0])) <= CLOSURE_RTOL * max(1.0, float(np.max(np.abs(lam))))
-
-
-def _mate_is_periodic(pair: CurvaturePair, lam: LambdaSolution) -> bool:
-    return pair.periodic and _closes(lam.lam, lam.wrap_value)
 
 
 @dataclass(frozen=True)
@@ -317,6 +310,7 @@ class MatePair:
     source_curvature: CurvaturePair  # the pair the scale function was solved on
     mate_curvature: CurvaturePair
     direction_residual: float
+    direction_tolerance: float  # the direction gate's bound on direction_residual
     mate_tangency_residual: float
 
     def direction(self) -> np.ndarray:
@@ -354,9 +348,9 @@ def build_mate(
     nu = lc.on_grid("nu")
     v = turn(nu, a.cos_th, a.sin_th)
     positions = lc.gamma.on_grid("position") + lam.lam[:, None] * v
-    mate_gamma = build_sampled(ts, positions, periodic=_mate_is_periodic(pair, lam))
-    mate_lc = frontal_from_normal(mate_gamma, frame_field(nu, a.th - a.ta))
     mcurv = mate_curvature(pair, config, lam)
+    mate_gamma = build_sampled(ts, positions, periodic=mcurv.periodic)
+    mate_lc = frontal_from_normal(mate_gamma, frame_field(nu, a.th - a.ta))
 
     dir_tol = mate_tol(lc.gamma.extent, lc.gamma.kind)
     dir_res = _direction_gate(v, mate_lc.on_grid("nu"), a, dir_tol)
@@ -372,6 +366,7 @@ def build_mate(
         source_curvature=pair,
         mate_curvature=mcurv,
         direction_residual=dir_res,
+        direction_tolerance=dir_tol,
         mate_tangency_residual=tan_res,
     )
 
@@ -413,7 +408,7 @@ def operator_config(which: str, theta: float | None = None, tau: float | None = 
     return MateConfig(constant_fn(th), constant_fn(ta), lambda0)
 
 
-def solve_mate(lc: LegendreCurve, config: MateConfig, pair: CurvaturePair, which: str = "mate") -> MatePair:
+def solve_mate(lc: LegendreCurve, config: MateConfig, pair: CurvaturePair, which: str) -> MatePair:
     """Solve lambda on `pair`, the curvature pair of lc, and build the mate;
     `which` names the construction in the error of a failed pointwise solve."""
     try:
@@ -455,6 +450,13 @@ def inverse_mate(mp: MatePair) -> MatePair:
     return build_mate(mp.mate, cfg, lam, pair=pair_bar)
 
 
+def _require_one_grid(what: str, ts_a: np.ndarray, ts_b: np.ndarray) -> None:
+    """Raise, naming both grids, unless ts_a and ts_b have one length and agree within 1e-12."""
+    if ts_a.shape != ts_b.shape or not np.allclose(ts_a, ts_b, rtol=0, atol=1e-12):
+        grids = " and ".join(f"{len(g)} samples from {g[0]:.6g} to {g[-1]:.6g}" for g in (ts_a, ts_b))
+        raise ValueError(f"{what} live on different grids: {grids}")
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Composition whose scale functions cancel: the far curve is the source."""
@@ -474,10 +476,8 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     lambda = lambda1 + lambda2.
     """
     ts = mp12.lam.grid
-    if not np.allclose(ts, mp23.lam.grid, rtol=0, atol=1e-12):
-        raise ValueError("mate pairs live on different grids")
-    extent = mp12.source.gamma.extent
-    tol = mate_tol(extent, mp12.source.gamma.kind)
+    _require_one_grid("mate pairs", ts, mp23.lam.grid)
+    tol = mp12.direction_tolerance
 
     mid_gap = float(np.max(row_norm(mp12.mate.gamma.on_grid("position") - mp23.source.gamma.on_grid("position"))))
     nrm_gap = float(np.max(row_norm(mp12.mate.on_grid("nu") - mp23.source.on_grid("nu"))))
@@ -492,7 +492,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     lam_sum = mp12.lam.lam + mp23.lam.lam
     src_pos = mp12.source.gamma.on_grid("position")
     far_pos = mp23.mate.gamma.on_grid("position")
-    if _near_zero(lam_sum, extent):
+    if _near_zero(lam_sum, mp12.source.gamma.extent):
         pos_gap = float(np.max(row_norm(src_pos - far_pos)))
         n_gap = float(np.max(row_norm(mp12.source.on_grid("nu") - mp23.mate.on_grid("nu"))))
         return IdentityReport(
@@ -528,6 +528,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
         source_curvature=pair1,
         mate_curvature=mate_curvature(pair1, cfg, lam),
         direction_residual=dir_res,
+        direction_tolerance=tol,
         mate_tangency_residual=mp23.mate_tangency_residual,
     )
 
@@ -684,6 +685,7 @@ def check_mate_relation(lc_a: LegendreCurve, lc_b: LegendreCurve, theta: ScalarF
     """Project gamma_b - gamma_a on the field at angle theta from nu_a and
     test that the difference is parallel to it; both curves share one grid."""
     ts = lc_a.interval.grid
+    _require_one_grid("the curves", ts, lc_b.interval.grid)
     u = frame_field(lc_a.on_grid("nu"), np.asarray(theta.eval(ts), dtype=float))
     diff = lc_b.gamma.on_grid("position") - lc_a.gamma.on_grid("position")
     lam = row_dot(diff, u)

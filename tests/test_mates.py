@@ -109,6 +109,33 @@ class TestSolveLambda:
         assert np.allclose(lam.lam, ref[:-1], rtol=1e-10, atol=0.0)
         assert lam.wrap_value == pytest.approx(ref[-1], rel=1e-10, abs=0.0)
 
+    # theta' = 0.1 t differs between the period's ends, so the period end is
+    # read there and not at t0.
+    QUADRATIC_THETA = ScalarFn(eval=lambda t: 0.05 * np.asarray(t, dtype=float) ** 2,
+                               deriv=lambda t: 0.1 * np.asarray(t, dtype=float))
+
+    def test_pointwise_period_end_reads_theta_prime_at_the_end(self):
+        pair = legendre_curvature(circle_frontal(1.5, 1024))
+        lam = solve_lambda(pair, MateConfig(self.QUADRATIC_THETA, constant_fn(HALF_PI)))
+        assert lam.mode == "algebraic"
+        expected = -1.5 * math.cos(0.05 * TWO_PI**2) / (0.1 * TWO_PI + 1.0)
+        assert lam.wrap_value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_ode_period_end_reads_theta_prime_at_the_end(self):
+        from scipy.integrate import solve_ivp
+
+        pair = legendre_curvature(circle_frontal(1.5, 1024))
+        ell, beta, tau = float(pair.ell[0]), float(pair.beta[0]), 0.3
+        lam = solve_lambda(pair, MateConfig(self.QUADRATIC_THETA, constant_fn(tau), lambda0=0.2))
+        assert lam.mode == "ode"
+
+        def rhs(t, y):
+            th, thd = 0.05 * t * t, 0.1 * t
+            return math.tan(tau) * (thd + ell) * y + beta * (math.tan(tau) * math.cos(th) - math.sin(th))
+
+        ref = solve_ivp(rhs, (0.0, TWO_PI), [0.2], method="DOP853", rtol=1e-12, atol=1e-15).y[0, -1]
+        assert lam.wrap_value == pytest.approx(ref, rel=1e-9, abs=0.0)
+
     def test_growth_beyond_the_floats_is_refused_by_name(self):
         # 2 pi tan(1.565) ~ 1084: e^1084 overflows.  The configured warning
         # filter turns any numpy RuntimeWarning on the way into an error.
@@ -569,6 +596,20 @@ class TestInverseAndCompose:
         with pytest.raises(ValueError, match="do not coincide"):
             compose_mates(p1, p1)
 
+    def test_compose_names_a_grid_mismatch(self):
+        p256 = special_operator(astroid_frontal(256), "parallel", lambda0=0.1)
+        p512 = special_operator(astroid_frontal(512), "parallel", lambda0=0.1)
+        with pytest.raises(ValueError, match=r"^mate pairs live on different grids: 256 samples .* and 512 samples"):
+            compose_mates(p256, p512)
+
+    def test_pairs_store_the_direction_tolerance(self):
+        lc = astroid_frontal(512)
+        p1 = special_operator(lc, "parallel", lambda0=0.3)
+        p2 = special_operator(p1.mate, "parallel", lambda0=0.45)
+        assert p1.direction_tolerance == mates.mate_tol(lc.gamma.extent, lc.gamma.kind)
+        assert p1.direction_residual <= p1.direction_tolerance
+        assert compose_mates(p1, p2).direction_tolerance == p1.direction_tolerance
+
     def test_ode_convergence_is_fourth_order(self):
         errs = {}
         for n in (512, 1024):
@@ -596,6 +637,10 @@ class TestMateRelation:
         other = circle_frontal(1.0, center=(0.5, 0.0))
         rep = check_mate_relation(lc, other, constant_fn(0.0))
         assert not rep.is_mate
+
+    def test_curves_on_different_grids_are_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^the curves live on different grids: 512 samples .* and 256 samples"):
+            check_mate_relation(astroid_frontal(512), astroid_frontal(256), constant_fn(0.0))
 
 
 class TestGridQuantitiesOnce:
