@@ -8,14 +8,18 @@ when every check passes.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import math
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -131,8 +135,7 @@ def _job_arguments(path) -> list[str]:
     return argv + [f"{_OUTPUTS[kind][0]}={target}" for kind, target in outputs.items()]
 
 
-@dataclass
-class JobSpec:
+class JobSpec(NamedTuple):
     """One validated CLI job."""
 
     curve: str
@@ -143,11 +146,10 @@ class JobSpec:
     lambda_slope: float = 0.0
     n_samples: int = 1024
     periodic: str = "auto"  # csv ingestion: auto | yes | no
-    outputs: dict = field(default_factory=dict)  # csv | svg | json_report -> path
+    outputs: Mapping[str, str] = MappingProxyType({})  # csv | svg | json_report -> path; no outputs by default
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     checks: dict
     cusps: list
     inflections: list
@@ -384,7 +386,15 @@ def run_job(spec: JobSpec) -> RunReport:
     return report
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    """Once per process: at exit, freeze the objects left alive, so the
+    collector does not sweep what dies with the process anyway."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_at_exit()
     try:
         spec = parse_job(argv if argv is not None else sys.argv[1:])
         report = run_job(spec)

@@ -8,9 +8,8 @@ samples (arc length), and the determinant curvature formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,7 +38,6 @@ class SingularCurveError(ValueError):
     """A regular-curve operation hit a singular point (zero velocity)."""
 
 
-@dataclass(frozen=True)
 class ParamInterval:
     """Uniform parameter grid on [t_start, t_end], optionally periodic.
 
@@ -47,18 +45,16 @@ class ParamInterval:
     open grids include both endpoints with step (t_end - t_start) / (n - 1).
     """
 
-    t_start: float
-    t_end: float
-    n_samples: int
-    periodic: bool = False
+    __slots__ = ("t_start", "t_end", "n_samples", "periodic")
 
-    def __post_init__(self):
-        if not (self.t_start < self.t_end):
-            raise ValueError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
-        if self.n_samples < MIN_SAMPLES:
-            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {self.n_samples}")
-        if self.n_samples > MAX_SAMPLES:
-            raise ValueError(f"at most {MAX_SAMPLES} samples are supported, got {self.n_samples}")
+    def __init__(self, t_start: float, t_end: float, n_samples: int, periodic: bool = False):
+        if not (t_start < t_end):
+            raise ValueError(f"need t_start < t_end, got [{t_start}, {t_end}]")
+        if n_samples < MIN_SAMPLES:
+            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+        if n_samples > MAX_SAMPLES:
+            raise ValueError(f"at most {MAX_SAMPLES} samples are supported, got {n_samples}")
+        self.t_start, self.t_end, self.n_samples, self.periodic = t_start, t_end, n_samples, periodic
 
     @property
     def length(self) -> float:
@@ -91,15 +87,13 @@ def fd_d1(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if len(f) < 7:
         raise ValueError("need at least 7 samples for the difference scheme")
+    # A periodic grid differences one copy padded by two wrapped samples on each side.
+    g = np.concatenate((f[-2:], f, f[:2])) if periodic else f
+    inner = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * h)
     if periodic:
-        return (
-            np.roll(f, 2, axis=0)
-            - 8.0 * np.roll(f, 1, axis=0)
-            + 8.0 * np.roll(f, -1, axis=0)
-            - np.roll(f, -2, axis=0)
-        ) / (12.0 * h)
+        return inner
     out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+    out[2:-2] = inner
     out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
     out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
     out[-2] = -(-3.0 * f[-1] - 10.0 * f[-2] + 18.0 * f[-3] - 6.0 * f[-4] + f[-5]) / (12.0 * h)
@@ -220,12 +214,14 @@ def cumulative_integral(values, h: float, periodic: bool) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(h * per_cell)))
 
 
-@dataclass(frozen=True)
 class GridSamples:
     """Samples of a model's callable fields on `interval.grid`, evaluated once
     and read-only; a sampled model is seeded with the arrays it was built from."""
 
-    _samples: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("_samples",)
+
+    def __init__(self):
+        self._samples = {}
 
     def on_grid(self, name: str) -> np.ndarray:
         """Samples of the field `name` ("position", "nu", ...) on the grid."""
@@ -246,21 +242,25 @@ def read_only(values) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
 class CurveModel(GridSamples):
     """Evaluator of a plane curve with derivatives up to second order.
 
     `position`, `d1` and `d2` accept scalars or arrays of parameters and
-    return arrays of shape (..., 2).  Immutable after construction.
+    return arrays of shape (..., 2).  Its fields are not reassigned after
+    construction: the grid samples cache reads them.
     """
 
-    kind: str  # "analytic" | "sampled"
-    position: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-    interval: ParamInterval
-    extent: float = field(default=0.0)  # bounding-box diagonal over the grid
-    d3: Optional[Callable] = None  # unused: nothing in frontals fills or reads it
+    __slots__ = ("kind", "position", "d1", "d2", "interval", "extent", "d3")
+
+    def __init__(self, kind: str, position: Callable[[np.ndarray], np.ndarray],
+                 d1: Callable[[np.ndarray], np.ndarray], d2: Callable[[np.ndarray], np.ndarray],
+                 interval: ParamInterval, extent: float = 0.0, d3: Optional[Callable] = None):
+        super().__init__()
+        self.kind = kind  # "analytic" | "sampled"
+        self.position, self.d1, self.d2 = position, d1, d2
+        self.interval = interval
+        self.extent = extent  # bounding-box diagonal over the grid
+        self.d3 = d3  # unused: nothing in frontals fills or reads it
 
     @property
     def reg_tol(self) -> float:
@@ -285,8 +285,7 @@ def xy_fn(fx, fy):
     return f
 
 
-@dataclass(frozen=True)
-class BuiltinSpec:
+class BuiltinSpec(NamedTuple):
     """Closed-form curve request: name plus shape parameters."""
 
     name: str  # line | circle | ellipse | astroid

@@ -76,25 +76,27 @@ def _quads():
     """(text, last) of the 4-digit groups 0000..9999: their four ASCII digits
     as one uint32, and the position (1..4) of their last nonzero digit, -16
     for 0000."""
-    digits = np.stack([np.repeat(np.tile(np.arange(48, 58, dtype=np.uint8), 10**j), 10**(3 - j))
-                       for j in range(4)], axis=1)
-    return digits.view(np.uint32).ravel(), np.where(digits != 48, np.arange(1, 5), -16).max(axis=1)
+    axes = np.ix_(*[np.arange(10)] * 4)  # digit j of the group along axis j
+    digits = np.stack(np.broadcast_arrays(*axes), axis=-1).astype(np.uint8) + np.uint8(48)
+    last = functools.reduce(np.maximum, [np.where(a, j + 1, -16) for j, a in enumerate(axes)])
+    return digits.view(np.uint32).ravel(), last.ravel()
 
 
 @functools.cache
 def _shortest_table():
     """Templates of repr's positional layout, key (sign * 20 + p + 3) * 18 + k:
     k significant digits, the point after digit p (p <= 0: 0.000ddd)."""
-    rows = []
-    for sign in (0, 1):
-        for p in range(-3, 17):
-            for k in range(18):
-                if p <= 0:
-                    body = [_ZERO, _DOT] + [_ZERO] * -p + _DIGIT[:k]
-                else:
-                    body = _DIGIT[:p] + [_DOT] + _DIGIT[p:max(k, p + 1)]
-                rows.append([_MINUS] * sign + body)
-    return _table(rows)
+    sign, p, k = (a.reshape(-1, 1) for a in np.meshgrid(np.arange(2), np.arange(-3, 17), np.arange(18),
+                                                         indexing="ij"))
+    lead = np.maximum(1 - p, 0)  # zeros: 0.000ddd has 1 - p, one before the point
+    point = np.maximum(p, 1)  # the point's place in the text after the sign
+    digits = np.where(p > 0, np.maximum(k, p + 1), k)
+    body = lead + 1 + digits
+    pos = np.arange(int(body.max()) + 1 + len(_SEP)) - sign  # -1: the sign
+    d = pos - lead - (pos > point)  # the digit at pos, where it holds one
+    index = np.select([pos < 0, pos == point, d < 0, d < digits, pos < body + len(_SEP)],
+                      [_MINUS, _DOT, _ZERO, np.array(_DIGIT)[np.clip(d, 0, 16)], _SEP[0] + pos - body], 0)
+    return index.astype(np.int32), (sign + body).ravel()
 
 
 @functools.cache
@@ -202,12 +204,12 @@ def _text(x, decimals, seps):
     lengths += np.tile([len(s) for s in seps], len(x) // len(seps))
     slow = np.flatnonzero(~ok)
     if len(slow):
-        words = np.array([(fmt % v).encode() + seps[j]
-                          for v, j in zip(x[slow].tolist(), (slow % len(seps)).tolist())])
+        words = [(fmt % v).encode() + seps[j] for v, j in zip(x[slow].tolist(), (slow % len(seps)).tolist())]
+        lengths[slow] = [len(w) for w in words]
+        words = np.array(words)
         if words.itemsize > text.shape[1]:
             text = np.pad(text, ((0, 0), (0, words.itemsize - text.shape[1])))
         text[slow, :words.itemsize] = words.view(np.uint8).reshape(len(slow), -1)
-        lengths[slow] = np.char.str_len(words)
     return text[np.arange(text.shape[1]) < lengths[:, None]].tobytes()
 
 

@@ -11,8 +11,7 @@ beta zeros are the singular points of gamma, ell zeros its inflections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -62,15 +61,17 @@ class TangencyError(ValueError):
     """The (gamma, nu) pair violates gamma' . nu = 0."""
 
 
-@dataclass(frozen=True)
 class LegendreCurve(GridSamples):
     """A curve model with a unit normal field and its first derivative."""
 
-    gamma: CurveModel
-    nu: Callable[[np.ndarray], np.ndarray]
-    nu_d1: Callable[[np.ndarray], np.ndarray]
-    interval: ParamInterval
-    nu_d2: Optional[Callable] = None  # unused: nothing in frontals fills or reads it
+    __slots__ = ("gamma", "nu", "nu_d1", "interval", "nu_d2")
+
+    def __init__(self, gamma: CurveModel, nu: Callable[[np.ndarray], np.ndarray],
+                 nu_d1: Callable[[np.ndarray], np.ndarray], interval: ParamInterval,
+                 nu_d2: Optional[Callable] = None):
+        super().__init__()
+        self.gamma, self.nu, self.nu_d1, self.interval = gamma, nu, nu_d1, interval
+        self.nu_d2 = nu_d2  # unused: nothing in frontals fills or reads it
 
     def mu(self, ts) -> np.ndarray:
         return rotate_j(self.nu(ts))
@@ -106,8 +107,7 @@ def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
     return frontal_from_normal(gamma, nu_samples / norms[:, None])
 
 
-@dataclass(frozen=True)
-class CurvaturePair:
+class CurvaturePair(NamedTuple):
     """Sampled curvature pair (ell, beta)."""
 
     grid: np.ndarray
@@ -143,8 +143,7 @@ class CurvaturePair:
         return bool(self.step * np.max(np.abs(np.cumsum(self.ell))) <= STRAIGHT_TOL)
 
 
-@dataclass(frozen=True)
-class CuspReport:
+class CuspReport(NamedTuple):
     """Classification of one singular event with its witness values."""
 
     t0: float
@@ -152,8 +151,7 @@ class CuspReport:
     witness: dict
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     name: str
     max_residual: float
     tolerance: float
@@ -431,8 +429,7 @@ def inflection_points(cp: CurvaturePair) -> np.ndarray:
     return np.array(_zeros(cp, cp.ell, 0.0, False))
 
 
-@dataclass(frozen=True)
-class FrameData:
+class FrameData(NamedTuple):
     """Frenet frame of the underlying regular arc, recovered from the pair."""
 
     grid: np.ndarray

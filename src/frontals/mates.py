@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -105,20 +104,19 @@ class ResidualError(ValueError):
 AngleSamples = namedtuple("AngleSamples", "th thd ta tad cos_th sin_th cos_ta sin_ta")
 
 
-@dataclass(frozen=True)
 class MateConfig:
     """Angle functions and the initial scale value."""
 
-    theta: ScalarFn
-    tau: ScalarFn
-    lambda0: float = 0.0
-    # [grid, AngleSamples] of the last grid the angles were sampled on
-    _angles: list = field(default_factory=list, init=False, compare=False, repr=False)
+    __slots__ = ("theta", "tau", "lambda0", "_angles")
+
+    def __init__(self, theta: ScalarFn, tau: ScalarFn, lambda0: float = 0.0):
+        self.theta, self.tau, self.lambda0 = theta, tau, lambda0
+        self._angles = None  # (grid, AngleSamples) of the last grid the angles were sampled on
 
     def angles(self, ts: np.ndarray) -> AngleSamples:
         """Read-only samples of the angle functions on the grid ts, evaluated
         once per grid: the cache is keyed by the grid's values."""
-        if not self._angles or not np.array_equal(self._angles[0], ts):
+        if self._angles is None or not np.array_equal(self._angles[0], ts):
             th, thd, ta, tad = (np.asarray(f(ts), dtype=float)
                                 for f in (self.theta.eval, self.theta.deriv, self.tau.eval, self.tau.deriv))
             self._seed_angles(ts, AngleSamples(th, thd, ta, tad, np.cos(th), np.sin(th), np.cos(ta), np.sin(ta)))
@@ -126,12 +124,11 @@ class MateConfig:
 
     def _seed_angles(self, ts: np.ndarray, samples: AngleSamples) -> "MateConfig":
         """Cache `samples` as the angles on the grid ts, read-only; returns self."""
-        self._angles[:] = (np.array(ts, dtype=float), AngleSamples(*map(read_only, samples)))
+        self._angles = (np.array(ts, dtype=float), AngleSamples(*map(read_only, samples)))
         return self
 
 
-@dataclass(frozen=True)
-class LambdaSolution:
+class LambdaSolution(NamedTuple):
     grid: np.ndarray
     lam: np.ndarray
     lam_d1: np.ndarray
@@ -299,8 +296,7 @@ def _closes(lam: np.ndarray, wrap: Optional[float]) -> bool:
     return abs(wrap - float(lam[0])) <= CLOSURE_RTOL * max(1.0, float(np.max(np.abs(lam))))
 
 
-@dataclass(frozen=True)
-class MatePair:
+class MatePair(NamedTuple):
     """A source curve, its constructed mate, and the data tying them."""
 
     source: LegendreCurve
@@ -371,8 +367,7 @@ def build_mate(
     )
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     max_ell_discrepancy: float
     max_beta_discrepancy: float
     tolerance: float
@@ -457,8 +452,7 @@ def _require_one_grid(what: str, ts_a: np.ndarray, ts_b: np.ndarray) -> None:
         raise ValueError(f"{what} live on different grids: {grids}")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Composition whose scale functions cancel: the far curve is the source."""
 
     max_lambda_sum: float
@@ -533,8 +527,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     )
 
 
-@dataclass(frozen=True)
-class RegularBertrandReport:
+class RegularBertrandReport(NamedTuple):
     """Evaluation of the regular-curve mate conditions in arc length."""
 
     grid: np.ndarray  # arc length of each grid sample
@@ -603,8 +596,7 @@ def check_regular_bertrand(
     return _regular_report(c, slice(None), speed, c.interval.periodic, conditions)
 
 
-@dataclass(frozen=True)
-class RegularMateData:
+class RegularMateData(NamedTuple):
     """Frame conversion of a mate pair to the regular-curve formulation."""
 
     t_start: float
@@ -670,8 +662,7 @@ def regular_to_legendre_mates(
     )
 
 
-@dataclass(frozen=True)
-class MateRelationReport:
+class MateRelationReport(NamedTuple):
     """Operational test: are two framed curves mates along a given field?"""
 
     lam: np.ndarray

@@ -8,16 +8,14 @@ angle functions and wrapping would corrupt their derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 ArrayLike = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class ScalarFn:
+class ScalarFn(NamedTuple):
     """A smooth scalar function of the curve parameter with its derivative.
 
     `eval` and `deriv` must accept floats or numpy arrays.  Used for the

@@ -1,3 +1,5 @@
+import atexit
+import gc
 import json
 import math
 import os
@@ -359,6 +361,51 @@ def test_import_leaves_xml_and_network_modules_out():
                   "print(sorted(m for m in set(sys.modules) - before "
                   "if m.split('.')[0] in ('xml', 'urllib', 'http', 'email')))")
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_dataclasses_out():
+    # The records are NamedTuples or plain classes: importing generates no dataclass code.
+    out = _python("import sys, frontals.cli; print('dataclasses' in sys.modules)")
+    assert out.stdout.strip() == "False"
+
+
+def test_main_freezes_the_collector_only_at_exit(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["cusps", "--curve", "astroid", "--samples", "256"]) == 0
+    hooks = atexit._ncallbacks()
+    assert main(["cusps", "--curve", "astroid", "--samples", "256"]) == 0
+    assert atexit._ncallbacks() == hooks  # the second call adds no second exit hook
+    assert gc.get_freeze_count() == frozen
+    # The exit hooks, run early in a fresh process, freeze what main left alive.
+    code = ("import atexit, gc\nfrom frontals import cli\nrc = cli.main(['cusps', '--curve', 'astroid'])\n"
+            "before = gc.get_freeze_count()\natexit._run_exitfuncs()\nprint(rc, before, gc.get_freeze_count() > 0)")
+    assert _python(code).stdout.splitlines()[-1] == "0 0 True"
+
+
+def test_module_run_writes_what_main_writes(tmp_path):
+    lc = astroid_frontal(512)
+    fio.write_frontal_csv(tmp_path / "astroid.csv", lc.interval.grid, lc.gamma.on_grid("position"), lc.on_grid("nu"))
+    args = ["roundtrip", "--curve", "csv:astroid.csv", "--periodic", "yes", "--theta", "pi/2", "--tau", "pi/2",
+            "--lambda0", "0.5"]
+    outputs = []
+    for run in ("process", "main"):
+        paths = [str(tmp_path / f"{run}.{ext}") for ext in ("csv", "svg", "json")]
+        argv = args + ["--out", paths[0], "--svg", paths[1], "--json-report", paths[2]]
+        if run == "process":
+            proc = subprocess.run([sys.executable, "-m", "frontals.cli", *argv], cwd=tmp_path, env=_source_env(),
+                                  capture_output=True, timeout=60)
+            assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        else:
+            cwd = os.getcwd()
+            os.chdir(tmp_path)
+            try:
+                assert main(argv) == 0
+            finally:
+                os.chdir(cwd)
+        report = json.loads(open(paths[2]).read())
+        report.pop("wall_time")
+        outputs.append((open(paths[0], "rb").read(), open(paths[1], "rb").read(), report))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -165,6 +165,15 @@ def test_cumulative_integral_is_exact_for_quintics():
     assert np.max(np.abs(np.diff(got) - np.diff(want))) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("shape", [(8192,), (8192, 2), (7,), (33, 2)])
+def test_periodic_fd_d1_matches_the_roll_formula_bit_for_bit(shape):
+    f = np.random.default_rng(shape[0]).normal(size=shape)
+    h = 0.37
+    want = (np.roll(f, 2, axis=0) - 8.0 * np.roll(f, 1, axis=0) + 8.0 * np.roll(f, -1, axis=0)
+            - np.roll(f, -2, axis=0)) / (12.0 * h)
+    assert np.array_equal(fd_d1(f, h, periodic=True).view(np.uint64), want.view(np.uint64))
+
+
 def test_bbox_diagonal_matches_the_axis_reduction():
     rng = np.random.default_rng(7)
     cases = [rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-8, 8) for n in (1, 2, 8192)]

@@ -116,3 +116,29 @@ def test_mate_csv_reads_back_to_the_same_bits(tmp_path):
     assert header == fio.MATE_HEADER
     for name, want in zip(header, written):
         assert np.array_equal(cols[name].view(np.uint64), np.asarray(want, dtype=float).view(np.uint64)), name
+
+
+def test_shortest_table_matches_the_list_built_templates():
+    rows = []
+    for sign in (0, 1):
+        for p in range(-3, 17):
+            for k in range(18):
+                if p <= 0:
+                    body = [fio._ZERO, fio._DOT] + [fio._ZERO] * -p + fio._DIGIT[:k]
+                else:
+                    body = fio._DIGIT[:p] + [fio._DOT] + fio._DIGIT[p:max(k, p + 1)]
+                rows.append([fio._MINUS] * sign + body)
+    index = np.zeros((len(rows), max(map(len, rows)) + len(fio._SEP)), dtype=np.int32)
+    for key, row in enumerate(rows):
+        index[key, :len(row) + len(fio._SEP)] = row + fio._SEP
+    got_index, got_lengths = fio._shortest_table()
+    assert got_index.dtype == np.int32 and np.array_equal(got_index, index)
+    assert np.array_equal(got_lengths, [len(r) for r in rows])
+
+
+def test_quads_match_the_digits_of_each_group():
+    text, last = fio._quads()
+    groups = [f"{g:04d}" for g in range(10000)]
+    assert text.dtype == np.uint32 and text.tobytes() == "".join(groups).encode()
+    assert last.tolist() == [len(g.rstrip("0")) or -16 for g in groups]
+

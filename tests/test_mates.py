@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +7,9 @@ import pytest
 from frontals import curves, legendre, mates
 from frontals import io as fio
 from frontals.cli import main
-from frontals.curves import BuiltinSpec, ParamInterval, build_builtin, local_quintic, quintic_fn
+from frontals.curves import BuiltinSpec, CurveModel, ParamInterval, build_builtin, local_quintic, quintic_fn
 from frontals.legendre import (
+    LegendreCurve,
     astroid_frontal,
     circle_frontal,
     classify_singularities,
@@ -317,7 +317,9 @@ class TestLowOrderData:
         def fail(t):
             raise AssertionError("d3 or nu_d2 was evaluated")
 
-        return dataclasses.replace(lc, gamma=dataclasses.replace(lc.gamma, d3=fail), nu_d2=fail)
+        g = lc.gamma
+        gamma = CurveModel(g.kind, g.position, g.d1, g.d2, g.interval, g.extent, d3=fail)
+        return LegendreCurve(gamma, lc.nu, lc.nu_d1, lc.interval, nu_d2=fail)
 
     def test_build_mate_builds_no_spline(self, monkeypatch):
         lc = circle_frontal(1.0)
