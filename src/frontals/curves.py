@@ -87,17 +87,18 @@ def fd_d1(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if len(f) < 7:
         raise ValueError("need at least 7 samples for the difference scheme")
-    # A periodic grid differences one copy padded by two wrapped samples on each
-    # side.  The central stencil accumulates in place, in the order
-    # ((f[i-2] - 8 f[i-1]) + 8 f[i+1]) - f[i+2], then / 12h.
-    g = np.concatenate((f[-2:], f, f[:2])) if periodic else f
+    # The central stencil ((f[i-2] - 8 f[i-1]) + 8 f[i+1]) - f[i+2], then / 12h,
+    # accumulated in place: a temporary per term of a (16384, 2) grid page-faults.
     out = np.empty_like(f)
-    inner = out if periodic else out[2:-2]
-    np.subtract(g[:-4], 8.0 * g[1:-3], out=inner)
-    inner += 8.0 * g[3:-1]
-    inner -= g[4:]
+    inner = out[2:-2]
+    np.subtract(f[:-4], 8.0 * f[1:-3], out=inner)
+    inner += 8.0 * f[3:-1]
+    inner -= f[4:]
     inner /= 12.0 * h
-    if periodic:
+    if periodic:  # the same stencil on the eight samples around the seam
+        seam = np.concatenate((f[-4:], f[:4]))
+        ends = (seam[:-4] - 8.0 * seam[1:-3] + 8.0 * seam[3:-1] - seam[4:]) / (12.0 * h)
+        out[-2:], out[:2] = ends[:2], ends[2:]
         return out
     out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
     out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)

@@ -385,26 +385,21 @@ def test_main_freezes_the_collector_only_at_exit(capsys):
 def test_module_run_writes_what_main_writes(tmp_path):
     lc = astroid_frontal(512)
     fio.write_frontal_csv(tmp_path / "astroid.csv", lc.interval.grid, lc.gamma.on_grid("position"), lc.on_grid("nu"))
-    args = ["roundtrip", "--curve", "csv:astroid.csv", "--periodic", "yes", "--theta", "pi/2", "--tau", "pi/2",
-            "--lambda0", "0.5"]
+    args = ["roundtrip", "--curve", f"csv:{tmp_path / 'astroid.csv'}", "--periodic", "yes", "--theta", "pi/2",
+            "--tau", "pi/2", "--lambda0", "0.5"]
     outputs = []
     for run in ("process", "main"):
-        paths = [str(tmp_path / f"{run}.{ext}") for ext in ("csv", "svg", "json")]
-        argv = args + ["--out", paths[0], "--svg", paths[1], "--json-report", paths[2]]
+        paths = [tmp_path / f"{run}.{ext}" for ext in ("csv", "svg", "json")]
+        argv = args + ["--out", str(paths[0]), "--svg", str(paths[1]), "--json-report", str(paths[2])]
         if run == "process":
-            proc = subprocess.run([sys.executable, "-m", "frontals.cli", *argv], cwd=tmp_path, env=_source_env(),
+            proc = subprocess.run([sys.executable, "-m", "frontals.cli", *argv], env=_source_env(),
                                   capture_output=True, timeout=60)
             assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
         else:
-            cwd = os.getcwd()
-            os.chdir(tmp_path)
-            try:
-                assert main(argv) == 0
-            finally:
-                os.chdir(cwd)
-        report = json.loads(open(paths[2]).read())
+            assert main(argv) == 0
+        report = json.loads(paths[2].read_text())
         report.pop("wall_time")
-        outputs.append((open(paths[0], "rb").read(), open(paths[1], "rb").read(), report))
+        outputs.append((paths[0].read_bytes(), paths[1].read_bytes(), report))
     assert outputs[0] == outputs[1]
 
 
