@@ -43,9 +43,11 @@ class ParamInterval:
 
     Periodic grids cover [t_start, t_end) with step (t_end - t_start) / n;
     open grids include both endpoints with step (t_end - t_start) / (n - 1).
+    `grid` and `cos_sin` are built on first read, read-only, and every later
+    read returns the same arrays.
     """
 
-    __slots__ = ("t_start", "t_end", "n_samples", "periodic")
+    __slots__ = ("t_start", "t_end", "n_samples", "periodic", "_grid", "_cos_sin")
 
     def __init__(self, t_start: float, t_end: float, n_samples: int, periodic: bool = False):
         if not (t_start < t_end):
@@ -55,6 +57,7 @@ class ParamInterval:
         if n_samples > MAX_SAMPLES:
             raise ValueError(f"at most {MAX_SAMPLES} samples are supported, got {n_samples}")
         self.t_start, self.t_end, self.n_samples, self.periodic = t_start, t_end, n_samples, periodic
+        self._grid = self._cos_sin = None
 
     @property
     def length(self) -> float:
@@ -67,9 +70,17 @@ class ParamInterval:
 
     @property
     def grid(self) -> np.ndarray:
-        if self.periodic:
-            return self.t_start + np.arange(self.n_samples) * self.step
-        return np.linspace(self.t_start, self.t_end, self.n_samples)
+        if self._grid is None:
+            self._grid = read_only(self.t_start + np.arange(self.n_samples) * self.step if self.periodic
+                                   else np.linspace(self.t_start, self.t_end, self.n_samples))
+        return self._grid
+
+    @property
+    def cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cos(grid), sin(grid)), which the closed-form curves and normals share."""
+        if self._cos_sin is None:
+            self._cos_sin = (read_only(np.cos(self.grid)), read_only(np.sin(self.grid)))
+        return self._cos_sin
 
 
 # 4th-order one-sided second-derivative stencils (times 12 h^2) of the
@@ -110,17 +121,22 @@ def fd_d1(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
 
 
 def fd_chain(values: np.ndarray, h: float, periodic: bool):
-    """(d1, d2) by two successive applications of fd_d1, except d2 at the two
-    samples on each end of an open grid: there fd_d1 twice would difference
-    one-sided first derivatives, so d2 takes 4th-order one-sided stencils of
-    the samples themselves."""
+    """(d1, d2) of fd_d1 and fd_d2."""
     d1 = fd_d1(values, h, periodic)
+    return d1, fd_d2(values, d1, h, periodic)
+
+
+def fd_d2(values: np.ndarray, d1: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+    """Second derivative of samples whose fd_d1 is d1: fd_d1 of d1, except at
+    the two samples on each end of an open grid, where fd_d1 twice would
+    difference one-sided first derivatives, so d2 takes 4th-order one-sided
+    stencils of the samples themselves."""
     d2 = fd_d1(d1, h, periodic)
     if not periodic:
         f = np.asarray(values, dtype=float)
         d2[:2] = _D2_END @ f[:6] / (12.0 * h * h)
         d2[:-3:-1] = _D2_END @ f[:-7:-1] / (12.0 * h * h)
-    return d1, d2
+    return d2
 
 
 def fd_mismatch(vals: np.ndarray, dv: np.ndarray, h: float) -> float:
@@ -222,7 +238,7 @@ def cumulative_integral(values, h: float, periodic: bool) -> np.ndarray:
 
 class GridSamples:
     """Samples of a model's callable fields on `interval.grid`, evaluated once
-    and read-only; a sampled model is seeded with the arrays it was built from."""
+    and read-only; a model is seeded with the arrays it was built from."""
 
     __slots__ = ("_samples",)
 
@@ -231,13 +247,16 @@ class GridSamples:
 
     def on_grid(self, name: str) -> np.ndarray:
         """Samples of the field `name` ("position", "nu", ...) on the grid."""
-        if name not in self._samples:
-            self._seed(**{name: getattr(self, name)(self.interval.grid)})
+        values = self._samples.get(name, lambda: getattr(self, name)(self.interval.grid))
+        if callable(values):
+            self._seed(**{name: values()})
         return self._samples[name]
 
     def _seed(self, **fields):
-        """Cache grid samples of the named fields, read-only; returns self."""
-        self._samples.update((name, read_only(values)) for name, values in fields.items())
+        """Cache grid samples of the named fields, read-only, or a function of
+        no arguments that computes them on their first read; returns self."""
+        self._samples.update((name, values if callable(values) else read_only(values))
+                             for name, values in fields.items())
         return self
 
 
@@ -300,16 +319,18 @@ class BuiltinSpec(NamedTuple):
 
 
 def _builtin_callables(name: str, p: Mapping[str, float]):
+    """(position, d1, d2) of a builtin curve, each a function of t, cos(t) and
+    sin(t) to the (x, y) pair of arrays; the line reads t alone, and is given
+    None for cos(t) and sin(t)."""
     if name == "line":
         x0, y0 = p.get("x0", 0.0), p.get("y0", 0.0)
         dx, dy = p.get("dx", 1.0), p.get("dy", 0.0)
         if math.hypot(dx, dy) == 0.0:
             raise ValueError("line needs a nonzero direction")
-        zero = xy_fn(np.zeros_like, np.zeros_like)
         return (
-            xy_fn(lambda t: x0 + dx * t, lambda t: y0 + dy * t),
-            xy_fn(lambda t: np.full_like(t, dx), lambda t: np.full_like(t, dy)),
-            zero,
+            lambda t, c, s: (x0 + dx * t, y0 + dy * t),
+            lambda t, c, s: (np.full_like(t, dx), np.full_like(t, dy)),
+            lambda t, c, s: (np.zeros_like(t), np.zeros_like(t)),
         )
     if name == "circle":
         r = p.get("r", 1.0)
@@ -317,9 +338,9 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
             raise ValueError(f"circle needs r > 0, got {r}")
         cx, cy = p.get("cx", 0.0), p.get("cy", 0.0)
         return (
-            xy_fn(lambda t: cx + r * np.cos(t), lambda t: cy + r * np.sin(t)),
-            xy_fn(lambda t: -r * np.sin(t), lambda t: r * np.cos(t)),
-            xy_fn(lambda t: -r * np.cos(t), lambda t: -r * np.sin(t)),
+            lambda t, c, s: (cx + r * c, cy + r * s),
+            lambda t, c, s: (-r * s, r * c),
+            lambda t, c, s: (-r * c, -r * s),
         )
     if name == "ellipse":
         a, b = p.get("a", 2.0), p.get("b", 1.0)
@@ -327,39 +348,46 @@ def _builtin_callables(name: str, p: Mapping[str, float]):
             raise ValueError(f"ellipse needs positive semi-axes, got a={a}, b={b}")
         cx, cy = p.get("cx", 0.0), p.get("cy", 0.0)
         return (
-            xy_fn(lambda t: cx + a * np.cos(t), lambda t: cy + b * np.sin(t)),
-            xy_fn(lambda t: -a * np.sin(t), lambda t: b * np.cos(t)),
-            xy_fn(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t)),
+            lambda t, c, s: (cx + a * c, cy + b * s),
+            lambda t, c, s: (-a * s, b * c),
+            lambda t, c, s: (-a * c, -b * s),
         )
     if name == "astroid":
         a = p.get("a", 1.0)
         if a <= 0:
             raise ValueError(f"astroid needs a > 0, got {a}")
         return (
-            xy_fn(lambda t: a * np.cos(t) ** 3, lambda t: a * np.sin(t) ** 3),
-            xy_fn(
-                lambda t: -3 * a * np.cos(t) ** 2 * np.sin(t),
-                lambda t: 3 * a * np.sin(t) ** 2 * np.cos(t),
-            ),
-            xy_fn(
-                lambda t: -3 * a * (np.cos(t) ** 3 - 2 * np.cos(t) * np.sin(t) ** 2),
-                lambda t: 3 * a * (2 * np.sin(t) * np.cos(t) ** 2 - np.sin(t) ** 3),
-            ),
+            lambda t, c, s: (a * c ** 3, a * s ** 3),
+            lambda t, c, s: (-3 * a * c ** 2 * s, 3 * a * s ** 2 * c),
+            lambda t, c, s: (-3 * a * (c ** 3 - 2 * c * s ** 2), 3 * a * (2 * s * c ** 2 - s ** 3)),
         )
     raise ValueError(f"unknown builtin curve {name!r}")
 
 
+def _of_t(field, trig: bool):
+    """The builtin field as a function of t alone, to (..., 2) arrays."""
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack(field(t, *((np.cos(t), np.sin(t)) if trig else (None, None))), axis=-1)
+
+    return f
+
+
 def build_builtin(spec: BuiltinSpec) -> CurveModel:
-    """Analytic CurveModel with exact closed-form derivatives."""
-    position, d1, d2 = _builtin_callables(spec.name, spec.params)
+    """Analytic CurveModel with exact closed-form derivatives.  Its grid
+    samples read the interval's cos_sin; d2's are computed on first read."""
+    fields = _builtin_callables(spec.name, spec.params)
+    trig = spec.name != "line"
     grid = spec.interval.grid
-    pts, vel = position(grid), d1(grid)
+    args = (grid, *spec.interval.cos_sin) if trig else (grid, None, None)
+    pts, vel = (np.stack(f(*args), axis=-1) for f in fields[:2])
     size = max(float(np.max(np.abs(pts))), float(np.max(np.abs(vel))))
     if size > SAMPLE_MAX:
         values = dict(spec.params, t0=spec.interval.t_start, t1=spec.interval.t_end)
         key = max(values, key=lambda k: abs(values[k]))
         raise ValueError(f"{spec.name} parameter {key}={values[key]:g} makes the curve samples overflow: "
                          f"they reach {size:.3g}, above {SAMPLE_MAX:g}")
+    position, d1, d2 = (_of_t(f, trig) for f in fields)
     model = CurveModel(
         kind="analytic",
         position=position,
@@ -367,7 +395,7 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
         d2=d2,
         interval=spec.interval,
         extent=_bbox_diagonal(pts),
-    )._seed(position=pts, d1=vel)
+    )._seed(position=pts, d1=vel, d2=lambda: np.stack(fields[2](*args), axis=-1))
     if spec.interval.periodic:
         gap = np.linalg.norm(position(spec.interval.t_end) - position(spec.interval.t_start))
         if gap > model.geom_tol:
@@ -376,7 +404,8 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
 
 
 def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
-    """CurveModel from uniform samples; derivatives come from fd_d1.
+    """CurveModel from uniform samples; derivatives come from fd_d1, and d2's
+    samples only when they are first read.
 
     Periodic input covers one period without the closing sample, so the
     implied full interval is [ts[0], ts[-1] + h).  Evaluation between
@@ -397,12 +426,16 @@ def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
     if np.max(np.abs(dts - h)) > UNIFORM_RTOL * h:
         raise ValueError("parameter grid is not uniform")
 
-    d1g, d2g = fd_chain(points, h, periodic)
+    d1g = fd_d1(points, h, periodic)
     t_end = ts[-1] + h if periodic else ts[-1]
     interval = ParamInterval(float(ts[0]), float(t_end), len(ts), periodic)
 
-    readers = (quintic_fn(ts, v, periodic, t_end) for v in (points, d1g, d2g))
-    return CurveModel("sampled", *readers, interval, _bbox_diagonal(points))._seed(position=points, d1=d1g, d2=d2g)
+    def d2(t, nu=0):
+        return quintic_fn(ts, model.on_grid("d2"), periodic, t_end)(t, nu)
+
+    model = CurveModel("sampled", quintic_fn(ts, points, periodic, t_end), quintic_fn(ts, d1g, periodic, t_end), d2,
+                       interval, _bbox_diagonal(points))
+    return model._seed(position=points, d1=d1g, d2=lambda: fd_d2(points, d1g, h, periodic))
 
 
 def speed_derivatives(g1, g2):

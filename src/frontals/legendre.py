@@ -484,8 +484,9 @@ def circle_frontal(r: float, n_samples: int = 1024, center=(0.0, 0.0)) -> Legend
         raise ValueError(f"need r > 0, got {r}")
     interval = ParamInterval(0.0, 2.0 * math.pi, n_samples, periodic=True)
     gamma = build_builtin(BuiltinSpec("circle", {"r": r, "cx": center[0], "cy": center[1]}, interval))
+    c, s = interval.cos_sin
     return LegendreCurve(gamma=gamma, nu=xy_fn(np.cos, np.sin), nu_d1=xy_fn(lambda t: -np.sin(t), np.cos),
-                         interval=interval)
+                         interval=interval)._seed(nu=np.stack((c, s), axis=-1), nu_d1=np.stack((-s, c), axis=-1))
 
 
 def astroid_frontal(n_samples: int = 1024, scale: float = 1.0) -> LegendreCurve:
@@ -493,5 +494,6 @@ def astroid_frontal(n_samples: int = 1024, scale: float = 1.0) -> LegendreCurve:
     curvature (-1, 3 a cos t sin t)."""
     interval = ParamInterval(0.0, 2.0 * math.pi, n_samples, periodic=True)
     gamma = build_builtin(BuiltinSpec("astroid", {"a": scale}, interval))
+    c, s = interval.cos_sin
     return LegendreCurve(gamma=gamma, nu=xy_fn(np.sin, np.cos), nu_d1=xy_fn(np.cos, lambda t: -np.sin(t)),
-                         interval=interval)
+                         interval=interval)._seed(nu=np.stack((s, c), axis=-1), nu_d1=np.stack((c, -s), axis=-1))

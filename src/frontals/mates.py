@@ -100,8 +100,16 @@ class ResidualError(ValueError):
     """The solved scale function fails the defining condition."""
 
 
-# theta, tau and their derivatives on a grid, with the cosines and sines of theta and tau
+# theta, tau and their derivatives on a grid, with the cosines and sines of
+# theta and tau; a constant angle's are 0-d, and broadcast against the grid.
 AngleSamples = namedtuple("AngleSamples", "th thd ta tad cos_th sin_th cos_ta sin_ta")
+
+
+def _sample(fn: ScalarFn, ts: np.ndarray):
+    """(fn, fn') on the grid ts: a constant as its value and 0.0."""
+    if fn.const is not None:
+        return np.float64(fn.const), np.float64(0.0)
+    return np.asarray(fn.eval(ts), dtype=float), np.asarray(fn.deriv(ts), dtype=float)
 
 
 class MateConfig:
@@ -115,16 +123,17 @@ class MateConfig:
 
     def angles(self, ts: np.ndarray) -> AngleSamples:
         """Read-only samples of the angle functions on the grid ts, evaluated
-        once per grid: the cache is keyed by the grid's values."""
-        if self._angles is None or not np.array_equal(self._angles[0], ts):
-            th, thd, ta, tad = (np.asarray(f(ts), dtype=float)
-                                for f in (self.theta.eval, self.theta.deriv, self.tau.eval, self.tau.deriv))
+        once per grid: the cache is keyed by the grid's values, and a
+        read-only grid (ParamInterval.grid) is first compared by identity."""
+        if self._angles is None or not (self._angles[0] is ts or np.array_equal(self._angles[0], ts)):
+            (th, thd), (ta, tad) = _sample(self.theta, ts), _sample(self.tau, ts)
             self._seed_angles(ts, AngleSamples(th, thd, ta, tad, np.cos(th), np.sin(th), np.cos(ta), np.sin(ta)))
         return self._angles[1]
 
     def _seed_angles(self, ts: np.ndarray, samples: AngleSamples) -> "MateConfig":
         """Cache `samples` as the angles on the grid ts, read-only; returns self."""
-        self._angles = (np.array(ts, dtype=float), AngleSamples(*map(read_only, samples)))
+        key = ts if isinstance(ts, np.ndarray) and not ts.flags.writeable else read_only(np.array(ts, dtype=float))
+        self._angles = (key, AngleSamples(*map(read_only, samples)))
         return self
 
 
@@ -193,10 +202,10 @@ def _gate(sol: LambdaSolution) -> LambdaSolution:
     return sol
 
 
-def resolve_mode(tau_samples) -> str:
-    """The solve these samples of tau pick: the ODE where cos(tau) != 0 on
-    the whole grid, the pointwise solve where cos(tau) = 0 on it."""
-    cos_tau = np.abs(np.cos(np.asarray(tau_samples, dtype=float)))
+def resolve_mode(cos_tau) -> str:
+    """The solve that these samples of cos(tau) pick: the ODE where
+    cos(tau) != 0 on the whole grid, the pointwise solve where cos(tau) = 0 on it."""
+    cos_tau = np.abs(cos_tau)
     if np.max(cos_tau) <= ANGLE_TOL:
         return "algebraic"
     if np.min(cos_tau) > ANGLE_TOL:
@@ -225,19 +234,20 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     h = pair.step
     a = config.angles(ts)
     # One-sided differencing regardless of grid periodicity: angle functions
-    # need not close over the period (a linear sweep is legitimate).
-    for name, vals, dv in (("theta", a.th, a.thd), ("tau", a.ta, a.tad)):
-        err = fd_mismatch(vals, dv, h)
+    # need not close over the period (a linear sweep is legitimate).  A
+    # constant's derivative is exact.
+    for name, fn, vals, dv in (("theta", config.theta, a.th, a.thd), ("tau", config.tau, a.ta, a.tad)):
+        err = 0.0 if fn.const is not None else fd_mismatch(vals, dv, h)
         if err > FD_TOL:
             raise ValueError(f"{name}.deriv disagrees with {name}.eval (relative error {err:.2g})")
 
-    mode = resolve_mode(a.ta)
+    mode = resolve_mode(a.cos_ta)
     cols = [a.thd, pair.ell, pair.beta, a.cos_th, a.sin_th, np.tan(a.ta)]
     if pair.periodic:  # the period end: the angles there, beta and ell wrapped to sample 0
         th_e, thd_e, ta_e = (float(f(pair.interval_end))
                              for f in (config.theta.eval, config.theta.deriv, config.tau.eval))
         ends = (thd_e, pair.ell[0], pair.beta[0], math.cos(th_e), math.sin(th_e), math.tan(ta_e))
-        cols = [np.append(c, e) for c, e in zip(cols, ends)]
+        cols = [np.append(np.broadcast_to(c, ts.shape), e) for c, e in zip(cols, ends)]
     thd, ell, beta, cos_th, sin_th, tan_ta = cols
 
     if mode == "algebraic":
@@ -473,8 +483,10 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     _require_one_grid("mate pairs", ts, mp23.lam.grid)
     tol = mp12.direction_tolerance
 
-    mid_gap = float(np.max(row_norm(mp12.mate.gamma.on_grid("position") - mp23.source.gamma.on_grid("position"))))
-    nrm_gap = float(np.max(row_norm(mp12.mate.on_grid("nu") - mp23.source.on_grid("nu"))))
+    mid_gap = nrm_gap = 0.0  # the middle curve of an inverse composition is one object
+    if mp23.source is not mp12.mate:
+        mid_gap = float(np.max(row_norm(mp12.mate.gamma.on_grid("position") - mp23.source.gamma.on_grid("position"))))
+        nrm_gap = float(np.max(row_norm(mp12.mate.on_grid("nu") - mp23.source.on_grid("nu"))))
     if mid_gap > tol or nrm_gap > tol:
         raise ValueError(
             f"middle curves do not coincide (position gap {mid_gap:.3g}, normal gap {nrm_gap:.3g})"

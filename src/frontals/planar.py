@@ -8,7 +8,7 @@ angle functions and wrapping would corrupt their derivatives.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -20,10 +20,13 @@ class ScalarFn(NamedTuple):
 
     `eval` and `deriv` must accept floats or numpy arrays.  Used for the
     angle functions of direction fields and for prescribed scale functions.
+    `const` is the value of a constant function (its derivative is exactly
+    0), None otherwise: a constant is sampled as that one number.
     """
 
     eval: Callable[[ArrayLike], ArrayLike]
     deriv: Callable[[ArrayLike], ArrayLike]
+    const: Optional[float] = None
 
 
 def constant_fn(value: float) -> ScalarFn:
@@ -31,6 +34,7 @@ def constant_fn(value: float) -> ScalarFn:
     return ScalarFn(
         eval=lambda t: np.full_like(np.asarray(t, dtype=float), value),
         deriv=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        const=float(value),
     )
 
 
@@ -49,11 +53,14 @@ def add_fns(*fns: ScalarFn) -> ScalarFn:
     def dv(t):
         return sum(f.deriv(t) for f in fns)
 
-    return ScalarFn(eval=ev, deriv=dv)
+    # The constant sums in eval's order, so it equals eval's samples bit for bit.
+    const = sum(f.const for f in fns) if all(f.const is not None for f in fns) else None
+    return ScalarFn(eval=ev, deriv=dv, const=const)
 
 
 def negate_fn(fn: ScalarFn) -> ScalarFn:
-    return ScalarFn(eval=lambda t: -fn.eval(t), deriv=lambda t: -fn.deriv(t))
+    return ScalarFn(eval=lambda t: -fn.eval(t), deriv=lambda t: -fn.deriv(t),
+                    const=None if fn.const is None else -fn.const)
 
 
 def rotate_j(a) -> np.ndarray:

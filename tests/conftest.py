@@ -4,7 +4,10 @@ The generator picks a normal field nu = (cos(phi), sin(phi)) from a random
 angle function phi and a random trig-polynomial beta, so every derived
 quantity (d1 and d2 of gamma, nu and nu') is available in closed form; only
 the position itself needs one accurate cumulative integration.
+`grid_trig_counter` counts the cos, sin and tan passes over a grid.
 """
+
+from collections import Counter
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -81,3 +84,15 @@ def random_frontal(seed: int, n: int = 512) -> LegendreCurve:
         extent=float(np.hypot(spans[0], spans[1])),
     )
     return LegendreCurve(gamma=gamma, nu=nu, nu_d1=nu_d1, interval=interval)
+
+
+def grid_trig_counter(monkeypatch, n):
+    """Counter of the np.cos, np.sin and np.tan calls on arrays of n values."""
+    calls = Counter()
+    for name in ("cos", "sin", "tan"):
+        def counted(x, *args, _name=name, _f=getattr(np, name), **kwargs):
+            calls[_name] += np.size(x) == n
+            return _f(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return calls

@@ -18,9 +18,11 @@ from frontals.curves import (
     fd_mismatch,
     fd_chain,
     fd_d1,
+    quintic_fn,
     regular_curvature,
 )
 from frontals.legendre import from_regular, frontal_from_samples, legendre_curvature
+from conftest import grid_trig_counter
 from frontals.planar import linear_fn, row_norm
 
 TWO_PI = 2.0 * math.pi
@@ -283,22 +285,69 @@ def test_analytic_model_samples_its_callables():
 
 
 def test_builtin_evaluates_its_grid_once(monkeypatch):
-    # The overflow check's position and d1 samples seed the model.
+    # Position, d1 and the d2 that from_regular reads share one cos and one
+    # sin of the grid, and the callables of t are not called on it.
     interval = closed_interval(512)
-    calls = Counter()
-    builtin_callables = curves._builtin_callables
-
-    def counted(name, params):
-        def count(field, fn):
-            def f(t):
-                calls[field] += np.shape(t) == (interval.n_samples,)
-                return fn(t)
-            return f
-
-        return tuple(count(field, fn) for field, fn in zip(("position", "d1", "d2"), builtin_callables(name, params)))
-
-    monkeypatch.setattr(curves, "_builtin_callables", counted)
+    calls = grid_trig_counter(monkeypatch, interval.n_samples)
     c = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, interval))
+    for name in ("position", "d1", "d2"):
+        monkeypatch.setattr(c, name, None)
     legendre_curvature(from_regular(c))
     c.on_grid("position")
-    assert calls == {"position": 1, "d1": 1, "d2": 1}
+    assert (calls["cos"], calls["sin"], calls["tan"]) == (1, 1, 0)
+
+
+def test_interval_grid_is_built_once_and_read_only():
+    for periodic in (False, True):
+        interval = ParamInterval(0.5, 3.0, 64, periodic)
+        grid = interval.grid
+        assert interval.grid is grid and not grid.flags.writeable
+        step = (3.0 - 0.5) / (64 if periodic else 63)
+        want = 0.5 + np.arange(64) * step if periodic else np.linspace(0.5, 3.0, 64)
+        assert np.array_equal(grid, want)
+        c, s = interval.cos_sin
+        assert interval.cos_sin[0] is c and np.array_equal(c, np.cos(want)) and np.array_equal(s, np.sin(want))
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
+
+def _closed_forms(name, t):
+    """(position, d1, d2) of the builtins with default parameters as
+    numpy expressions of t, in the order of operations the samples keep."""
+    cos, sin, xy = np.cos, np.sin, lambda x, y: np.stack((x, y), axis=-1)
+    r = a = 1.3
+    return {
+        "line": (xy(0.0 + 2.0 * t, 0.0 + -1.0 * t), xy(np.full_like(t, 2.0), np.full_like(t, -1.0)),
+                 xy(np.zeros_like(t), np.zeros_like(t))),
+        "circle": (xy(0.3 + r * cos(t), 0.0 + r * sin(t)), xy(-r * sin(t), r * cos(t)), xy(-r * cos(t), -r * sin(t))),
+        "ellipse": (xy(0.0 + 2.0 * cos(t), 0.0 + 0.7 * sin(t)), xy(-2.0 * sin(t), 0.7 * cos(t)),
+                    xy(-2.0 * cos(t), -0.7 * sin(t))),
+        "astroid": (xy(a * cos(t) ** 3, a * sin(t) ** 3), xy(-3 * a * cos(t) ** 2 * sin(t), 3 * a * sin(t) ** 2 * cos(t)),
+                    xy(-3 * a * (cos(t) ** 3 - 2 * cos(t) * sin(t) ** 2), 3 * a * (2 * sin(t) * cos(t) ** 2 - sin(t) ** 3))),
+    }[name]
+
+
+@pytest.mark.parametrize("name, params", [("line", {"dx": 2.0, "dy": -1.0}), ("circle", {"r": 1.3, "cx": 0.3}),
+                                          ("ellipse", {"a": 2.0, "b": 0.7}), ("astroid", {"a": 1.3})])
+def test_builtin_grid_samples_equal_its_callables(name, params):
+    # Bit for bit: on the grid, between its samples and at one time.
+    c = build_builtin(BuiltinSpec(name, params, ParamInterval(0.0, TWO_PI, 256, periodic=name != "line")))
+    grid = c.interval.grid
+    for field, on_grid, off_grid in zip(("position", "d1", "d2"), _closed_forms(name, grid),
+                                        _closed_forms(name, grid + 0.3)):
+        assert np.array_equal(c.on_grid(field), on_grid)
+        assert np.array_equal(getattr(c, field)(grid + 0.3), off_grid)
+        assert np.array_equal(getattr(c, field)(float(grid[7])), on_grid[7])
+
+
+def test_sampled_model_differences_d2_on_first_read(monkeypatch):
+    ts = np.arange(256) * (TWO_PI / 256)
+    pts = np.stack((2.0 * np.cos(ts), np.sin(ts)), axis=-1)
+    differenced = Counter()
+    monkeypatch.setattr(curves, "fd_d1", lambda f, *args, _f=fd_d1: differenced.update([len(f)]) or _f(f, *args))
+    c = build_sampled(ts, pts, periodic=True)
+    assert differenced == {256: 1}
+    off = ts[:3] + 0.5 * (ts[1] - ts[0])
+    d2 = c.d2(off)
+    assert differenced == {256: 2} and c.on_grid("d2") is c.on_grid("d2")
+    assert np.array_equal(d2, quintic_fn(ts, fd_chain(pts, ts[1] - ts[0], True)[1], True, TWO_PI)(off))

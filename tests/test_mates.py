@@ -31,7 +31,7 @@ from frontals.mates import (
     special_operator,
     verify_mate_curvature,
 )
-from frontals.planar import ScalarFn, constant_fn, linear_fn
+from frontals.planar import ScalarFn, add_fns, constant_fn, linear_fn, negate_fn
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -668,6 +668,37 @@ class TestGridQuantitiesOnce:
         assert isinstance(ident, IdentityReport) and ident.passed
         assert calls == {"theta.eval": 1, "theta.deriv": 1, "tau.eval": 1, "tau.deriv": 1}
 
+    def test_constant_angles_are_never_evaluated_on_the_grid(self, monkeypatch):
+        monkeypatch.setattr(mates, "fd_mismatch", None)  # a constant's derivative is exact: nothing checks it
+        interval = ParamInterval(0.0, TWO_PI, 1024, periodic=True)
+        lc = from_regular(build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, interval)))
+        grid, calls = interval.grid, collections.Counter()
+        theta, tau = (self._on_grid_counter(constant_fn(v), name, grid, calls)._replace(const=v)
+                      for name, v in (("theta", 0.4), ("tau", 0.3)))
+        cfg = MateConfig(theta, tau, lambda0=0.2)
+        pair = legendre_curvature(lc)
+        mp = build_mate(lc, cfg, solve_lambda(pair, cfg, extent=lc.gamma.extent), pair=pair)
+        assert verify_mate_curvature(mp).passed
+        assert compose_mates(mp, inverse_mate(mp)).passed
+        assert not calls
+
+    @pytest.mark.parametrize("curve", ["astroid", "ellipse"])
+    @pytest.mark.parametrize("which", mates.SPECIAL_OPERATORS)
+    def test_named_job_takes_one_cos_and_one_sin_of_the_grid(self, monkeypatch, curve, which):
+        from conftest import grid_trig_counter
+
+        n = 1024
+        calls = grid_trig_counter(monkeypatch, n)
+        if curve == "astroid":
+            lc = astroid_frontal(n, scale=1.3)
+        else:
+            lc = from_regular(build_builtin(BuiltinSpec("ellipse", {"a": 1.5, "b": 0.8},
+                                                        ParamInterval(0.0, TWO_PI, n, periodic=True))))
+        mp = special_operator(lc, which, theta=0.7, tau=-0.6, lambda0=0.3)
+        assert verify_mate_curvature(mp).passed
+        assert compose_mates(mp, inverse_mate(mp)).passed
+        assert (calls["cos"], calls["sin"], calls["tan"]) == (1, 1, 0)
+
     def test_config_samples_each_grid_it_meets(self):
         cfg = MateConfig(linear_fn(0.2, 0.5), linear_fn(-0.1, 0.1), lambda0=0.3)
         for n in (512, 1024, 512):
@@ -757,3 +788,52 @@ class TestGridQuantitiesOnce:
         ratio = np.abs(mp.lam.residual) / mates.lambda_tol(mp.source_curvature, mp.config, mp.lam.lam)
         assert max(ratio[0], ratio[-1]) <= 1.1 * np.max(ratio[1:-1])
         assert np.max(ratio) <= 0.06
+
+
+def _array_path(fn: ScalarFn) -> ScalarFn:
+    """fn without its constant: sampled on the grid as any other function."""
+    return ScalarFn(fn.eval, fn.deriv)
+
+
+class TestConstantAnglesAreNumbers:
+    """A constant angle is sampled as one number, and every result equals
+    that of the same angles sampled as arrays, bit for bit: numpy's cos, sin
+    and tan of a number equal those of an array of it."""
+
+    CASES = [("parallel", {"lambda0": 0.3}), ("evolute", {}), ("involute", {"lambda0": 0.4}),
+             ("evolutoid", {"theta": math.pi / 4.0}), ("involutoid", {"tau": math.pi / 4.0, "lambda0": 0.1}),
+             ("nvolute", {"theta": math.pi / 3.0, "lambda0": 0.2}), ("tvolute", {"tau": -math.pi / 3.0, "lambda0": 0.2}),
+             ("ode", {"theta": 0.7, "tau": -0.4, "lambda0": 0.3})]
+
+    @staticmethod
+    def _outputs(lc, config, which):
+        pair = legendre_curvature(lc)
+        mp = mates.solve_mate(lc, config, pair, which)
+        inv = inverse_mate(mp)
+        arrays = [mp.lam.lam, mp.lam.lam_d1, mp.lam.residual, mp.lam.tolerance, mp.mate.gamma.on_grid("position"),
+                  mp.mate.on_grid("nu"), mp.mate_curvature.ell, mp.mate_curvature.beta, mp.direction(),
+                  inv.lam.residual, inv.lam.tolerance, inv.mate.gamma.on_grid("position"), inv.mate.on_grid("nu"),
+                  inv.mate_curvature.ell, inv.mate_curvature.beta]
+        scalars = [mp.lam.wrap_value, mp.direction_residual, mp.mate_tangency_residual, inv.direction_residual,
+                   *verify_mate_curvature(mp), *compose_mates(mp, inv)]
+        return [np.asarray(v, dtype=float).tobytes() for v in arrays + scalars]
+
+    @pytest.mark.parametrize("curve", ["astroid", "open random frontal"])
+    @pytest.mark.parametrize("which, kw", CASES, ids=[c[0] for c in CASES])
+    def test_constant_angles_match_the_array_path(self, curve, which, kw):
+        from conftest import random_frontal
+
+        lc = astroid_frontal(512) if curve == "astroid" else random_frontal(3, 512)  # no inflection: ell > 0.9
+        if which == "ode":
+            cfg = MateConfig(constant_fn(kw["theta"]), constant_fn(kw["tau"]), kw["lambda0"])
+        else:
+            cfg = mates.operator_config(which, **kw)
+        arrays = MateConfig(_array_path(cfg.theta), _array_path(cfg.tau), cfg.lambda0)
+        assert cfg.theta.const is not None and arrays.theta.const is None
+        assert self._outputs(lc, cfg, which) == self._outputs(lc, arrays, which)
+
+    def test_sums_and_negations_of_constants_stay_numbers(self):
+        a, b, c = constant_fn(0.3), constant_fn(-1.1), constant_fn(0.7)
+        total = add_fns(a, negate_fn(b), c)
+        assert total.const == total.eval(np.zeros(4))[0] == (0 + 0.3) + 1.1 + 0.7
+        assert add_fns(a, linear_fn(0.0, 1.0)).const is None and negate_fn(a).const == -0.3
