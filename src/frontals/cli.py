@@ -51,7 +51,7 @@ from .mates import (
     solve_mate,
     verify_mate_curvature,
 )
-from .planar import constant_fn, linear_fn, rotate_j, row_norm
+from .planar import constant_fn, linear_fn, rotate_j, row_norm, scale_rows
 from .svgplot import render_svg
 
 OPERATORS = (
@@ -294,7 +294,7 @@ def _curvature_checks(lc, pair) -> dict:
     checks = {}
     _check(checks, "tangency", tangency_residual(lc), lc.leg_tol)
     mu = rotate_j(lc.on_grid("nu"))
-    frenet_nu = np.max(row_norm(lc.on_grid("nu_d1") - pair.ell[:, None] * mu))
+    frenet_nu = np.max(row_norm(scale_rows(mu, pair.ell, base=lc.on_grid("nu_d1"), combine=np.subtract)))
     _check(checks, "frenet_closure", frenet_nu, CROSS_TOL * max(1.0, float(np.max(np.abs(pair.ell)))))
     if np.any(np.abs(pair.beta) > pair.sing_tol):
         rep = check_ell_kappa_relation(lc, pair)

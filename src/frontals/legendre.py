@@ -30,7 +30,7 @@ from .curves import (
     speed_derivatives,
     xy_fn,
 )
-from .planar import rotate_j, row_dot, row_norm
+from .planar import rotate_j, row_dot, row_norm, scale_rows
 
 # Nothing calls these names; perfbench/tracing.py wraps them until ROADMAP item 5 deletes them.
 CubicSpline = brentq = minimize_scalar = None
@@ -64,7 +64,7 @@ class TangencyError(ValueError):
 class LegendreCurve(GridSamples):
     """A curve model with a unit normal field and its first derivative."""
 
-    __slots__ = ("gamma", "nu", "nu_d1", "interval", "nu_d2")
+    __slots__ = ("gamma", "nu", "nu_d1", "interval", "nu_d2", "_tangency")
 
     def __init__(self, gamma: CurveModel, nu: Callable[[np.ndarray], np.ndarray],
                  nu_d1: Callable[[np.ndarray], np.ndarray], interval: ParamInterval,
@@ -72,6 +72,7 @@ class LegendreCurve(GridSamples):
         super().__init__()
         self.gamma, self.nu, self.nu_d1, self.interval = gamma, nu, nu_d1, interval
         self.nu_d2 = nu_d2  # unused: nothing in frontals fills or reads it
+        self._tangency = None
 
     def mu(self, ts) -> np.ndarray:
         return rotate_j(self.nu(ts))
@@ -79,23 +80,36 @@ class LegendreCurve(GridSamples):
     @property
     def leg_tol(self) -> float:
         """Tangency tolerance, scaled by the largest grid speed."""
-        scale = LEG_TOL_ANALYTIC if self.gamma.kind == "analytic" else LEG_TOL_SAMPLED
-        return scale * max(float(np.max(row_norm(self.gamma.on_grid("d1")))), 1e-12)
+        return self._tangency_check()[1]
+
+    def _tangency_check(self) -> tuple[float, float]:
+        """(tangency_residual, leg_tol) of the grid samples, computed on first read."""
+        if self._tangency is None:
+            g1 = self.gamma.on_grid("d1")
+            scale = LEG_TOL_ANALYTIC if self.gamma.kind == "analytic" else LEG_TOL_SAMPLED
+            self._tangency = (float(np.max(np.abs(row_dot(g1, self.on_grid("nu"))))),
+                              scale * max(float(np.max(row_norm(g1))), 1e-12))
+        return self._tangency
 
 
 def tangency_residual(lc: LegendreCurve) -> float:
     """max |gamma' . nu| over the grid samples."""
-    return float(np.max(np.abs(row_dot(lc.gamma.on_grid("d1"), lc.on_grid("nu")))))
+    return lc._tangency_check()[0]
 
 
 def frontal_from_normal(gamma: CurveModel, nu_samples) -> LegendreCurve:
     """LegendreCurve from normal samples on the gamma grid; nu' is differenced
-    from them, and both are read between the samples by their local quintic."""
+    from them on its first read, and both are read between the samples by
+    their local quintic."""
     interval = gamma.interval
     nu = np.array(nu_samples, dtype=float)
-    nu_d1 = fd_d1(nu, interval.step, interval.periodic)
-    nu_f, nu_d1_f = (quintic_fn(interval.grid, v, interval.periodic, interval.t_end) for v in (nu, nu_d1))
-    return LegendreCurve(gamma=gamma, nu=nu_f, nu_d1=nu_d1_f, interval=interval)._seed(nu=nu, nu_d1=nu_d1)
+
+    def nu_d1(t, order=0):
+        return quintic_fn(interval.grid, lc.on_grid("nu_d1"), interval.periodic, interval.t_end)(t, order)
+
+    lc = LegendreCurve(gamma=gamma, nu=quintic_fn(interval.grid, nu, interval.periodic, interval.t_end), nu_d1=nu_d1,
+                       interval=interval)
+    return lc._seed(nu=nu, nu_d1=lambda: fd_d1(nu, interval.step, interval.periodic))
 
 
 def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
@@ -104,7 +118,7 @@ def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
     norms = row_norm(nu_samples)
     if np.any(np.abs(norms - 1.0) > UNIT_NORMAL_TOL):
         raise ValueError(f"normal samples deviate from unit length beyond {UNIT_NORMAL_TOL:g}")
-    return frontal_from_normal(gamma, nu_samples / norms[:, None])
+    return frontal_from_normal(gamma, scale_rows(nu_samples, norms, np.divide))
 
 
 class CurvaturePair(NamedTuple):
@@ -172,7 +186,7 @@ def legendre_curvature(lc: LegendreCurve) -> CurvaturePair:
     mu = rotate_j(lc.on_grid("nu"))
     ell = row_dot(lc.on_grid("nu_d1"), mu)
     beta = row_dot(g1, mu)
-    recon = float(np.max(row_norm(g1 - beta[:, None] * mu)))
+    recon = float(np.max(row_norm(scale_rows(mu, beta, base=g1, combine=np.subtract))))
     if recon > tol:
         raise TangencyError(f"gamma' reconstruction residual {recon:.3g} exceeds {tol:.3g}")
     return CurvaturePair.from_samples(lc.interval.grid, ell, beta, lc.interval.periodic)
@@ -191,11 +205,11 @@ def from_regular(c: CurveModel) -> LegendreCurve:
             f"curve is singular near t = {c.interval.grid[i]:.6g} (|d1| = {speed[i]:.3g} <= {c.reg_tol:.3g})")
 
     def lift(g1):
-        return rotate_j(g1) / row_norm(g1)[..., None]
+        return scale_rows(rotate_j(g1), row_norm(g1), np.divide)
 
     def lift_d1(g1, g2):
         v, vd = speed_derivatives(g1, g2)
-        return rotate_j(g2) / v[..., None] - rotate_j(g1) * (vd / v**2)[..., None]
+        return scale_rows(rotate_j(g1), vd / v**2, base=scale_rows(rotate_j(g2), v, np.divide), combine=np.subtract)
 
     return LegendreCurve(gamma=c, nu=lambda t: lift(c.d1(t)), nu_d1=lambda t: lift_d1(c.d1(t), c.d2(t)),
                          interval=c.interval)._seed(nu=lift(g1), nu_d1=lift_d1(g1, g2))

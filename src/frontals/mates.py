@@ -28,12 +28,12 @@ from .curves import (
     CurveModel,
     SingularCurveError,
     _bbox_diagonal,
-    build_sampled,
     cumulative_integral,
     fd_d1,
     fd_mismatch,
-    local_quintic,
+    node_d1,
     read_only,
+    sampled_model,
     FD_TOL,
     REG_TOL_SCALE,
 )
@@ -48,7 +48,7 @@ from .legendre import (
     subinterval_mask,
     tangency_residual,
 )
-from .planar import ScalarFn, add_fns, constant_fn, frame_field, negate_fn, rotate_j, row_dot, row_norm, turn
+from .planar import ScalarFn, add_fns, constant_fn, frame_field, negate_fn, rotate_j, row_dot, row_norm, scale_rows, turn
 
 # Nothing calls these names; perfbench/tracing.py wraps them until ROADMAP item 5 deletes them.
 CubicSpline = None
@@ -281,8 +281,7 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     # stencil wraps only where lambda closes.  The ODE's lambda' differences
     # lambda's own local quintic: the residual measures the solve.
     closes = _closes(lam, wrap)
-    lam_d1 = (fd_d1(lam, h, periodic=closes) if mode == "algebraic"
-              else local_quintic(lam if closes else y, np.arange(n), 0.0, closes, 1, h))
+    lam_d1 = fd_d1(lam, h, periodic=closes) if mode == "algebraic" else node_d1(lam if closes else y, h, closes)[:n]
     return _gate(_solution(pair, config, lam, lam_d1, mode, wrap, _near_zero(lam, extent)))
 
 
@@ -353,9 +352,12 @@ def build_mate(
     a = config.angles(ts)
     nu = lc.on_grid("nu")
     v = turn(nu, a.cos_th, a.sin_th)
-    positions = lc.gamma.on_grid("position") + lam.lam[:, None] * v
+    positions = scale_rows(v, lam.lam, base=lc.gamma.on_grid("position"))
     mcurv = mate_curvature(pair, config, lam)
-    mate_gamma = build_sampled(ts, positions, periodic=mcurv.periodic)
+    # build_sampled's model without its copies and grid checks: the pair's grid
+    # is uniform, and read-only when it is an interval's.
+    grid = ts.copy() if ts.flags.writeable else ts
+    mate_gamma = sampled_model(grid, positions, float(np.mean(np.diff(ts))), mcurv.periodic)
     mate_lc = frontal_from_normal(mate_gamma, frame_field(nu, a.th - a.ta))
 
     dir_tol = mate_tol(lc.gamma.extent, lc.gamma.kind)
@@ -456,8 +458,9 @@ def inverse_mate(mp: MatePair) -> MatePair:
 
 
 def _require_one_grid(what: str, ts_a: np.ndarray, ts_b: np.ndarray) -> None:
-    """Raise, naming both grids, unless ts_a and ts_b have one length and agree within 1e-12."""
-    if ts_a.shape != ts_b.shape or not np.allclose(ts_a, ts_b, rtol=0, atol=1e-12):
+    """Raise, naming both grids, unless ts_a and ts_b are one array or have
+    one length and agree within 1e-12."""
+    if ts_a is not ts_b and (ts_a.shape != ts_b.shape or not np.allclose(ts_a, ts_b, rtol=0, atol=1e-12)):
         grids = " and ".join(f"{len(g)} samples from {g[0]:.6g} to {g[-1]:.6g}" for g in (ts_a, ts_b))
         raise ValueError(f"{what} live on different grids: {grids}")
 
@@ -491,7 +494,11 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
         raise ValueError(
             f"middle curves do not coincide (position gap {mid_gap:.3g}, normal gap {nrm_gap:.3g})"
         )
-    dir_gap = float(np.max(row_norm(mp12.direction() - mp23.direction())))
+    if mp23.source is mp12.mate and mp23.config.theta is mp12.config.tau and mp23.lam.grid is ts:
+        # mp23's direction field is then mp12's w_bar, which build_mate measured against mp12's own.
+        dir_gap = mp12.direction_residual
+    else:
+        dir_gap = float(np.max(row_norm(mp12.direction() - mp23.direction())))
     if dir_gap > tol:
         raise ValueError(f"direction fields do not chain (gap {dir_gap:.3g})")
 
@@ -521,7 +528,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     lam = _gate(_solution(pair1, cfg, lam_sum, mp12.lam.lam_d1 + mp23.lam.lam_d1, "prescribed", wrap, False))
 
     v1 = mp12.direction()
-    chain_gap = float(np.max(row_norm(far_pos - (src_pos + lam_sum[:, None] * v1))))
+    chain_gap = float(np.max(row_norm(far_pos - scale_rows(v1, lam_sum, base=src_pos))))
     if chain_gap > tol:
         raise ValueError(f"composite translation fails: gap {chain_gap:.3g}")
     dir_res = _direction_gate(v1, mp23.mate.on_grid("nu"), cfg.angles(ts), tol)
@@ -692,7 +699,7 @@ def check_mate_relation(lc_a: LegendreCurve, lc_b: LegendreCurve, theta: ScalarF
     u = frame_field(lc_a.on_grid("nu"), np.asarray(theta.eval(ts), dtype=float))
     diff = lc_b.gamma.on_grid("position") - lc_a.gamma.on_grid("position")
     lam = row_dot(diff, u)
-    res = float(np.max(row_norm(diff - lam[:, None] * u)))
+    res = float(np.max(row_norm(scale_rows(u, lam, base=diff, combine=np.subtract))))
     nu_b = lc_b.on_grid("nu")
     tau_samples = np.arctan2(row_dot(u, rotate_j(nu_b)), row_dot(u, nu_b))
     tol = mate_tol(lc_a.gamma.extent, lc_a.gamma.kind)

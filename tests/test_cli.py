@@ -287,7 +287,7 @@ class TestRunJob:
                 value_reads.append(np.asarray(x))
             return _kernel(values, cells, x, periodic, nu, h)
 
-        for module in (curves, legendre, mates):
+        for module in (curves, legendre):  # the modules that bind the kernel
             monkeypatch.setattr(module, "local_quintic", tracked)
         argv = ["roundtrip", "--curve", f"csv:{tmp_path / 'in.csv'}", *angles,
                 "--out", str(tmp_path / "out.csv"), "--svg", str(tmp_path / "out.svg")]

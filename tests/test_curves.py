@@ -18,6 +18,8 @@ from frontals.curves import (
     fd_mismatch,
     fd_chain,
     fd_d1,
+    local_quintic,
+    node_d1,
     quintic_fn,
     regular_curvature,
 )
@@ -165,6 +167,47 @@ def test_cumulative_integral_is_exact_for_quintics():
     got = cumulative_integral(np.polyval(coefs, t), t[1] - t[0], periodic=False)
     want = np.polyval(np.polyint(coefs), t)
     assert np.max(np.abs(np.diff(got) - np.diff(want))) <= 1e-13 * np.max(np.abs(want))
+
+
+def _cumulative_integral_by_concatenation(values, h, periodic):
+    """cumulative_integral as it summed each cell's weights into a new array
+    and concatenated the end cells and the leading 0 around it: the bitwise
+    reference of the in-place accumulation."""
+    f = np.asarray(values, dtype=float)
+    padded = np.concatenate((f[-2:], f, f[:3])) if periodic else f
+    per_cell = sum(w * padded[j : len(padded) - 5 + j] for j, w in enumerate(curves._CELL_W))
+    if not periodic:
+        per_cell = np.concatenate((curves._END_W @ f[:6], per_cell, curves._END_W[::-1, ::-1] @ f[-6:]))
+    return np.concatenate(([0.0], np.cumsum(h * per_cell)))
+
+
+def _with_signed_zeros(f, weights):
+    """f with zeros of mixed signs, and six zeros signed against the six
+    weights: each of their products is -0.0, and so is a sum of them that
+    does not start from 0."""
+    f = f.copy()
+    f[1:4], f[6:12] = [0.0, -0.0, 0.0], -np.sign(weights) * 0.0
+    return f
+
+
+@pytest.mark.parametrize("n", [16, 17, 1024, 8193])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_cumulative_integral_equals_its_concatenating_formula(n, periodic):
+    h = TWO_PI / n
+    f = np.random.default_rng(n).normal(size=n)
+    for f in (f, _with_signed_zeros(f, curves._CELL_W)):
+        got = cumulative_integral(f, h, periodic)
+        assert got.tobytes() == _cumulative_integral_by_concatenation(f, h, periodic).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 17, 1024, 8193])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_node_d1_equals_local_quintic_at_the_samples(n, periodic):
+    rng = np.random.default_rng(n + periodic)
+    h = TWO_PI / n
+    for f in (rng.normal(size=n), _with_signed_zeros(rng.normal(size=n), curves._D1_AT_NODE), rng.normal(size=(n, 2))):
+        got = node_d1(f, h, periodic)
+        assert got.tobytes() == local_quintic(f, np.arange(n), 0.0, periodic, 1, h).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(8192,), (8192, 2), (7,), (33, 2)])
@@ -315,6 +358,7 @@ def _closed_forms(name, t):
     """(position, d1, d2) of the builtins with default parameters as
     numpy expressions of t, in the order of operations the samples keep."""
     cos, sin, xy = np.cos, np.sin, lambda x, y: np.stack((x, y), axis=-1)
+    cube = lambda x: x * x * x  # the builtin cubes by multiplication
     r = a = 1.3
     return {
         "line": (xy(0.0 + 2.0 * t, 0.0 + -1.0 * t), xy(np.full_like(t, 2.0), np.full_like(t, -1.0)),
@@ -322,8 +366,8 @@ def _closed_forms(name, t):
         "circle": (xy(0.3 + r * cos(t), 0.0 + r * sin(t)), xy(-r * sin(t), r * cos(t)), xy(-r * cos(t), -r * sin(t))),
         "ellipse": (xy(0.0 + 2.0 * cos(t), 0.0 + 0.7 * sin(t)), xy(-2.0 * sin(t), 0.7 * cos(t)),
                     xy(-2.0 * cos(t), -0.7 * sin(t))),
-        "astroid": (xy(a * cos(t) ** 3, a * sin(t) ** 3), xy(-3 * a * cos(t) ** 2 * sin(t), 3 * a * sin(t) ** 2 * cos(t)),
-                    xy(-3 * a * (cos(t) ** 3 - 2 * cos(t) * sin(t) ** 2), 3 * a * (2 * sin(t) * cos(t) ** 2 - sin(t) ** 3))),
+        "astroid": (xy(a * cube(cos(t)), a * cube(sin(t))), xy(-3 * a * cos(t) ** 2 * sin(t), 3 * a * sin(t) ** 2 * cos(t)),
+                    xy(-3 * a * (cube(cos(t)) - 2 * cos(t) * sin(t) ** 2), 3 * a * (2 * sin(t) * cos(t) ** 2 - cube(sin(t))))),
     }[name]
 
 

@@ -699,6 +699,47 @@ class TestGridQuantitiesOnce:
         assert compose_mates(mp, inverse_mate(mp)).passed
         assert (calls["cos"], calls["sin"], calls["tan"]) == (1, 1, 0)
 
+    @staticmethod
+    def _named_source(curve, n):
+        if curve == "astroid":
+            return astroid_frontal(n, scale=1.3)
+        return from_regular(build_builtin(BuiltinSpec("ellipse", {"a": 1.5, "b": 0.8},
+                                                      ParamInterval(0.0, TWO_PI, n, periodic=True))))
+
+    @pytest.mark.parametrize("curve", ["astroid", "ellipse"])
+    @pytest.mark.parametrize("which", mates.SPECIAL_OPERATORS)
+    def test_named_roundtrip_differences_three_fields_and_turns_six_times(self, monkeypatch, curve, which):
+        from frontals import planar
+
+        n, fields, turns, allclose = 1024, [], [], []
+        fd_d1, turn = curves.fd_d1, planar.turn
+        for module in (curves, legendre, mates):
+            monkeypatch.setattr(module, "fd_d1", lambda f, *a, **k: fields.append(np.shape(f)) or fd_d1(f, *a, **k))
+        for module in (planar, mates):
+            monkeypatch.setattr(module, "turn", lambda *a: turns.append(1) or turn(*a))
+        lc = self._named_source(curve, n)
+        mp = special_operator(lc, which, theta=0.7, tau=-0.6, lambda0=0.3)
+        assert verify_mate_curvature(mp).passed
+        inverse = inverse_mate(mp)
+        monkeypatch.setattr(np, "allclose", lambda *a, _f=np.allclose, **k: allclose.append(1) or _f(*a, **k))
+        assert compose_mates(mp, inverse).passed
+        # mate positions, mate normals (the cross-check reads their nu'), inverse positions
+        assert [shape for shape in fields if shape == (n, 2)] == [(n, 2)] * 3
+        assert len(turns) <= 6 and not allclose
+
+    @pytest.mark.parametrize("curve", ["astroid", "ellipse"])
+    def test_inverse_composition_reports_as_the_general_path(self, curve):
+        mp = special_operator(self._named_source(curve, 1024), "involutoid", tau=-0.6, lambda0=0.3)
+        inverse = inverse_mate(mp)
+        # the middle curve and the grid as distinct copies: the composition checks them as any pair
+        middle = legendre.frontal_from_normal(curves.build_sampled(mp.lam.grid, mp.mate.gamma.on_grid("position"),
+                                                                   periodic=mp.mate.interval.periodic),
+                                              mp.mate.on_grid("nu"))
+        general = inverse._replace(source=middle, lam=inverse.lam._replace(grid=inverse.lam.grid.copy()))
+        ident = compose_mates(mp, inverse)
+        assert isinstance(ident, IdentityReport) and ident.passed
+        assert ident == compose_mates(mp, general)
+
     def test_config_samples_each_grid_it_meets(self):
         cfg = MateConfig(linear_fn(0.2, 0.5), linear_fn(-0.1, 0.1), lambda0=0.3)
         for n in (512, 1024, 512):

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frontals.planar import constant_fn, frame_field, linear_fn, rotate_j, row_dot, row_norm
+from frontals.planar import constant_fn, frame_field, linear_fn, rotate_j, row_dot, row_norm, scale_rows
 
 finite = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
 
@@ -18,6 +18,28 @@ def test_rotate_j_examples():
 def test_rotate_j_twice_is_negation():
     a = np.array([[2.5, -1.25], [-7.0, 0.5]])
     assert np.array_equal(rotate_j(rotate_j(a)), -a)
+
+
+def test_scale_rows_equals_the_broadcast_bit_for_bit():
+    rng = np.random.default_rng(11)
+    v, base, k = rng.normal(size=(64, 2)), rng.normal(size=(64, 2)), rng.normal(size=64)
+    # signed zeros in every operand, against zeros and nonzeros of the others
+    v[:8] = [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [1.5, -0.0], [-0.0, 2.0], [0.0, 3.0], [-1.0, 0.0]]
+    k[:12] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+    base[:12] = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0],
+                 [-0.0, -0.0], [0.0, 0.0], [-0.0, 1.0], [2.0, -0.0], [0.0, -0.0], [-0.0, 0.0]]
+    k[20] = np.inf  # nan, and signs of inf, as the broadcast makes them
+
+    def same(got, want):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert same(scale_rows(v, k), k[:, None] * v)
+        assert same(scale_rows(v, k, base=base), base + k[:, None] * v)
+        assert same(scale_rows(v, k, base=base, combine=np.subtract), base - k[:, None] * v)
+        assert same(scale_rows(v, k, np.divide), v / k[:, None])
+        assert same(scale_rows(v, k, np.divide, base, np.subtract), base - v / k[:, None])
+    assert same(scale_rows(v[3], k[3]), k[3] * v[3])  # one row
 
 
 def test_frame_field_examples():
