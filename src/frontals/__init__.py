@@ -15,7 +15,6 @@ from .curves import (
     SingularCurveError,
     build_builtin,
     build_sampled,
-    regular_curvature,
 )
 from .legendre import (
     CurvaturePair,
@@ -25,15 +24,12 @@ from .legendre import (
     astroid_frontal,
     check_ell_kappa_relation,
     circle_frontal,
-    classify_point,
     classify_singularities,
     from_regular,
     frontal_from_normal,
     frontal_from_samples,
     inflection_points,
     legendre_curvature,
-    negate_normal,
-    to_regular_frames,
 )
 from .mates import (
     LambdaSolution,

@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import io as fio
-from .curves import BuiltinSpec, ParamInterval, build_builtin, build_sampled
+from .curves import BuiltinSpec, GridError, ParamInterval, build_builtin, build_sampled
 from .legendre import (
     CROSS_TOL,
     STRAIGHT_TOL,
@@ -253,7 +253,10 @@ def _build_frontal(spec: JobSpec):
             periodic = bool(gap <= 3.0 * np.median(row_norm(np.diff(points, axis=0))))
             if spec.periodic == "yes" and not periodic:
                 raise ValueError(f"periodic interval but curve does not close (gap {gap:g})")
-        gamma = build_sampled(ts, points, periodic=periodic)
+        try:
+            gamma = build_sampled(ts, points, periodic=periodic)
+        except GridError as exc:
+            raise ValueError(f"{rest}: data row {exc.sample + 1}: {exc.reason}") from None
         if normals is not None:
             return frontal_from_samples(gamma, normals), rest
         return from_regular(gamma), rest

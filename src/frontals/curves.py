@@ -38,6 +38,14 @@ class SingularCurveError(ValueError):
     """A regular-curve operation hit a singular point (zero velocity)."""
 
 
+class GridError(ValueError):
+    """build_sampled refuses the parameter column `reason`, first at ts[sample]."""
+
+    def __init__(self, reason: str, sample: int):
+        super().__init__(f"{reason} at ts[{sample}]")
+        self.reason, self.sample = reason, sample
+
+
 class ParamInterval:
     """Uniform parameter grid on [t_start, t_end], optionally periodic.
 
@@ -459,13 +467,11 @@ def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
     if len(ts) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {len(ts)}")
     dts = np.diff(ts)
-    if np.any(dts == 0):
-        raise ValueError("duplicate parameter values")
-    if np.any(dts < 0):
-        raise ValueError("parameter values must be strictly increasing")
     h = float(np.mean(dts))
-    if np.max(np.abs(dts - h)) > UNIFORM_RTOL * h:
-        raise ValueError("parameter grid is not uniform")
+    for bad, why in ((dts == 0, "duplicate parameter values"), (dts < 0, "parameter values must be strictly increasing"),
+                     (np.abs(dts - h) > UNIFORM_RTOL * h, "parameter grid is not uniform")):
+        if np.any(bad):
+            raise GridError(why, int(np.argmax(bad)) + 1)
     return sampled_model(ts, points, h, periodic)
 
 
@@ -489,11 +495,6 @@ def speed_derivatives(g1, g2):
     derivatives of gamma."""
     v = row_norm(g1)
     return v, row_dot(g1, g2) / v
-
-
-def regular_curvature(c: CurveModel, t) -> np.ndarray:
-    """det(d1, d2) / |d1|^3 at t; raises at singular points."""
-    return determinant_curvature(c.d1(t), c.d2(t), t, c.reg_tol)
 
 
 def determinant_curvature(g1, g2, t, reg_tol: float) -> np.ndarray:

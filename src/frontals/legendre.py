@@ -74,9 +74,6 @@ class LegendreCurve(GridSamples):
         self.nu_d2 = nu_d2  # unused: nothing in frontals fills or reads it
         self._tangency = None
 
-    def mu(self, ts) -> np.ndarray:
-        return rotate_j(self.nu(ts))
-
     @property
     def leg_tol(self) -> float:
         """Tangency tolerance, scaled by the largest grid speed."""
@@ -213,13 +210,6 @@ def from_regular(c: CurveModel) -> LegendreCurve:
 
     return LegendreCurve(gamma=c, nu=lambda t: lift(c.d1(t)), nu_d1=lambda t: lift_d1(c.d1(t), c.d2(t)),
                          interval=c.interval)._seed(nu=lift(g1), nu_d1=lift_d1(g1, g2))
-
-
-def negate_normal(lc: LegendreCurve) -> LegendreCurve:
-    """The companion pair (gamma, -nu), seeded with lc's grid samples negated;
-    its curvature is (ell, -beta)."""
-    return LegendreCurve(gamma=lc.gamma, nu=lambda t: -lc.nu(t), nu_d1=lambda t: -lc.nu_d1(t),
-                         interval=lc.interval)._seed(nu=-lc.on_grid("nu"), nu_d1=-lc.on_grid("nu_d1"))
 
 
 CROSS_TOL = 1e-6
@@ -429,27 +419,12 @@ def classify_singularities(cp: CurvaturePair) -> list[CuspReport]:
             for t0, w in zip(zeros, _witnesses(cp, zeros))]
 
 
-def classify_point(cp: CurvaturePair, t0: float) -> CuspReport:
-    """Classification at one parameter value; `regular` when beta != 0 there."""
-    [w] = _witnesses(cp, [t0])
-    return CuspReport(t0=float(t0), kind=_classify_witness(w, _scales(cp)), witness=w)
-
-
 def inflection_points(cp: CurvaturePair) -> np.ndarray:
     """Zeros of ell, located by _zeros with exact zeros flagged; a straight
     pair has none."""
     if cp.straight:
         return np.array([])
     return np.array(_zeros(cp, cp.ell, 0.0, False))
-
-
-class FrameData(NamedTuple):
-    """Frenet frame of the underlying regular arc, recovered from the pair."""
-
-    grid: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    sign_beta: int
 
 
 def regular_arcs(*pairs: CurvaturePair) -> np.ndarray:
@@ -475,21 +450,6 @@ def subinterval_mask(grid: np.ndarray, arcs: np.ndarray, t0: float | None, t1: f
     if arcs[mask].min() == 0 or arcs[mask].min() != arcs[mask].max():
         raise SingularCurveError("requested subinterval contains a singular point")
     return mask
-
-
-def to_regular_frames(lc: LegendreCurve, t0: float | None = None, t1: float | None = None) -> FrameData:
-    """Frenet frame on a regular subinterval, recovered from the moving frame.
-
-    gamma' = beta mu pins tangent = sign(beta) mu, and the quarter turn of
-    that gives normal = -sign(beta) nu.  Errors out if the range contains a
-    singular point or beta changes sign inside it.
-    """
-    pair = legendre_curvature(lc)
-    mask = subinterval_mask(pair.grid, regular_arcs(pair), t0, t1)
-    sign = int(np.sign(pair.beta[mask][0]))
-    nu = lc.on_grid("nu")[mask]
-    mu = rotate_j(nu)
-    return FrameData(grid=pair.grid[mask], tangent=sign * mu, normal=-sign * nu, sign_beta=sign)
 
 
 def circle_frontal(r: float, n_samples: int = 1024, center=(0.0, 0.0)) -> LegendreCurve:

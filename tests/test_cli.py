@@ -539,6 +539,29 @@ class TestMalformedInput:
         self.assert_rejected(["cusps", "--curve", f"csv:{path}", "--periodic", "yes"], capsys,
                              "periodic interval but curve does not close (gap 2)")
 
+    @pytest.mark.parametrize("t9, message", [
+        (lambda ts: ts[8], "duplicate parameter values"),
+        (lambda ts: ts[8] - 0.01, "parameter values must be strictly increasing"),
+    ], ids=["repeated", "decreasing"])
+    def test_t_column_names_the_row_that_does_not_increase(self, tmp_path, capsys, t9, message):
+        path = tmp_path / "circle.csv"
+        ts = np.linspace(0.0, 1.0, 64)
+        ts[9] = t9(ts)
+        fio.write_curve_csv(path, ts, np.stack((np.cos(ts), np.sin(ts)), axis=-1))
+        self.assert_rejected(["cusps", "--curve", f"csv:{path}"], capsys, f"{path}: data row 10: {message}")
+
+    def test_t_column_names_the_first_uneven_step(self, tmp_path, capsys):
+        # t written to 6 decimals: the rounding moves steps by up to 1.6e-4 of the mean
+        path = tmp_path / "astroid.csv"
+        u = np.arange(1024) * (2.0 * math.pi / 1024)
+        c, s = np.cos(u), np.sin(u)
+        ts = np.round(u, 6)
+        fio.write_frontal_csv(path, ts, np.stack((c**3, s**3), axis=-1), np.stack((s, c), axis=-1))
+        steps = np.diff(ts)
+        first = int(np.argmax(np.abs(steps - steps.mean()) > curves.UNIFORM_RTOL * steps.mean()))
+        self.assert_rejected(["cusps", "--curve", f"csv:{path}", "--periodic", "yes"], capsys,
+                             f"{path}: data row {first + 2}: parameter grid is not uniform")
+
     def test_empty_csv(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"
         path.write_text("")

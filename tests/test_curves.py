@@ -15,13 +15,13 @@ from frontals.curves import (
     build_builtin,
     build_sampled,
     cumulative_integral,
+    determinant_curvature,
     fd_mismatch,
     fd_chain,
     fd_d1,
     local_quintic,
     node_d1,
     quintic_fn,
-    regular_curvature,
 )
 from frontals.legendre import from_regular, frontal_from_samples, legendre_curvature
 from conftest import grid_trig_counter
@@ -232,20 +232,25 @@ def test_bbox_diagonal_matches_the_axis_reduction():
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
-def test_regular_curvature_values():
+def kappa(c, t):
+    """kappa = det(gamma', gamma'') / |gamma'|^3 of the model c at t."""
+    return determinant_curvature(c.d1(t), c.d2(t), t, c.reg_tol)
+
+
+def test_determinant_curvature_values():
     circle = build_builtin(BuiltinSpec("circle", {"r": 2.0}, closed_interval()))
-    assert np.allclose(regular_curvature(circle, [0.0, 1.0, 4.0]), 0.5)
+    assert np.allclose(kappa(circle, [0.0, 1.0, 4.0]), 0.5)
     line = build_builtin(BuiltinSpec("line", {"dy": 2.0}, ParamInterval(0.0, 1.0, 64)))
-    assert np.allclose(regular_curvature(line, 0.5), 0.0)
+    assert np.allclose(kappa(line, 0.5), 0.0)
     ellipse = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, closed_interval()))
     # ab / (a^2 sin^2 + b^2 cos^2)^(3/2) at t=0 gives 2
-    assert abs(regular_curvature(ellipse, 0.0) - 2.0) <= 1e-12
+    assert abs(kappa(ellipse, 0.0) - 2.0) <= 1e-12
 
 
-def test_regular_curvature_rejects_singular_point():
+def test_determinant_curvature_rejects_singular_point():
     ast = build_builtin(BuiltinSpec("astroid", {}, closed_interval()))
     with pytest.raises(SingularCurveError):
-        regular_curvature(ast, 0.0)
+        kappa(ast, 0.0)
 
 
 def test_curvature_parametrization_invariance():
@@ -263,8 +268,8 @@ def test_curvature_parametrization_invariance():
         interval=ParamInterval(0.0, math.pi, 512, periodic=True),
         extent=4.0 * math.sqrt(2.0),
     )
-    k1 = regular_curvature(slow, slow.interval.grid)
-    k2 = regular_curvature(fast, fast.interval.grid)
+    k1 = kappa(slow, slow.interval.grid)
+    k2 = kappa(fast, fast.interval.grid)
     assert np.max(np.abs(k1 - 0.5)) <= 1e-8
     assert np.max(np.abs(k2 - 0.5)) <= 1e-8
 

@@ -7,20 +7,20 @@ from frontals import curves, legendre
 from frontals.curves import BuiltinSpec, ParamInterval, SingularCurveError, build_builtin, build_sampled
 from frontals.legendre import (
     CurvaturePair,
+    LegendreCurve,
     TangencyError,
     _candidate_cells,
     astroid_frontal,
     check_ell_kappa_relation,
     circle_frontal,
-    classify_point,
     classify_singularities,
     from_regular,
     frontal_from_normal,
     frontal_from_samples,
     inflection_points,
     legendre_curvature,
-    negate_normal,
-    to_regular_frames,
+    regular_arcs,
+    subinterval_mask,
     CUSP_3_2,
     CUSP_4_3,
     CUSP_5_2,
@@ -56,28 +56,39 @@ def test_astroid_curvature_pair():
     assert np.max(np.abs(pair.beta - 3.0 * np.cos(t) * np.sin(t))) <= 1e-12
 
 
+def negated(lc):
+    """The companion pair (gamma, -nu), seeded with lc's grid samples negated."""
+    return LegendreCurve(lc.gamma, lambda t: -lc.nu(t), lambda t: -lc.nu_d1(t), lc.interval)._seed(
+        nu=-lc.on_grid("nu"), nu_d1=-lc.on_grid("nu_d1"))
+
+
+def frenet_frame(lc, t0=None, t1=None):
+    """(grid, tangent, normal, sign of beta) on a regular subinterval of lc:
+    gamma' = beta mu pins tangent = sign(beta) mu, and its quarter turn is
+    normal = -sign(beta) nu."""
+    pair = legendre_curvature(lc)
+    mask = subinterval_mask(pair.grid, regular_arcs(pair), t0, t1)
+    sign = int(np.sign(pair.beta[mask][0]))
+    nu = lc.on_grid("nu")[mask]
+    return pair.grid[mask], sign * rotate_j(nu), -sign * nu, sign
+
+
 def test_negated_normal_flips_beta():
     lc = circle_frontal(1.5)
     pair = legendre_curvature(lc)
-    flipped = legendre_curvature(negate_normal(lc))
+    flipped = legendre_curvature(negated(lc))
     assert np.max(np.abs(flipped.ell - pair.ell)) <= 1e-12
     assert np.max(np.abs(flipped.beta + pair.beta)) <= 1e-12
 
 
-def test_negated_sampled_normal_reads_the_samples():
-    # The companion pair reuses the grid samples of the normal and its
-    # derivative; nothing is interpolated, so the pair flips bit for bit.
+def test_negated_sampled_normal_flips_beta_bit_for_bit():
+    # Negation is exact and the differencing stencil is odd in its values,
+    # so ingesting -nu gives (ell, -beta) with the same bits.
     ts = np.arange(512) * (TWO_PI / 512)
     gamma = build_sampled(ts, np.stack((np.cos(ts) ** 3, np.sin(ts) ** 3), axis=-1), periodic=True)
-    lc = frontal_from_samples(gamma, np.stack((np.sin(ts), np.cos(ts)), axis=-1))
-    pair = legendre_curvature(lc)
-
-    def fail(t):
-        raise AssertionError("the normal was interpolated")
-
-    object.__setattr__(lc, "nu", fail)
-    object.__setattr__(lc, "nu_d1", fail)
-    flipped = legendre_curvature(negate_normal(lc))
+    normals = np.stack((np.sin(ts), np.cos(ts)), axis=-1)
+    pair = legendre_curvature(frontal_from_samples(gamma, normals))
+    flipped = legendre_curvature(frontal_from_samples(gamma, -normals))
     assert np.array_equal(flipped.ell, pair.ell)
     assert np.array_equal(flipped.beta, -pair.beta)
 
@@ -182,7 +193,8 @@ def test_astroid_cusp_scan():
 def test_circle_has_no_singularities():
     pair = legendre_curvature(circle_frontal(1.0))
     assert classify_singularities(pair) == []
-    assert classify_point(pair, 1.234).kind == REGULAR
+    [w] = legendre._witnesses(pair, [1.234])
+    assert legendre._classify_witness(w, legendre._scales(pair)) == REGULAR
 
 
 def test_synthetic_5_3_cusp():
@@ -417,46 +429,42 @@ def test_inflection_points():
     assert len(zeros) == 1 and abs(zeros[0]) <= 1e-10
 
 
-def test_to_regular_frames_circle():
+def test_frenet_frame_circle():
     lc = circle_frontal(1.0)
-    frames = to_regular_frames(lc)
-    t = frames.grid
-    assert frames.sign_beta == 1
+    t, tangent, normal, sign = frenet_frame(lc)
+    assert sign == 1
     # beta > 0: tangent = mu; the Frenet normal is its quarter turn
-    assert np.max(np.linalg.norm(frames.tangent - np.stack((-np.sin(t), np.cos(t)), axis=-1), axis=-1)) <= 1e-12
-    assert np.max(np.linalg.norm(frames.normal - rotate_j(frames.tangent), axis=-1)) <= 1e-12
+    assert np.max(np.linalg.norm(tangent - np.stack((-np.sin(t), np.cos(t)), axis=-1), axis=-1)) <= 1e-12
+    assert np.max(np.linalg.norm(normal - rotate_j(tangent), axis=-1)) <= 1e-12
     # cross-check against the actual unit velocity of gamma
     g1 = lc.gamma.d1(t)
     unit = g1 / np.linalg.norm(g1, axis=-1)[:, None]
-    assert np.max(np.linalg.norm(frames.tangent - unit, axis=-1)) <= 1e-12
+    assert np.max(np.linalg.norm(tangent - unit, axis=-1)) <= 1e-12
 
 
-def test_to_regular_frames_negated_circle():
+def test_frenet_frame_negated_circle():
     # flipping the normal field flips beta but not the recovered frame
-    base = to_regular_frames(circle_frontal(1.0))
-    frames = to_regular_frames(negate_normal(circle_frontal(1.0)))
-    assert frames.sign_beta == -1
-    assert np.max(np.linalg.norm(frames.tangent - base.tangent, axis=-1)) <= 1e-12
-    assert np.max(np.linalg.norm(frames.normal - base.normal, axis=-1)) <= 1e-12
+    _, base_tangent, base_normal, _ = frenet_frame(circle_frontal(1.0))
+    _, tangent, normal, sign = frenet_frame(negated(circle_frontal(1.0)))
+    assert sign == -1
+    assert np.max(np.linalg.norm(tangent - base_tangent, axis=-1)) <= 1e-12
+    assert np.max(np.linalg.norm(normal - base_normal, axis=-1)) <= 1e-12
 
 
-def test_to_regular_frames_astroid_quadrant():
+def test_frenet_frame_astroid_quadrant():
     lc = astroid_frontal()
-    frames = to_regular_frames(lc, t0=0.3, t1=1.2)
-    assert frames.sign_beta == 1
+    assert frenet_frame(lc, t0=0.3, t1=1.2)[3] == 1
     with pytest.raises(SingularCurveError):
-        to_regular_frames(lc)  # full interval contains cusps
+        frenet_frame(lc)  # full interval contains cusps
 
 
 def test_frames_recover_from_regular_lift():
     ellipse = build_builtin(BuiltinSpec("ellipse", {"a": 2.0, "b": 1.0}, ParamInterval(0.0, TWO_PI, 1024, periodic=True)))
-    lc = from_regular(ellipse)
-    frames = to_regular_frames(lc)
-    ts = frames.grid
+    ts, frame_tangent, frame_normal, _ = frenet_frame(from_regular(ellipse))
     g1 = ellipse.d1(ts)
     tangent = g1 / np.linalg.norm(g1, axis=-1)[:, None]
-    assert np.max(np.linalg.norm(frames.tangent - tangent, axis=-1)) <= 1e-6
-    assert np.max(np.linalg.norm(frames.normal - rotate_j(tangent), axis=-1)) <= 1e-6
+    assert np.max(np.linalg.norm(frame_tangent - tangent, axis=-1)) <= 1e-6
+    assert np.max(np.linalg.norm(frame_normal - rotate_j(tangent), axis=-1)) <= 1e-6
 
 
 def test_degenerate_pair_has_no_events():

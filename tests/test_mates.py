@@ -31,7 +31,7 @@ from frontals.mates import (
     special_operator,
     verify_mate_curvature,
 )
-from frontals.planar import ScalarFn, add_fns, constant_fn, linear_fn, negate_fn
+from frontals.planar import ScalarFn, add_fns, constant_fn, linear_fn, negate_fn, rotate_j
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -440,7 +440,8 @@ class TestSpecialOperators:
     def test_special_normals_match_stated_frames(self):
         lc = astroid_frontal()
         t = lc.interval.grid
-        nu, mu = lc.nu(t), lc.mu(t)
+        nu = lc.nu(t)
+        mu = rotate_j(nu)
         th, ta = 0.7, 0.5
         cases = {
             "evolutoid": (special_operator(lc, "evolutoid", theta=th),

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from conftest import random_frontal
 
-from frontals.curves import regular_curvature
-from frontals.legendre import legendre_curvature, negate_normal
+from frontals.curves import determinant_curvature
+from frontals.legendre import LegendreCurve, legendre_curvature
 from frontals.mates import (
     IdentityReport,
     MateConfig,
@@ -39,12 +39,13 @@ def check_fixture_laws(seed: int) -> None:
     # curvature/turning relation away from singular points
     mask = np.abs(pair.beta) > 1e-3 * max(float(np.max(np.abs(pair.beta))), 1e-30)
     if np.count_nonzero(mask) > 8:
-        kappa = regular_curvature(lc.gamma, ts[mask])
+        kappa = determinant_curvature(lc.gamma.d1(ts[mask]), lc.gamma.d2(ts[mask]), ts[mask], lc.gamma.reg_tol)
         resid = np.max(np.abs(pair.ell[mask] - kappa * np.abs(pair.beta[mask])))
         assert resid <= 1e-6 * max(1.0, float(np.max(np.abs(pair.ell))))
 
     # reversing the normal flips beta and keeps ell
-    flipped = legendre_curvature(negate_normal(lc))
+    negated = LegendreCurve(lc.gamma, lambda t: -lc.nu(t), lambda t: -lc.nu_d1(t), lc.interval)
+    flipped = legendre_curvature(negated._seed(nu=-lc.on_grid("nu"), nu_d1=-lc.on_grid("nu_d1")))
     assert np.max(np.abs(flipped.ell - pair.ell)) <= 1e-12
     assert np.max(np.abs(flipped.beta + pair.beta)) <= 1e-12
 

@@ -22,7 +22,6 @@ from frontals.legendre import (
     circle_frontal,
     from_regular,
     regular_arcs,
-    to_regular_frames,
 )
 from frontals.mates import (
     ODE_TOL_SCALE,
@@ -212,17 +211,14 @@ class TestRegularToLegendreMates:
         assert data.sign_beta == 1
 
 
-@pytest.mark.parametrize("convert", [
-    to_regular_frames,
-    lambda lc, t0, t1: regular_to_legendre_mates(special_operator(lc, "parallel", lambda0=0.05), t0, t1),
-], ids=["to_regular_frames", "regular_to_legendre_mates"])
 @pytest.mark.parametrize("t0, t1, error, message", [
     (7.0, 8.0, ValueError, "empty subinterval"),
     (0.3, 2.0, SingularCurveError, "requested subinterval contains a singular point"),  # the cusp at pi/2
 ])
-def test_subinterval_errors(convert, t0, t1, error, message):
+def test_subinterval_errors(t0, t1, error, message):
+    mp = special_operator(astroid_frontal(512), "parallel", lambda0=0.05)
     with pytest.raises(error, match=message):
-        convert(astroid_frontal(512), t0, t1)
+        regular_to_legendre_mates(mp, t0, t1)
 
 
 # Reference: the regular-branch conditions written out in arc length, with
