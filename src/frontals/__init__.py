@@ -15,6 +15,7 @@ from .curves import (
     SingularCurveError,
     build_builtin,
     build_sampled,
+    builtin_spec,
 )
 from .legendre import (
     CurvaturePair,
@@ -22,6 +23,7 @@ from .legendre import (
     LegendreCurve,
     TangencyError,
     astroid_frontal,
+    builtin_frontal,
     check_ell_kappa_relation,
     circle_frontal,
     classify_singularities,

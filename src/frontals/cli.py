@@ -24,13 +24,12 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import io as fio
-from .curves import BuiltinSpec, GridError, ParamInterval, build_builtin, build_sampled
+from .curves import BUILTINS, GridError, build_sampled, builtin_spec
 from .legendre import (
     CROSS_TOL,
     STRAIGHT_TOL,
-    astroid_frontal,
+    builtin_frontal,
     check_ell_kappa_relation,
-    circle_frontal,
     classify_singularities,
     from_regular,
     frontal_from_samples,
@@ -162,26 +161,13 @@ class RunReport(NamedTuple):
         return all(c["pass"] for c in self.checks.values())
 
 
-# The keys each builtin curve spec accepts: its shape parameters and, for
-# line and ellipse, the interval ends t0 and t1 (circle and astroid always
-# span one period).
-CURVE_PARAMS = {
-    "line": ("x0", "y0", "dx", "dy", "t0", "t1"),
-    "circle": ("r", "cx", "cy"),
-    "ellipse": ("a", "b", "cx", "cy", "t0", "t1"),
-    "astroid": ("a",),
-}
-
-
-def _parse_params(kind: str, text: str) -> dict:
-    """key=value parameters of a builtin curve spec (see CURVE_PARAMS)."""
+def _parse_params(text: str) -> dict:
+    """key=value parameters of a builtin curve spec, as numbers."""
     params = {}
     for item in text.split(",") if text else []:
         key, eq, value = (part.strip() for part in item.partition("="))
         if not eq or not key:
             raise ValueError(f"bad curve parameter {item!r}; expected key=value")
-        if key not in CURVE_PARAMS[kind]:
-            raise ValueError(f"{kind} takes no parameter {key!r}; it accepts {', '.join(CURVE_PARAMS[kind])}")
         try:
             params[key] = float(value)
         except ValueError:
@@ -243,7 +229,7 @@ def _validate_job(spec: JobSpec) -> None:
 
 
 def _build_frontal(spec: JobSpec):
-    """(LegendreCurve, curve_label) from the job's curve field."""
+    """(LegendreCurve, curve_label) from the job's curve field; a circle's label names its radius."""
     kind, _, rest = spec.curve.partition(":")
     if kind == "csv":
         ts, points, normals = fio.read_curve_csv(rest)
@@ -261,21 +247,10 @@ def _build_frontal(spec: JobSpec):
             return frontal_from_samples(gamma, normals), rest
         return from_regular(gamma), rest
 
-    if kind not in CURVE_PARAMS:
+    if kind not in BUILTINS:
         raise ValueError(f"unknown curve spec {spec.curve!r}")
-    params = _parse_params(kind, rest)
-    t0 = params.pop("t0", 0.0)
-    default_t1 = 1.0 if kind == "line" else 2.0 * math.pi
-    t1 = params.pop("t1", default_t1)
-    if kind == "circle":
-        r = params.get("r", 1.0)
-        lc = circle_frontal(r, spec.n_samples, center=(params.get("cx", 0.0), params.get("cy", 0.0)))
-        return lc, f"circle r={r}"
-    if kind == "astroid":
-        return astroid_frontal(spec.n_samples, scale=params.get("a", 1.0)), "astroid"
-    periodic = kind == "ellipse" and math.isclose(t1 - t0, 2.0 * math.pi)
-    interval = ParamInterval(t0, t1, spec.n_samples, periodic=periodic)
-    return from_regular(build_builtin(BuiltinSpec(kind, params, interval))), kind
+    curve = builtin_spec(kind, _parse_params(rest), spec.n_samples)
+    return builtin_frontal(curve), f"circle r={curve.params['r']}" if kind == "circle" else kind
 
 
 def _check(checks: dict, name: str, residual, tolerance) -> None:

@@ -349,102 +349,121 @@ def _bbox_diagonal(points: np.ndarray) -> float:
     return float(math.hypot(*(col.max() - col.min() for col in points.T)))
 
 
-def xy_fn(fx, fy):
-    """The plane curve t -> (fx(t), fy(t)) on scalars or arrays, as (..., 2)."""
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack((fx(t), fy(t)), axis=-1)
-
-    return f
-
-
 class BuiltinSpec(NamedTuple):
-    """Closed-form curve request: name plus shape parameters."""
+    """Closed-form curve request: a name of BUILTINS, its parameters and its interval."""
 
-    name: str  # line | circle | ellipse | astroid
+    name: str
     params: Mapping[str, float]
     interval: ParamInterval
 
 
-def _builtin_callables(name: str, p: Mapping[str, float]):
-    """(position, d1, d2) of a builtin curve, each a function of t, cos(t) and
-    sin(t) to the (x, y) pair of arrays; the line reads t alone, and is given
-    None for cos(t) and sin(t)."""
-    if name == "line":
-        x0, y0 = p.get("x0", 0.0), p.get("y0", 0.0)
-        dx, dy = p.get("dx", 1.0), p.get("dy", 0.0)
-        if math.hypot(dx, dy) == 0.0:
-            raise ValueError("line needs a nonzero direction")
-        return (
-            lambda t, c, s: (x0 + dx * t, y0 + dy * t),
-            lambda t, c, s: (np.full_like(t, dx), np.full_like(t, dy)),
-            lambda t, c, s: (np.zeros_like(t), np.zeros_like(t)),
-        )
-    if name == "circle":
-        r = p.get("r", 1.0)
-        if r <= 0:
-            raise ValueError(f"circle needs r > 0, got {r}")
-        cx, cy = p.get("cx", 0.0), p.get("cy", 0.0)
-        return (
-            lambda t, c, s: (cx + r * c, cy + r * s),
-            lambda t, c, s: (-r * s, r * c),
+def _line(x0, y0, dx, dy, t0, t1):
+    if math.hypot(dx, dy) == 0.0:
+        raise ValueError("line needs a nonzero direction")
+    return (lambda t, c, s: (x0 + dx * t, y0 + dy * t), lambda t, c, s: (np.full_like(t, dx), np.full_like(t, dy)),
+            lambda t, c, s: (np.zeros_like(t), np.zeros_like(t)))
+
+
+def _circle(r, cx, cy):
+    if r <= 0:
+        raise ValueError(f"circle needs r > 0, got {r}")
+    return (lambda t, c, s: (cx + r * c, cy + r * s), lambda t, c, s: (-r * s, r * c),
             lambda t, c, s: (-r * c, -r * s),
-        )
-    if name == "ellipse":
-        a, b = p.get("a", 2.0), p.get("b", 1.0)
-        if a <= 0 or b <= 0:
-            raise ValueError(f"ellipse needs positive semi-axes, got a={a}, b={b}")
-        cx, cy = p.get("cx", 0.0), p.get("cy", 0.0)
-        return (
-            lambda t, c, s: (cx + a * c, cy + b * s),
-            lambda t, c, s: (-a * s, b * c),
-            lambda t, c, s: (-a * c, -b * s),
-        )
-    if name == "astroid":
-        a = p.get("a", 1.0)
-        if a <= 0:
-            raise ValueError(f"astroid needs a > 0, got {a}")
-        return (
-            # Cubes by multiplication: numpy takes x ** 3 through libm pow, 60x slower.
-            lambda t, c, s: (a * (c * c * c), a * (s * s * s)),
+            lambda t, c, s: (c, s), lambda t, c, s: (-s, c))  # the outward normal: curvature pair (1, r)
+
+
+def _ellipse(a, b, cx, cy, t0, t1):
+    if a <= 0 or b <= 0:
+        raise ValueError(f"ellipse needs positive semi-axes, got a={a}, b={b}")
+    return (lambda t, c, s: (cx + a * c, cy + b * s), lambda t, c, s: (-a * s, b * c),
+            lambda t, c, s: (-a * c, -b * s))
+
+
+def _astroid(a):
+    if a <= 0:
+        raise ValueError(f"astroid needs a > 0, got {a}")
+    # Cubes by multiplication: numpy takes x ** 3 through libm pow, 60x slower.
+    return (lambda t, c, s: (a * (c * c * c), a * (s * s * s)),
             lambda t, c, s: (-3 * a * c ** 2 * s, 3 * a * s ** 2 * c),
             lambda t, c, s: (-3 * a * (c * c * c - 2 * c * s ** 2), 3 * a * (2 * s * c ** 2 - s * s * s)),
-        )
-    raise ValueError(f"unknown builtin curve {name!r}")
+            lambda t, c, s: (s, c), lambda t, c, s: (c, -s))  # a normal: curvature pair (-1, 3 a cos t sin t)
 
 
-def _of_t(field, trig: bool):
-    """The builtin field as a function of t alone, to (..., 2) arrays."""
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack(field(t, *((np.cos(t), np.sin(t)) if trig else (None, None))), axis=-1)
+class Builtin(NamedTuple):
+    """A row of BUILTINS.  `defaults` maps each parameter, in the order that
+    messages list them, to its default; t0 and t1 are the interval's ends,
+    [0, 2 pi] where absent.  A `closed` curve has period 2 pi and is periodic
+    on one turn; the line is open.  `fields(**p)` checks the range of p and
+    returns position, d1, d2 and, for a framed curve, nu and nu', each a
+    function of (t, cos t, sin t), None for both on the line, to (x, y) arrays."""
 
-    return f
+    defaults: Mapping[str, float]
+    closed: bool
+    fields: Callable
+
+
+TWO_PI = 2.0 * math.pi
+BUILTINS = {
+    "line": Builtin({"x0": 0.0, "y0": 0.0, "dx": 1.0, "dy": 0.0, "t0": 0.0, "t1": 1.0}, False, _line),
+    "circle": Builtin({"r": 1.0, "cx": 0.0, "cy": 0.0}, True, _circle),
+    "ellipse": Builtin({"a": 2.0, "b": 1.0, "cx": 0.0, "cy": 0.0, "t0": 0.0, "t1": TWO_PI}, True, _ellipse),
+    "astroid": Builtin({"a": 1.0}, True, _astroid),
+}
+
+
+def _builtin_params(name: str, params: Mapping[str, float]) -> tuple[Builtin, dict]:
+    """The builtin's row and params over its defaults; refuses a name or key the table does not list."""
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin curve {name!r}")
+    row = BUILTINS[name]
+    unknown = [key for key in params if key not in row.defaults]
+    if unknown:
+        raise ValueError(f"{name} takes no parameter {unknown[0]!r}; it accepts {', '.join(row.defaults)}")
+    return row, {**row.defaults, **params}
+
+
+def builtin_spec(name: str, params: Mapping[str, float], n_samples: int) -> BuiltinSpec:
+    """The builtin, with params over its defaults, on [t0, t1] at n_samples."""
+    row, p = _builtin_params(name, params)
+    t0, t1 = p.get("t0", 0.0), p.get("t1", TWO_PI)
+    return BuiltinSpec(name, p, ParamInterval(t0, t1, n_samples, row.closed and math.isclose(t1 - t0, TWO_PI)))
+
+
+def builtin_fields(spec: BuiltinSpec) -> dict:
+    """spec's fields by name ("position", "d1", "d2" and, for a framed curve,
+    "nu" and "nu_d1"), each as (f, samples): f takes t to (..., 2) arrays,
+    and samples() computes them on the grid from the interval's cos_sin."""
+    row, p = _builtin_params(spec.name, spec.params)
+    args = (spec.interval.grid, *spec.interval.cos_sin) if row.closed else (spec.interval.grid, None, None)
+
+    def of_t(field):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            return np.stack(field(t, *((np.cos(t), np.sin(t)) if row.closed else (None, None))), axis=-1)
+
+        return f, lambda: np.stack(field(*args), axis=-1)
+
+    return dict(zip(("position", "d1", "d2", "nu", "nu_d1"), map(of_t, row.fields(**p))))
 
 
 def build_builtin(spec: BuiltinSpec) -> CurveModel:
     """Analytic CurveModel with exact closed-form derivatives.  Its grid
-    samples read the interval's cos_sin; d2's are computed on first read."""
-    fields = _builtin_callables(spec.name, spec.params)
-    trig = spec.name != "line"
-    grid = spec.interval.grid
-    args = (grid, *spec.interval.cos_sin) if trig else (grid, None, None)
-    pts, vel = (np.stack(f(*args), axis=-1) for f in fields[:2])
+    samples read the interval's cos_sin; d2's are computed on first read.
+    A t0 or t1 in spec.params must be the interval's end."""
+    fields = builtin_fields(spec)
+    (position, position_samples), (d1, d1_samples), (d2, d2_samples) = (fields[k] for k in ("position", "d1", "d2"))
+    for key, end in (("t0", spec.interval.t_start), ("t1", spec.interval.t_end)):
+        if spec.params.get(key, end) != end:
+            raise ValueError(f"{spec.name} parameter {key}={spec.params[key]:g} is not its interval's end {end:g}")
+    pts, vel = position_samples(), d1_samples()
     size = max(float(np.max(np.abs(pts))), float(np.max(np.abs(vel))))
     if size > SAMPLE_MAX:
         values = dict(spec.params, t0=spec.interval.t_start, t1=spec.interval.t_end)
         key = max(values, key=lambda k: abs(values[k]))
         raise ValueError(f"{spec.name} parameter {key}={values[key]:g} makes the curve samples overflow: "
                          f"they reach {size:.3g}, above {SAMPLE_MAX:g}")
-    position, d1, d2 = (_of_t(f, trig) for f in fields)
-    model = CurveModel(
-        kind="analytic",
-        position=position,
-        d1=d1,
-        d2=d2,
-        interval=spec.interval,
-        extent=_bbox_diagonal(pts),
-    )._seed(position=pts, d1=vel, d2=lambda: np.stack(fields[2](*args), axis=-1))
+    model = CurveModel("analytic", position, d1, d2, spec.interval, _bbox_diagonal(pts))
+    model._seed(position=pts, d1=vel, d2=d2_samples)
     if spec.interval.periodic:
         gap = np.linalg.norm(position(spec.interval.t_end) - position(spec.interval.t_start))
         if gap > model.geom_tol:

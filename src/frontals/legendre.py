@@ -10,7 +10,6 @@ beta zeros are the singular points of gamma, ell zeros its inflections.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -20,15 +19,16 @@ from .curves import (
     GridSamples,
     ParamInterval,
     SingularCurveError,
-    build_builtin,
     BuiltinSpec,
+    build_builtin,
+    builtin_fields,
+    builtin_spec,
     determinant_curvature,
     fd_chain,
     fd_d1,
     local_quintic,
     quintic_fn,
     speed_derivatives,
-    xy_fn,
 )
 from .planar import rotate_j, row_dot, row_norm, scale_rows
 
@@ -452,22 +452,24 @@ def subinterval_mask(grid: np.ndarray, arcs: np.ndarray, t0: float | None, t1: f
     return mask
 
 
+def builtin_frontal(spec: BuiltinSpec) -> LegendreCurve:
+    """The builtin curve of spec with its normal field from the table (circle
+    and astroid), seeded from the interval's cos_sin; from_regular's lift of
+    a curve the table gives no normal."""
+    gamma = build_builtin(spec)
+    fields = builtin_fields(spec)
+    if "nu" not in fields:
+        return from_regular(gamma)
+    (nu, nu_samples), (nu_d1, nu_d1_samples) = fields["nu"], fields["nu_d1"]
+    return LegendreCurve(gamma, nu, nu_d1, spec.interval)._seed(nu=nu_samples(), nu_d1=nu_d1_samples())
+
+
 def circle_frontal(r: float, n_samples: int = 1024, center=(0.0, 0.0)) -> LegendreCurve:
     """Circle of radius r with the outward normal field; curvature (1, r)."""
-    if r <= 0:
-        raise ValueError(f"need r > 0, got {r}")
-    interval = ParamInterval(0.0, 2.0 * math.pi, n_samples, periodic=True)
-    gamma = build_builtin(BuiltinSpec("circle", {"r": r, "cx": center[0], "cy": center[1]}, interval))
-    c, s = interval.cos_sin
-    return LegendreCurve(gamma=gamma, nu=xy_fn(np.cos, np.sin), nu_d1=xy_fn(lambda t: -np.sin(t), np.cos),
-                         interval=interval)._seed(nu=np.stack((c, s), axis=-1), nu_d1=np.stack((-s, c), axis=-1))
+    return builtin_frontal(builtin_spec("circle", {"r": r, "cx": center[0], "cy": center[1]}, n_samples))
 
 
 def astroid_frontal(n_samples: int = 1024, scale: float = 1.0) -> LegendreCurve:
     """Astroid (a cos^3 t, a sin^3 t) with normal (sin t, cos t);
     curvature (-1, 3 a cos t sin t)."""
-    interval = ParamInterval(0.0, 2.0 * math.pi, n_samples, periodic=True)
-    gamma = build_builtin(BuiltinSpec("astroid", {"a": scale}, interval))
-    c, s = interval.cos_sin
-    return LegendreCurve(gamma=gamma, nu=xy_fn(np.sin, np.cos), nu_d1=xy_fn(np.cos, lambda t: -np.sin(t)),
-                         interval=interval)._seed(nu=np.stack((s, c), axis=-1), nu_d1=np.stack((c, -s), axis=-1))
+    return builtin_frontal(builtin_spec("astroid", {"a": scale}, n_samples))

@@ -418,15 +418,16 @@ def operator_config(which: str, theta: float | None = None, tau: float | None = 
 def solve_mate(lc: LegendreCurve, config: MateConfig, pair: CurvaturePair, which: str) -> MatePair:
     """Solve lambda on `pair`, the curvature pair of lc, and build the mate;
     `which` names the construction in the error of a failed pointwise solve."""
+    needs_ell = which in ("evolute", "evolutoid")  # theta' = 0: the pointwise solve divides by ell
+    if needs_ell and pair.straight:  # ell is 0, or rounding noise that would pass the denominator gate
+        raise DenominatorError(f"{which} needs ell != 0; the curve is straight: ell vanishes on every grid sample",
+                               locations=pair.grid)
     try:
         lam = solve_lambda(pair, config, extent=lc.gamma.extent)
     except DenominatorError as exc:
-        if which in ("evolute", "evolutoid"):
-            raise DenominatorError(
-                f"{which} needs ell != 0; inflection points near "
-                f"t = {np.round(exc.locations[:6], 6)}",
-                locations=exc.locations,
-            ) from exc
+        if needs_ell:
+            raise DenominatorError(f"{which} needs ell != 0; inflection points near "
+                                   f"t = {np.round(exc.locations[:6], 6)}", locations=exc.locations) from exc
         raise
     return build_mate(lc, config, lam, pair=pair)
 

@@ -424,6 +424,13 @@ class TestSolverFailure:
         assert main(["evolute", "--curve", "line:dx=1", "--samples", "64"]) == 1
         assert capsys.readouterr().err.startswith("error: evolute needs ell != 0")
 
+    @pytest.mark.parametrize("argv", [["evolute", "--curve", "line"],
+                                      ["evolutoid", "--curve", "line:dx=1,dy=2", "--theta", "0.3"]])
+    def test_straight_curve_is_named_when_ell_vanishes(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: {argv[0]} needs ell != 0; the curve is straight: "
+                                           "ell vanishes on every grid sample\n")
+
     def test_residual_error(self, monkeypatch, capsys):
         def failing(pair, config, extent=1.0):
             raise mates.ResidualError("lambda residual 1 exceeds 1e-07 at t = 0")
@@ -604,6 +611,20 @@ class TestMalformedInput:
     ])
     def test_malformed_curve_parameter(self, capsys, curve, message):
         self.assert_rejected(["cusps", "--curve", curve, "--samples", "64"], capsys, message)
+
+    @pytest.mark.parametrize("name, key", [("circle", "radius"), ("ellipse", "r"), ("line", "t2"), ("astroid", "t1")])
+    def test_unknown_curve_key_is_refused_alike_by_library_and_cli(self, capsys, name, key):
+        with pytest.raises(ValueError) as refused:
+            curves.build_builtin(curves.BuiltinSpec(name, {key: 2.0}, curves.ParamInterval(0.0, 1.0, 64)))
+        assert main(["cusps", "--curve", f"{name}:{key}=2", "--samples", "64"]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+    def test_negative_radius_has_one_message(self, capsys):
+        with pytest.raises(ValueError) as refused:
+            circle_frontal(-1.0)
+        assert str(refused.value) == "circle needs r > 0, got -1.0"
+        assert main(["cusps", "--curve", "circle:r=-1"]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["involute", "--curve", "astroid", "--lambda0", "nan"], "lambda0 must be finite, got nan"),

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontals import io as fio
-from frontals.cli import _FIELDS, CURVE_PARAMS, main, parse_job
-from frontals.curves import MAX_SAMPLES
+from frontals.cli import _FIELDS, main, parse_job
+from frontals.curves import BUILTINS, MAX_SAMPLES
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e999", "NaN", "Infinity"])
 # Never a number: the trailing letter breaks both float() and the angle syntax.
@@ -37,8 +37,8 @@ SAMPLES = ["--samples", "64"]
 
 @st.composite
 def curve_spec_cases(draw):
-    kind = draw(st.sampled_from(sorted(CURVE_PARAMS)))
-    accepted = CURVE_PARAMS[kind]
+    kind = draw(st.sampled_from(sorted(BUILTINS)))
+    accepted = list(BUILTINS[kind].defaults)
     key = draw(st.sampled_from(accepted))
     item = draw(st.one_of(
         MALFORMED_NUMBER.map(lambda v: f"{key}={v}"),
@@ -49,7 +49,7 @@ def curve_spec_cases(draw):
     spec = draw(st.one_of(
         st.just(f"{kind}:{item}"),
         st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
-        .filter(lambda k: k not in CURVE_PARAMS and k != "csv").map(lambda k: f"{k}:a=1"),
+        .filter(lambda k: k not in BUILTINS and k != "csv").map(lambda k: f"{k}:a=1"),
     ))
     return ["cusps", f"--curve={spec}", *SAMPLES], {}
 

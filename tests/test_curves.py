@@ -8,12 +8,14 @@ from scipy.special import ellipe
 
 from frontals import curves
 from frontals.curves import (
+    BUILTINS,
     BuiltinSpec,
     CurveModel,
     ParamInterval,
     SingularCurveError,
     build_builtin,
     build_sampled,
+    builtin_spec,
     cumulative_integral,
     determinant_curvature,
     fd_mismatch,
@@ -23,7 +25,7 @@ from frontals.curves import (
     node_d1,
     quintic_fn,
 )
-from frontals.legendre import from_regular, frontal_from_samples, legendre_curvature
+from frontals.legendre import builtin_frontal, from_regular, frontal_from_samples, legendre_curvature
 from conftest import grid_trig_counter
 from frontals.planar import linear_fn, row_norm
 
@@ -62,6 +64,38 @@ def test_builtin_errors():
         build_builtin(BuiltinSpec("helix", {}, closed_interval()))
     with pytest.raises(ValueError):
         build_builtin(BuiltinSpec("circle", {"r": -1.0}, closed_interval()))
+
+
+def test_builtin_refuses_a_key_the_table_does_not_list():
+    with pytest.raises(ValueError) as refused:
+        build_builtin(BuiltinSpec("circle", {"radius": 2.0}, closed_interval()))
+    assert str(refused.value) == "circle takes no parameter 'radius'; it accepts r, cx, cy"
+    with pytest.raises(ValueError, match="^unknown builtin curve 'helix'$"):
+        builtin_spec("helix", {}, 64)
+
+
+def test_builtin_t0_and_t1_must_be_its_interval_ends():
+    line = build_builtin(BuiltinSpec("line", {"t0": 0.0, "t1": 10.0}, ParamInterval(0.0, 10.0, 64)))
+    assert np.array_equal(line.on_grid("position")[-1], [10.0, 0.0])
+    with pytest.raises(ValueError, match="^line parameter t1=5 is not its interval's end 10$"):
+        build_builtin(BuiltinSpec("line", {"t1": 5.0}, ParamInterval(0.0, 10.0, 64)))
+
+
+@pytest.mark.parametrize("name, params, interval", [
+    ("circle", {"r": 2.0}, (0.0, TWO_PI, True)),
+    ("astroid", {}, (0.0, TWO_PI, True)),
+    ("ellipse", {"a": 3.0}, (0.0, TWO_PI, True)),
+    ("ellipse", {"t0": 0.3, "t1": 2.1}, (0.3, 2.1, False)),
+    ("ellipse", {"t0": -math.pi, "t1": math.pi}, (-math.pi, math.pi, True)),
+    ("line", {"dy": 1.0}, (0.0, 1.0, False)),
+    ("line", {"t1": TWO_PI}, (0.0, TWO_PI, False)),  # the line is open on any interval
+])
+def test_builtin_spec_reads_the_table(name, params, interval):
+    spec = builtin_spec(name, params, 64)
+    assert (spec.interval.t_start, spec.interval.t_end, spec.interval.periodic) == interval
+    assert spec.interval.n_samples == 64
+    assert spec.params == {**BUILTINS[name].defaults, **params}
+    build_builtin(spec)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -360,30 +394,36 @@ def test_interval_grid_is_built_once_and_read_only():
 
 
 def _closed_forms(name, t):
-    """(position, d1, d2) of the builtins with default parameters as
-    numpy expressions of t, in the order of operations the samples keep."""
+    """(position, d1, d2) of the builtins with the test's parameters, and
+    (nu, nu') of circle and astroid, as numpy expressions of t, in the order
+    of operations the samples keep."""
     cos, sin, xy = np.cos, np.sin, lambda x, y: np.stack((x, y), axis=-1)
     cube = lambda x: x * x * x  # the builtin cubes by multiplication
     r = a = 1.3
     return {
         "line": (xy(0.0 + 2.0 * t, 0.0 + -1.0 * t), xy(np.full_like(t, 2.0), np.full_like(t, -1.0)),
                  xy(np.zeros_like(t), np.zeros_like(t))),
-        "circle": (xy(0.3 + r * cos(t), 0.0 + r * sin(t)), xy(-r * sin(t), r * cos(t)), xy(-r * cos(t), -r * sin(t))),
+        "circle": (xy(0.3 + r * cos(t), 0.0 + r * sin(t)), xy(-r * sin(t), r * cos(t)), xy(-r * cos(t), -r * sin(t)),
+                   xy(cos(t), sin(t)), xy(-sin(t), cos(t))),
         "ellipse": (xy(0.0 + 2.0 * cos(t), 0.0 + 0.7 * sin(t)), xy(-2.0 * sin(t), 0.7 * cos(t)),
                     xy(-2.0 * cos(t), -0.7 * sin(t))),
         "astroid": (xy(a * cube(cos(t)), a * cube(sin(t))), xy(-3 * a * cos(t) ** 2 * sin(t), 3 * a * sin(t) ** 2 * cos(t)),
-                    xy(-3 * a * (cube(cos(t)) - 2 * cos(t) * sin(t) ** 2), 3 * a * (2 * sin(t) * cos(t) ** 2 - cube(sin(t))))),
+                    xy(-3 * a * (cube(cos(t)) - 2 * cos(t) * sin(t) ** 2), 3 * a * (2 * sin(t) * cos(t) ** 2 - cube(sin(t)))),
+                    xy(sin(t), cos(t)), xy(cos(t), -sin(t))),
     }[name]
 
 
 @pytest.mark.parametrize("name, params", [("line", {"dx": 2.0, "dy": -1.0}), ("circle", {"r": 1.3, "cx": 0.3}),
                                           ("ellipse", {"a": 2.0, "b": 0.7}), ("astroid", {"a": 1.3})])
 def test_builtin_grid_samples_equal_its_callables(name, params):
-    # Bit for bit: on the grid, between its samples and at one time.
-    c = build_builtin(BuiltinSpec(name, params, ParamInterval(0.0, TWO_PI, 256, periodic=name != "line")))
-    grid = c.interval.grid
-    for field, on_grid, off_grid in zip(("position", "d1", "d2"), _closed_forms(name, grid),
-                                        _closed_forms(name, grid + 0.3)):
+    # Bit for bit: on the grid, between its samples and at one time; the
+    # table's normal and nu' of circle and astroid too.
+    lc = builtin_frontal(BuiltinSpec(name, params, ParamInterval(0.0, TWO_PI, 256, periodic=name != "line")))
+    grid = lc.interval.grid
+    fields = [(lc.gamma, "position"), (lc.gamma, "d1"), (lc.gamma, "d2"), (lc, "nu"), (lc, "nu_d1")]
+    forms = _closed_forms(name, grid)
+    assert len(forms) == (5 if name in ("circle", "astroid") else 3)
+    for (c, field), on_grid, off_grid in zip(fields, forms, _closed_forms(name, grid + 0.3)):
         assert np.array_equal(c.on_grid(field), on_grid)
         assert np.array_equal(getattr(c, field)(grid + 0.3), off_grid)
         assert np.array_equal(getattr(c, field)(float(grid[7])), on_grid[7])

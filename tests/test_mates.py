@@ -7,7 +7,7 @@ import pytest
 from frontals import curves, legendre, mates
 from frontals import io as fio
 from frontals.cli import main
-from frontals.curves import BuiltinSpec, CurveModel, ParamInterval, build_builtin, local_quintic, quintic_fn
+from frontals.curves import BuiltinSpec, CurveModel, ParamInterval, build_builtin, build_sampled, local_quintic, quintic_fn
 from frontals.legendre import (
     LegendreCurve,
     astroid_frontal,
@@ -498,10 +498,22 @@ class TestSpecialOperators:
             special_operator(lc, "involutoid")
 
     def test_evolute_reports_inflections_on_failure(self):
-        line = build_builtin(BuiltinSpec("line", {}, ParamInterval(0.0, 3.0, 64)))
-        lc = from_regular(line)
-        with pytest.raises(DenominatorError, match="inflection"):
+        # y = x^3 has its inflection on the middle sample of a symmetric grid
+        ts = np.linspace(-1.0, 1.0, 65)
+        lc = from_regular(build_sampled(ts, np.stack((ts, ts**3), axis=-1)))
+        with pytest.raises(DenominatorError, match=r"^evolute needs ell != 0; inflection points near t = \[0\.\]$"):
             special_operator(lc, "evolute")
+
+    @pytest.mark.parametrize("which, kw", [("evolute", {}), ("evolutoid", {"theta": 0.3})])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_pointwise_solve_names_a_straight_curve(self, which, kw, sampled):
+        # A sampled line's ell is rounding noise, not 0: the denominator gate alone would pass it.
+        line = build_builtin(BuiltinSpec("line", {"x0": 0.1, "dx": 2.0, "dy": 0.3}, ParamInterval(0.0, 1.0, 512)))
+        lc = from_regular(build_sampled(line.interval.grid, line.on_grid("position")) if sampled else line)
+        assert legendre_curvature(lc).straight
+        with pytest.raises(DenominatorError, match=f"^{which} needs ell != 0; the curve is straight: "
+                                                   "ell vanishes on every grid sample$"):
+            special_operator(lc, which, **kw)
 
 
 def inverse_fixture_cases():

@@ -13,12 +13,11 @@ from frontals.curves import (
     build_sampled,
     cumulative_integral,
     determinant_curvature,
-    xy_fn,
 )
 from frontals.legendre import (
     CurvaturePair,
-    LegendreCurve,
     astroid_frontal,
+    builtin_frontal,
     circle_frontal,
     from_regular,
     regular_arcs,
@@ -186,8 +185,7 @@ class TestRegularToLegendreMates:
         # samples, where beta changes sign and no sample is singular.
         h = TWO_PI / 1024
         interval = ParamInterval(0.37 * h, 0.37 * h + TWO_PI, 1024, periodic=True)
-        lc = LegendreCurve(gamma=build_builtin(BuiltinSpec("astroid", {}, interval)), nu=xy_fn(np.sin, np.cos),
-                           nu_d1=xy_fn(np.cos, lambda t: -np.sin(t)), interval=interval)
+        lc = builtin_frontal(BuiltinSpec("astroid", {}, interval))
         grid = interval.grid
         # (operator, parameter, first and last sample of the first longest regular arc)
         for name, kw, (i_lo, i_hi) in [("parallel", {"lambda0": 0.75}, (256, 511)),
