@@ -168,6 +168,8 @@ def _parse_params(text: str) -> dict:
         key, eq, value = (part.strip() for part in item.partition("="))
         if not eq or not key:
             raise ValueError(f"bad curve parameter {item!r}; expected key=value")
+        if key in params:
+            raise ValueError(f"curve parameter {key!r} is given twice")
         try:
             params[key] = float(value)
         except ValueError:

@@ -501,8 +501,8 @@ def sampled_model(ts: np.ndarray, points: np.ndarray, h: float, periodic: bool) 
     t_end = ts[-1] + h if periodic else ts[-1]
     interval = ParamInterval(float(ts[0]), float(t_end), len(ts), periodic)
 
-    def d2(t, nu=0):
-        return quintic_fn(ts, model.on_grid("d2"), periodic, t_end)(t, nu)
+    def d2(t):
+        return quintic_fn(ts, model.on_grid("d2"), periodic, t_end)(t)
 
     model = CurveModel("sampled", quintic_fn(ts, points, periodic, t_end), quintic_fn(ts, d1g, periodic, t_end), d2,
                        interval, _bbox_diagonal(points))

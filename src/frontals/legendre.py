@@ -101,8 +101,8 @@ def frontal_from_normal(gamma: CurveModel, nu_samples) -> LegendreCurve:
     interval = gamma.interval
     nu = np.array(nu_samples, dtype=float)
 
-    def nu_d1(t, order=0):
-        return quintic_fn(interval.grid, lc.on_grid("nu_d1"), interval.periodic, interval.t_end)(t, order)
+    def nu_d1(t):
+        return quintic_fn(interval.grid, lc.on_grid("nu_d1"), interval.periodic, interval.t_end)(t)
 
     lc = LegendreCurve(gamma=gamma, nu=quintic_fn(interval.grid, nu, interval.periodic, interval.t_end), nu_d1=nu_d1,
                        interval=interval)

@@ -32,7 +32,6 @@ from .curves import (
     fd_d1,
     fd_mismatch,
     node_d1,
-    read_only,
     sampled_model,
     FD_TOL,
     REG_TOL_SCALE,
@@ -112,29 +111,17 @@ def _sample(fn: ScalarFn, ts: np.ndarray):
     return np.asarray(fn.eval(ts), dtype=float), np.asarray(fn.deriv(ts), dtype=float)
 
 
-class MateConfig:
+class MateConfig(NamedTuple):
     """Angle functions and the initial scale value."""
 
-    __slots__ = ("theta", "tau", "lambda0", "_angles")
-
-    def __init__(self, theta: ScalarFn, tau: ScalarFn, lambda0: float = 0.0):
-        self.theta, self.tau, self.lambda0 = theta, tau, lambda0
-        self._angles = None  # (grid, AngleSamples) of the last grid the angles were sampled on
+    theta: ScalarFn
+    tau: ScalarFn
+    lambda0: float = 0.0
 
     def angles(self, ts: np.ndarray) -> AngleSamples:
-        """Read-only samples of the angle functions on the grid ts, evaluated
-        once per grid: the cache is keyed by the grid's values, and a
-        read-only grid (ParamInterval.grid) is first compared by identity."""
-        if self._angles is None or not (self._angles[0] is ts or np.array_equal(self._angles[0], ts)):
-            (th, thd), (ta, tad) = _sample(self.theta, ts), _sample(self.tau, ts)
-            self._seed_angles(ts, AngleSamples(th, thd, ta, tad, np.cos(th), np.sin(th), np.cos(ta), np.sin(ta)))
-        return self._angles[1]
-
-    def _seed_angles(self, ts: np.ndarray, samples: AngleSamples) -> "MateConfig":
-        """Cache `samples` as the angles on the grid ts, read-only; returns self."""
-        key = ts if isinstance(ts, np.ndarray) and not ts.flags.writeable else read_only(np.array(ts, dtype=float))
-        self._angles = (key, AngleSamples(*map(read_only, samples)))
-        return self
+        """Samples of the angle functions on the grid ts."""
+        (th, thd), (ta, tad) = _sample(self.theta, ts), _sample(self.tau, ts)
+        return AngleSamples(th, thd, ta, tad, np.cos(th), np.sin(th), np.cos(ta), np.sin(ta))
 
 
 class LambdaSolution(NamedTuple):
@@ -146,6 +133,7 @@ class LambdaSolution(NamedTuple):
     mode: str  # ode | algebraic | prescribed
     near_zero: bool
     wrap_value: Optional[float]  # value at the period end, when meaningful
+    angles: AngleSamples  # the angle samples lam was solved or prescribed with
 
     @property
     def lambda0_ignored(self) -> bool:
@@ -153,7 +141,7 @@ class LambdaSolution(NamedTuple):
         return self.mode == "algebraic"
 
 
-def lambda_tol(pair: CurvaturePair, config: MateConfig, lam) -> np.ndarray:
+def lambda_tol(pair: CurvaturePair, angles: AngleSamples, lam) -> np.ndarray:
     """Pointwise tolerance of the condition residual of the scale function
     lam: ODE_TOL_SCALE * max(max|beta|, |lam (theta' + ell)|, 1).
 
@@ -161,9 +149,8 @@ def lambda_tol(pair: CurvaturePair, config: MateConfig, lam) -> np.ndarray:
     with |lam|; where |lam (theta' + ell)| <= max|beta| the tolerance is
     ODE_TOL_SCALE * max(max|beta|, 1), and it is never below that.
     """
-    thd = config.angles(pair.grid).thd
     floor = max(float(np.max(np.abs(pair.beta))), 1.0)
-    return ODE_TOL_SCALE * np.maximum(np.abs(lam * (thd + pair.ell)), floor)
+    return ODE_TOL_SCALE * np.maximum(np.abs(lam * (angles.thd + pair.ell)), floor)
 
 
 def mate_tol(extent: float, kind: str) -> float:
@@ -171,9 +158,8 @@ def mate_tol(extent: float, kind: str) -> float:
     return scale * extent + 1e-12
 
 
-def condition_residual(pair: CurvaturePair, config: MateConfig, lam, lam_d1) -> np.ndarray:
+def condition_residual(pair: CurvaturePair, a: AngleSamples, lam, lam_d1) -> np.ndarray:
     """Pointwise defect of the defining first-order condition."""
-    a = config.angles(pair.grid)
     return np.abs(
         (pair.beta * a.sin_th + lam_d1) * a.cos_ta
         - (pair.beta * a.cos_th + lam * (a.thd + pair.ell)) * a.sin_ta
@@ -184,12 +170,13 @@ def _near_zero(lam: np.ndarray, extent: float) -> bool:
     return bool(np.max(np.abs(lam)) <= LAMBDA_ZERO_SCALE * extent)
 
 
-def _solution(pair: CurvaturePair, config: MateConfig, lam, lam_d1, mode: str,
+def _solution(pair: CurvaturePair, angles: AngleSamples, lam, lam_d1, mode: str,
               wrap: Optional[float], near_zero: bool) -> LambdaSolution:
     """Scale function lam (derivative lam_d1) on pair's grid, with the defect
-    of the defining condition for `config` and its tolerance lambda_tol."""
-    residual = condition_residual(pair, config, lam, lam_d1)
-    return LambdaSolution(pair.grid, lam, lam_d1, residual, lambda_tol(pair, config, lam), mode, near_zero, wrap)
+    of the defining condition for `angles` and its tolerance lambda_tol."""
+    residual = condition_residual(pair, angles, lam, lam_d1)
+    return LambdaSolution(pair.grid, lam, lam_d1, residual, lambda_tol(pair, angles, lam), mode, near_zero, wrap,
+                          angles)
 
 
 def _gate(sol: LambdaSolution) -> LambdaSolution:
@@ -282,15 +269,16 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     # lambda's own local quintic: the residual measures the solve.
     closes = _closes(lam, wrap)
     lam_d1 = fd_d1(lam, h, periodic=closes) if mode == "algebraic" else node_d1(lam if closes else y, h, closes)[:n]
-    return _gate(_solution(pair, config, lam, lam_d1, mode, wrap, _near_zero(lam, extent)))
+    return _gate(_solution(pair, a, lam, lam_d1, mode, wrap, _near_zero(lam, extent)))
 
 
-def mate_curvature(pair: CurvaturePair, config: MateConfig, lam: LambdaSolution) -> CurvaturePair:
+def mate_curvature(pair: CurvaturePair, lam: LambdaSolution) -> CurvaturePair:
     """Curvature pair of the mate, from the closed formulas
     ell_bar = theta' - tau' + ell and
     beta_bar = (beta cos(theta) + lambda (theta' + ell)) cos(tau)
-             + (beta sin(theta) + lambda') sin(tau)."""
-    a = config.angles(pair.grid)
+             + (beta sin(theta) + lambda') sin(tau),
+    with the angle samples lam was solved with."""
+    a = lam.angles
     ell_bar = a.thd - a.tad + pair.ell
     beta_bar = (pair.beta * a.cos_th + lam.lam * (a.thd + pair.ell)) * a.cos_ta + (
         pair.beta * a.sin_th + lam.lam_d1
@@ -314,14 +302,10 @@ class MatePair(NamedTuple):
     lam: LambdaSolution
     source_curvature: CurvaturePair  # the pair the scale function was solved on
     mate_curvature: CurvaturePair
+    direction: np.ndarray  # v = cos(theta) nu + sin(theta) mu on the source frame, on the grid
     direction_residual: float
     direction_tolerance: float  # the direction gate's bound on direction_residual
     mate_tangency_residual: float
-
-    def direction(self) -> np.ndarray:
-        """v = cos(theta) nu + sin(theta) mu on the source frame, on the grid."""
-        a = self.config.angles(self.lam.grid)
-        return turn(self.source.on_grid("nu"), a.cos_th, a.sin_th)
 
 
 def _direction_gate(v: np.ndarray, mate_nu: np.ndarray, a: AngleSamples, tol: float) -> float:
@@ -341,19 +325,19 @@ def build_mate(
     pair: CurvaturePair,
 ) -> MatePair:
     """Assemble the mate curve gamma + lambda v with its rotated normal;
-    `pair` is the curvature pair of lc that lam was solved on.
+    `pair` is the curvature pair of lc that lam was solved on, and lam holds
+    config's angle samples.
 
     The mate's position derivatives come from the sampled-curve difference
     scheme, so later cross-checks against the curvature formulas compare two
     genuinely different computation paths.
     """
     _gate(lam)
-    ts = pair.grid
-    a = config.angles(ts)
+    ts, a = pair.grid, lam.angles
     nu = lc.on_grid("nu")
     v = turn(nu, a.cos_th, a.sin_th)
     positions = scale_rows(v, lam.lam, base=lc.gamma.on_grid("position"))
-    mcurv = mate_curvature(pair, config, lam)
+    mcurv = mate_curvature(pair, lam)
     # build_sampled's model without its copies and grid checks: the pair's grid
     # is uniform, and read-only when it is an interval's.
     grid = ts.copy() if ts.flags.writeable else ts
@@ -373,6 +357,7 @@ def build_mate(
         lam=lam,
         source_curvature=pair,
         mate_curvature=mcurv,
+        direction=v,
         direction_residual=dir_res,
         direction_tolerance=dir_tol,
         mate_tangency_residual=tan_res,
@@ -449,12 +434,12 @@ def inverse_mate(mp: MatePair) -> MatePair:
 
     The returned pair's mate coincides with the original source.
     """
-    ts, a = mp.lam.grid, mp.config.angles(mp.lam.grid)
-    cfg = MateConfig(theta=mp.config.tau, tau=mp.config.theta, lambda0=float(-mp.lam.lam[0]))._seed_angles(
-        ts, AngleSamples(a.ta, a.tad, a.th, a.thd, a.cos_ta, a.sin_ta, a.cos_th, a.sin_th))
+    a = mp.lam.angles
+    cfg = MateConfig(theta=mp.config.tau, tau=mp.config.theta, lambda0=float(-mp.lam.lam[0]))
+    swapped = AngleSamples(a.ta, a.tad, a.th, a.thd, a.cos_ta, a.sin_ta, a.cos_th, a.sin_th)
     pair_bar = mp.mate_curvature
     wrap = None if mp.lam.wrap_value is None else -mp.lam.wrap_value
-    lam = _solution(pair_bar, cfg, -mp.lam.lam, -mp.lam.lam_d1, "prescribed", wrap, mp.lam.near_zero)
+    lam = _solution(pair_bar, swapped, -mp.lam.lam, -mp.lam.lam_d1, "prescribed", wrap, mp.lam.near_zero)
     return build_mate(mp.mate, cfg, lam, pair=pair_bar)
 
 
@@ -495,11 +480,7 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
         raise ValueError(
             f"middle curves do not coincide (position gap {mid_gap:.3g}, normal gap {nrm_gap:.3g})"
         )
-    if mp23.source is mp12.mate and mp23.config.theta is mp12.config.tau and mp23.lam.grid is ts:
-        # mp23's direction field is then mp12's w_bar, which build_mate measured against mp12's own.
-        dir_gap = mp12.direction_residual
-    else:
-        dir_gap = float(np.max(row_norm(mp12.direction() - mp23.direction())))
+    dir_gap = float(np.max(row_norm(mp12.direction - mp23.direction)))
     if dir_gap > tol:
         raise ValueError(f"direction fields do not chain (gap {dir_gap:.3g})")
 
@@ -526,13 +507,14 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
     if mp12.lam.wrap_value is not None and mp23.lam.wrap_value is not None:
         wrap = mp12.lam.wrap_value + mp23.lam.wrap_value
     # Not near zero: the identity case returned above.
-    lam = _gate(_solution(pair1, cfg, lam_sum, mp12.lam.lam_d1 + mp23.lam.lam_d1, "prescribed", wrap, False))
+    lam = _gate(_solution(pair1, cfg.angles(ts), lam_sum, mp12.lam.lam_d1 + mp23.lam.lam_d1, "prescribed", wrap,
+                          False))
 
-    v1 = mp12.direction()
+    v1 = mp12.direction
     chain_gap = float(np.max(row_norm(far_pos - scale_rows(v1, lam_sum, base=src_pos))))
     if chain_gap > tol:
         raise ValueError(f"composite translation fails: gap {chain_gap:.3g}")
-    dir_res = _direction_gate(v1, mp23.mate.on_grid("nu"), cfg.angles(ts), tol)
+    dir_res = _direction_gate(v1, mp23.mate.on_grid("nu"), lam.angles, tol)
 
     return MatePair(
         source=mp12.source,
@@ -540,7 +522,8 @@ def compose_mates(mp12: MatePair, mp23: MatePair):
         config=cfg,
         lam=lam,
         source_curvature=pair1,
-        mate_curvature=mate_curvature(pair1, cfg, lam),
+        mate_curvature=mate_curvature(pair1, lam),
+        direction=v1,
         direction_residual=dir_res,
         direction_tolerance=tol,
         mate_tangency_residual=mp23.mate_tangency_residual,
@@ -606,11 +589,9 @@ def check_regular_bertrand(
     def conditions(s):
         th, thd, ta, tad, lv, ld = (np.asarray(f(s), dtype=float) for fn in (theta, tau, lam) for f in (fn.eval, fn.deriv))
         th, ta = th - _HALF_PI, ta - _HALF_PI
-        # The config's angles are read only through these samples on the lift's grid.
-        cfg = MateConfig(theta, tau)._seed_angles(pair.grid, AngleSamples(
-            th, thd * speed, ta, tad * speed, np.cos(th), np.sin(th), np.cos(ta), np.sin(ta)))
-        sol = _solution(pair, cfg, lv, ld * speed, "prescribed", None, False)
-        mcurv = mate_curvature(pair, cfg, sol)
+        a = AngleSamples(th, thd * speed, ta, tad * speed, np.cos(th), np.sin(th), np.cos(ta), np.sin(ta))
+        sol = _solution(pair, a, lv, ld * speed, "prescribed", None, False)
+        mcurv = mate_curvature(pair, sol)
         return sol.residual, -mcurv.beta, mcurv.ell
 
     return _regular_report(c, slice(None), speed, c.interval.periodic, conditions)

@@ -499,6 +499,13 @@ class TestMalformedInput:
             self.assert_rejected(["cusps", "--curve", curve, "--samples", "64"], capsys,
                                  f"{message} makes the curve samples overflow")
 
+    @pytest.mark.parametrize("curve, key", [("circle:r=1,r=2", "r"), ("ellipse:a=2,a=3", "a")])
+    def test_repeated_curve_parameter(self, tmp_path, capsys, curve, key):
+        self.assert_rejected(["cusps", "--curve", curve], capsys, f"curve parameter {key!r} is given twice")
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"curve": curve}))
+        self.assert_rejected(["cusps", "--job", str(path)], capsys, f"curve parameter {key!r} is given twice")
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_angle_flag(self, theta, capsys):
         argv = ["mate", "--curve", "circle:r=1", f"--theta={theta}", "--tau", "0"]

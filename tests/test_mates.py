@@ -31,7 +31,7 @@ from frontals.mates import (
     special_operator,
     verify_mate_curvature,
 )
-from frontals.planar import ScalarFn, add_fns, constant_fn, linear_fn, negate_fn, rotate_j
+from frontals.planar import ScalarFn, add_fns, constant_fn, linear_fn, negate_fn, rotate_j, row_norm, turn
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -155,7 +155,7 @@ class TestSolveLambda:
         pair = legendre_curvature(circle_frontal(1.0))
         cfg = MateConfig(constant_fn(HALF_PI), constant_fn(1.0), lambda0=1.0)
         lam = solve_lambda(pair, cfg)
-        tol = mates.lambda_tol(pair, cfg, lam.lam)
+        tol = mates.lambda_tol(pair, lam.angles, lam.lam)
         floor = mates.ODE_TOL_SCALE * max(float(np.max(np.abs(pair.beta))), 1.0)
         scaled = mates.ODE_TOL_SCALE * np.abs(lam.lam * pair.ell)
         assert np.all(tol >= floor)
@@ -168,7 +168,7 @@ class TestSolveLambda:
         cfg = MateConfig(constant_fn(HALF_PI), constant_fn(1.0), lambda0=1.0)
         lam = solve_lambda(pair, cfg)
         bad = lam.lam * (1.0 + 1e-5 * np.sin(pair.grid))
-        wrong = mates._solution(pair, cfg, bad, curves.fd_d1(bad, pair.grid[1] - pair.grid[0], periodic=False),
+        wrong = mates._solution(pair, cfg.angles(pair.grid), bad, curves.fd_d1(bad, pair.grid[1] - pair.grid[0], periodic=False),
                                 "prescribed", None, False)
         with pytest.raises(mates.ResidualError, match="lambda residual .* exceeds"):
             build_mate(lc, cfg, wrong, pair)
@@ -191,7 +191,7 @@ class TestSolveLambda:
 
     def test_each_solution_carries_its_lambda_tol(self):
         """The stored tolerance is the one the gates recomputed before: bit
-        for bit lambda_tol of the solution's own pair, config and lambda."""
+        for bit lambda_tol of the solution's own pair, angles and lambda."""
         def mate(lc, theta, tau, lambda0):
             pair, cfg = legendre_curvature(lc), MateConfig(constant_fn(theta), constant_fn(tau), lambda0)
             return build_mate(lc, cfg, solve_lambda(pair, cfg, extent=lc.gamma.extent), pair)
@@ -201,7 +201,7 @@ class TestSolveLambda:
         composite = compose_mates(mp, mate(mp.mate, -0.2, 0.1, 0.2))
         assert composite.lam.mode == "prescribed"
         for m in (mp, inverse_mate(mp), composite):
-            assert np.array_equal(m.lam.tolerance, mates.lambda_tol(m.source_curvature, m.config, m.lam.lam))
+            assert np.array_equal(m.lam.tolerance, mates.lambda_tol(m.source_curvature, m.lam.angles, m.lam.lam))
 
     def test_denominator_blowup(self):
         # a straight line has ell = 0 everywhere: the pointwise solve divides by zero
@@ -245,7 +245,7 @@ class TestBuildMate:
         lc = astroid_frontal()
         mp = special_operator(lc, "involute", lambda0=0.75)
         ts = mp.lam.grid
-        v = mp.direction()
+        v = mp.direction
         rebuilt = lc.gamma.position(ts) + mp.lam.lam[:, None] * v
         assert np.max(np.linalg.norm(mp.mate.gamma.position(ts) - rebuilt, axis=-1)) == 0.0
 
@@ -263,7 +263,7 @@ class TestMateCurvature:
         pair = legendre_curvature(circle_frontal(2.0))
         cfg = MateConfig(constant_fn(0.0), constant_fn(HALF_PI))
         lam = solve_lambda(pair, cfg)
-        mc = mate_curvature(pair, cfg, lam)
+        mc = mate_curvature(pair, lam)
         assert np.max(np.abs(mc.ell - 1.0)) <= 1e-12
         assert np.max(np.abs(mc.beta)) <= 1e-10
 
@@ -272,7 +272,7 @@ class TestMateCurvature:
         pair = legendre_curvature(circle_frontal(r))
         cfg = MateConfig(constant_fn(HALF_PI), constant_fn(0.0), lambda0=c)
         lam = solve_lambda(pair, cfg)
-        mc = mate_curvature(pair, cfg, lam)
+        mc = mate_curvature(pair, lam)
         assert np.max(np.abs(mc.ell - 1.0)) <= 1e-12
         assert np.max(np.abs(mc.beta - (-r * pair.grid + c))) <= 1e-9
 
@@ -280,7 +280,7 @@ class TestMateCurvature:
         pair = legendre_curvature(astroid_frontal())
         cfg = MateConfig(constant_fn(0.8), constant_fn(0.8), lambda0=0.2)
         lam = solve_lambda(pair, cfg)
-        mc = mate_curvature(pair, cfg, lam)
+        mc = mate_curvature(pair, lam)
         assert np.max(np.abs(mc.ell - pair.ell)) <= 1e-12
 
 
@@ -754,15 +754,33 @@ class TestGridQuantitiesOnce:
         assert ident == compose_mates(mp, general)
 
     def test_config_samples_each_grid_it_meets(self):
+        """A config holds no samples: solved on 512, 1024 and 512 samples it
+        gives the bits of a fresh config, and its solution carries the samples."""
         cfg = MateConfig(linear_fn(0.2, 0.5), linear_fn(-0.1, 0.1), lambda0=0.3)
         for n in (512, 1024, 512):
             pair = legendre_curvature(circle_frontal(1.0, n))
             a = cfg.angles(pair.grid)
             assert np.array_equal(a.th, 0.2 + 0.5 * pair.grid) and np.array_equal(a.tad, np.full(n, 0.1))
             assert np.array_equal(a.sin_ta, np.sin(-0.1 + 0.1 * pair.grid))
-            assert not a.th.flags.writeable
-            fresh = MateConfig(cfg.theta, cfg.tau, lambda0=0.3)
-            assert np.array_equal(solve_lambda(pair, cfg).lam, solve_lambda(pair, fresh).lam)
+            assert cfg == MateConfig(cfg.theta, cfg.tau, cfg.lambda0)
+            sol, fresh = solve_lambda(pair, cfg), solve_lambda(pair, MateConfig(cfg.theta, cfg.tau, cfg.lambda0))
+            for got, want in ((sol.lam, fresh.lam), (sol.residual, fresh.residual), *zip(sol.angles, a)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_direction_is_the_turned_source_normal(self):
+        mp = special_operator(astroid_frontal(512), "nvolute", theta=0.7, lambda0=0.3)
+        a = mp.config.angles(mp.lam.grid)
+        assert mp.direction.tobytes() == turn(mp.source.on_grid("nu"), a.cos_th, a.sin_th).tobytes()
+
+    @pytest.mark.parametrize("curve", ["astroid", "ellipse"])
+    @pytest.mark.parametrize("which", mates.SPECIAL_OPERATORS)
+    def test_inverse_direction_gap_is_the_direction_residual(self, curve, which):
+        """The inverse's direction field is the w_bar that build_mate measured
+        the forward field against, so the identity composition's direction
+        gap is the forward pair's direction residual, bit for bit."""
+        mp = special_operator(self._named_source(curve, 1024), which, theta=0.7, tau=-0.6, lambda0=0.3)
+        inverse = inverse_mate(mp)
+        assert float(np.max(row_norm(mp.direction - inverse.direction))) == mp.direction_residual
 
     def test_ode_solve_builds_no_spline(self, monkeypatch):
         pair = legendre_curvature(astroid_frontal())
@@ -839,7 +857,7 @@ class TestGridQuantitiesOnce:
         # and the residual at samples 0 and n - 1 is at the interior's level
         # (one-sided stencils read 0.47 and 0.094 of lambda_tol there).
         mp = special_operator(astroid_frontal(256), "involute", lambda0=0.4)
-        ratio = np.abs(mp.lam.residual) / mates.lambda_tol(mp.source_curvature, mp.config, mp.lam.lam)
+        ratio = np.abs(mp.lam.residual) / mates.lambda_tol(mp.source_curvature, mp.lam.angles, mp.lam.lam)
         assert max(ratio[0], ratio[-1]) <= 1.1 * np.max(ratio[1:-1])
         assert np.max(ratio) <= 0.06
 
@@ -865,7 +883,7 @@ class TestConstantAnglesAreNumbers:
         mp = mates.solve_mate(lc, config, pair, which)
         inv = inverse_mate(mp)
         arrays = [mp.lam.lam, mp.lam.lam_d1, mp.lam.residual, mp.lam.tolerance, mp.mate.gamma.on_grid("position"),
-                  mp.mate.on_grid("nu"), mp.mate_curvature.ell, mp.mate_curvature.beta, mp.direction(),
+                  mp.mate.on_grid("nu"), mp.mate_curvature.ell, mp.mate_curvature.beta, mp.direction,
                   inv.lam.residual, inv.lam.tolerance, inv.mate.gamma.on_grid("position"), inv.mate.on_grid("nu"),
                   inv.mate_curvature.ell, inv.mate_curvature.beta]
         scalars = [mp.lam.wrap_value, mp.direction_residual, mp.mate_tangency_residual, inv.direction_residual,
