@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import io as fio
-from .curves import BUILTINS, GridError, build_sampled, builtin_spec
+from .curves import BUILTINS, GridError, build_builtin, build_sampled, builtin_spec
 from .legendre import (
     CROSS_TOL,
     STRAIGHT_TOL,
@@ -43,11 +43,12 @@ from .mates import (
     DenominatorError,
     MateConfig,
     ResidualError,
+    build_mate,
     check_regular_bertrand,
     compose_mates,
     inverse_mate,
     operator_config,
-    solve_mate,
+    solve_lambda,
     verify_mate_curvature,
 )
 from .planar import constant_fn, linear_fn, rotate_j, row_norm, scale_rows
@@ -230,8 +231,10 @@ def _validate_job(spec: JobSpec) -> None:
         operator_config(spec.operator, spec.theta, spec.tau)  # checks its angles before any curve is built
 
 
-def _build_frontal(spec: JobSpec):
-    """(LegendreCurve, curve_label) from the job's curve field; a circle's label names its radius."""
+def _build_curve(spec: JobSpec, framed: bool = True):
+    """(curve, curve_label) from the job's curve field: a LegendreCurve, or
+    with framed=False its CurveModel alone, whose normal field is neither
+    built nor checked.  A circle's label names its radius."""
     kind, _, rest = spec.curve.partition(":")
     if kind == "csv":
         ts, points, normals = fio.read_curve_csv(rest)
@@ -245,6 +248,8 @@ def _build_frontal(spec: JobSpec):
             gamma = build_sampled(ts, points, periodic=periodic)
         except GridError as exc:
             raise ValueError(f"{rest}: data row {exc.sample + 1}: {exc.reason}") from None
+        if not framed:
+            return gamma, rest
         if normals is not None:
             return frontal_from_samples(gamma, normals), rest
         return from_regular(gamma), rest
@@ -252,7 +257,8 @@ def _build_frontal(spec: JobSpec):
     if kind not in BUILTINS:
         raise ValueError(f"unknown curve spec {spec.curve!r}")
     curve = builtin_spec(kind, _parse_params(rest), spec.n_samples)
-    return builtin_frontal(curve), f"circle r={curve.params['r']}" if kind == "circle" else kind
+    label = f"circle r={curve.params['r']}" if kind == "circle" else kind
+    return (builtin_frontal if framed else build_builtin)(curve), label
 
 
 def _check(checks: dict, name: str, residual, tolerance) -> None:
@@ -314,16 +320,16 @@ def run_job(spec: JobSpec) -> RunReport:
     degenerate = straight = ""
 
     if spec.operator == "check-regular":
-        lc, label = _build_frontal(spec)
+        gamma, label = _build_curve(spec, framed=False)
         lam = linear_fn(spec.lambda0, spec.lambda_slope)
         report = check_regular_bertrand(
-            lc.gamma, constant_fn(spec.theta or 0.0), constant_fn(spec.tau or 0.0), lam
+            gamma, constant_fn(spec.theta or 0.0), constant_fn(spec.tau or 0.0), lam
         )
         _check(checks, "mate_condition", report.cond1_residual, ODE_TOL_SCALE)
         _check(checks, "mate_regularity", report.regularity_shortfall, 0.0)
-        svg_curves.append((label, lc.gamma.on_grid("position")))
+        svg_curves.append((label, gamma.on_grid("position")))
     else:
-        lc, label = _build_frontal(spec)
+        lc, label = _build_curve(spec)
         pair = legendre_curvature(lc)
         svg_curves.append((label, lc.gamma.on_grid("position")))
         scanned, scanned_pair = lc, pair  # the curve whose cusps and inflections are reported
@@ -333,7 +339,8 @@ def run_job(spec: JobSpec) -> RunReport:
             if "csv" in spec.outputs and spec.operator != "plot":
                 fio.write_pair_csv(spec.outputs["csv"], pair)
         else:
-            mp = solve_mate(lc, _mate_config(spec), pair, spec.operator)
+            cfg = _mate_config(spec)
+            mp = build_mate(lc, cfg, solve_lambda(pair, cfg, extent=lc.gamma.extent), pair)
             checks.update(_mate_checks(mp))
             if spec.operator == "roundtrip":
                 # The mate composed with its inverse is the identity: lambda - lambda = 0.

@@ -49,7 +49,6 @@ NZ_FACTOR = 1e2
 # A pair whose normal turns by at most this angle (radians) is straight.
 STRAIGHT_TOL = 1e-9
 
-REGULAR = "regular"
 CUSP_3_2 = "cusp_3_2"
 CUSP_5_2 = "cusp_5_2"
 CUSP_4_3 = "cusp_4_3"
@@ -255,9 +254,7 @@ def _classify_witness(w: dict, scales: dict) -> str:
     l0 = _two_threshold(w["ell"], scales["ell"])
     l1 = _two_threshold(w["ell_d1"], scales["ell_d1"])
     dd = _two_threshold(w["wronskian"], scales["wronskian"])
-    if b0 is False:
-        return REGULAR
-    if b0 is None:
+    if b0 is not True:
         return INCONCLUSIVE
     # beta(t0) = 0 established; criteria in fixed order, first decisive wins.
     if b1 is False and l0 is False:

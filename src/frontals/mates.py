@@ -40,6 +40,7 @@ from .legendre import (
     CROSS_TOL,
     CurvaturePair,
     LegendreCurve,
+    _zeros,
     from_regular,
     frontal_from_normal,
     legendre_curvature,
@@ -58,8 +59,8 @@ ANGLE_TOL = 1e-6
 ODE_TOL_SCALE = 1e-7
 MATE_TOL_ANALYTIC = 1e-6
 MATE_TOL_SAMPLED = 1e-3
-# The pointwise solve rejects grid points where |theta' + ell| falls to this
-# fraction of its maximum.
+# The pointwise solve rejects theta' + ell where a sample falls to this fraction
+# of its largest magnitude, and where it changes sign between two samples.
 DENOM_RTOL = 1e-5
 # Advisory threshold: a scale function this small never separates the mate
 # from its source anywhere on the curve.
@@ -89,10 +90,6 @@ SPECIAL_OPERATORS = tuple(OPERATOR_TABLE)
 
 class DenominatorError(ValueError):
     """Pointwise solve divides by theta' + ell, which vanishes on the grid."""
-
-    def __init__(self, message, locations):
-        super().__init__(message)
-        self.locations = locations
 
 
 class ResidualError(ValueError):
@@ -210,7 +207,8 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     as lambda = E (lambda0 + int B / E) with E = exp(int A), both integrals
     by cumulative_integral on the grid; it raises ResidualError when |int A|
     exceeds LOG_GROWTH_MAX.  Where cos(tau) = 0 it divides
-    lambda = -beta cos(theta) / (theta' + ell) and ignores lambda0.
+    lambda = -beta cos(theta) / (theta' + ell) and ignores lambda0; it raises
+    DenominatorError where theta' + ell vanishes, at a sample or between two.
     On a periodic pair the period end is one more sample; lambda there is wrap_value.
     The residual is evaluated with a differenced lambda', so it measures the
     solve rather than restating the construction, and either solve raises
@@ -238,16 +236,20 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
     thd, ell, beta, cos_th, sin_th, tan_ta = cols
 
     if mode == "algebraic":
+        # lambda exists only where theta' + ell keeps one sign, every sample
+        # (the period end's too) above DENOM_RTOL of its largest magnitude.
         denom = thd + ell
-        grid_denom = np.abs(denom[:n])  # the gate reads the grid samples only
-        denom_tol = DENOM_RTOL * max(float(np.max(grid_denom)), 1e-30)
-        if np.min(grid_denom) <= denom_tol:
-            bad = ts[grid_denom <= denom_tol]
-            raise DenominatorError(
-                f"theta' + ell vanishes near t = {np.round(bad[:6], 6)}; "
-                "the pointwise solve blows up there",
-                locations=bad,
-            )
+        lo, hi = float(np.min(denom)), float(np.max(denom))
+        tol = DENOM_RTOL * max(-lo, hi, 1e-30)
+        if not (lo > tol or hi < -tol):
+            no_turn = not np.any(thd)  # theta' = 0: the zeros of theta' + ell are those of ell
+            if no_turn and pair.straight:  # ell is 0, or rounding noise whose zeros name no place
+                raise DenominatorError("theta' = 0 and the curve is straight: ell vanishes on every grid sample")
+            # A zero _zeros does not place on the grid lies by the period end; + 0.0 prints -0 as 0.
+            at = np.round(_zeros(pair, denom[:n], tol, False) or [pair.interval_end], 6) + 0.0
+            what = "theta' = 0 and ell vanishes at inflection points" if no_turn else "theta' + ell vanishes"
+            more = f" and {len(at) - 6} more" if len(at) > 6 else ""
+            raise DenominatorError(f"{what} near t = {at[:6]}{more}; the pointwise solve blows up there")
         y = -beta * cos_th / denom
     else:
         # lambda' = A lambda + B, solved by its integrating factor
@@ -400,23 +402,6 @@ def operator_config(which: str, theta: float | None = None, tau: float | None = 
     return MateConfig(constant_fn(th), constant_fn(ta), lambda0)
 
 
-def solve_mate(lc: LegendreCurve, config: MateConfig, pair: CurvaturePair, which: str) -> MatePair:
-    """Solve lambda on `pair`, the curvature pair of lc, and build the mate;
-    `which` names the construction in the error of a failed pointwise solve."""
-    needs_ell = which in ("evolute", "evolutoid")  # theta' = 0: the pointwise solve divides by ell
-    if needs_ell and pair.straight:  # ell is 0, or rounding noise that would pass the denominator gate
-        raise DenominatorError(f"{which} needs ell != 0; the curve is straight: ell vanishes on every grid sample",
-                               locations=pair.grid)
-    try:
-        lam = solve_lambda(pair, config, extent=lc.gamma.extent)
-    except DenominatorError as exc:
-        if needs_ell:
-            raise DenominatorError(f"{which} needs ell != 0; inflection points near "
-                                   f"t = {np.round(exc.locations[:6], 6)}", locations=exc.locations) from exc
-        raise
-    return build_mate(lc, config, lam, pair=pair)
-
-
 def special_operator(
     lc: LegendreCurve,
     which: str,
@@ -426,7 +411,8 @@ def special_operator(
 ) -> MatePair:
     """Named mate construction `which` (a key of OPERATOR_TABLE) on lc."""
     cfg = operator_config(which, theta, tau, lambda0)
-    return solve_mate(lc, cfg, legendre_curvature(lc), which)
+    pair = legendre_curvature(lc)
+    return build_mate(lc, cfg, solve_lambda(pair, cfg, extent=lc.gamma.extent), pair)
 
 
 def inverse_mate(mp: MatePair) -> MatePair:

@@ -191,6 +191,19 @@ class TestRunJob:
         # the residual is reg_tol = REG_TOL_SCALE * extent / arc length
         assert "\nFAIL mate_regularity: max residual 4.62e-08 (tol 0)\n" in out
 
+    def test_check_regular_reads_no_normal_column(self, tmp_path, capsys):
+        # check-regular reads the curve alone: the normals of this r = 2 circle
+        # have length 2, which framing the curve would refuse
+        t = 2.0 * np.pi * np.arange(256) / 256
+        points = np.stack((2.0 * np.cos(t), 2.0 * np.sin(t)), axis=-1)
+        fio.write_curve_csv(tmp_path / "circle.csv", t, points)
+        fio.write_frontal_csv(tmp_path / "normals.csv", t, points, points)
+        outs = []
+        for name in ("circle.csv", "normals.csv"):
+            assert main(["check-regular", "--curve", f"csv:{tmp_path / name}"]) == 0
+            outs.append([line for line in capsys.readouterr().out.splitlines() if not line.startswith("done in")])
+        assert outs[0] == outs[1]
+
     def test_csv_reingestion_matches_builtin(self, tmp_path):
         lc = astroid_frontal(512)
         ts = lc.interval.grid
@@ -417,25 +430,54 @@ def test_cli_runs_without_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0]", out.stdout + out.stderr
 
 
+# Each named pointwise construction with its `mate --tau pi/2` equivalent.
+POINTWISE_PAIRS = [(["evolute"], ["mate", "--theta", "0", "--tau", "pi/2"]),
+                   (["evolutoid", "--theta", "0.3"], ["mate", "--theta", "0.3", "--tau", "pi/2"])]
+
+
 class TestSolverFailure:
-    """A valid job whose solve fails its own check exits 1, not 2."""
+    """A valid job whose solve fails its own check exits 1, not 2.  The
+    refusal of a pointwise solve names the data, not the operator, so a named
+    operator and its `mate` equivalent print one line."""
 
-    def test_pointwise_solve_without_curvature(self, capsys):
-        assert main(["evolute", "--curve", "line:dx=1", "--samples", "64"]) == 1
-        assert capsys.readouterr().err.startswith("error: evolute needs ell != 0")
+    @pytest.mark.parametrize("op", POINTWISE_PAIRS[0])
+    def test_pointwise_solve_without_curvature(self, capsys, op):
+        assert main([*op, "--curve", "line:dx=1", "--samples", "64"]) == 1
+        assert capsys.readouterr().err.startswith("error: theta' = 0 and the curve is straight")
 
-    @pytest.mark.parametrize("argv", [["evolute", "--curve", "line"],
-                                      ["evolutoid", "--curve", "line:dx=1,dy=2", "--theta", "0.3"]])
-    def test_straight_curve_is_named_when_ell_vanishes(self, capsys, argv):
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (f"error: {argv[0]} needs ell != 0; the curve is straight: "
-                                           "ell vanishes on every grid sample\n")
+    @pytest.mark.parametrize("curve", ["line", "line:dx=1,dy=2", "sampled"])
+    @pytest.mark.parametrize("named, mate", POINTWISE_PAIRS)
+    def test_straight_curve_is_named_when_ell_vanishes(self, tmp_path, capsys, curve, named, mate):
+        # A sampled line's ell is rounding noise, which changes sign between samples.
+        if curve == "sampled":
+            t = np.linspace(0.0, 1.0, 200)
+            fio.write_curve_csv(tmp_path / "line.csv", t, np.stack((3.0 * t, 1.0 + 2.0 * t), axis=-1))
+            curve = f"csv:{tmp_path / 'line.csv'}"
+        for op in (named, mate):
+            assert main([*op, "--curve", curve]) == 1
+            assert capsys.readouterr().err == ("error: theta' = 0 and the curve is straight: "
+                                               "ell vanishes on every grid sample\n")
+
+    @pytest.mark.parametrize("n", [300, 301, 1000, 1001])
+    def test_inflection_is_refused_wherever_the_samples_fall(self, tmp_path, capsys, n):
+        # y = x^3 inflects at t = 0: on a sample when n is odd, else midway
+        # between two, where theta' + ell changes sign without a small sample;
+        # the symmetric grid places the zero at 0 either way.
+        t = -1.0 + 2.0 * np.arange(n) / (n - 1)
+        fio.write_curve_csv(tmp_path / "cubic.csv", t, np.stack((t, t**3), axis=-1))
+        for named, mate in POINTWISE_PAIRS:
+            errs = []
+            for op in (named, mate):
+                assert main([*op, "--curve", f"csv:{tmp_path / 'cubic.csv'}"]) == 1
+                errs.append(capsys.readouterr().err)
+            assert errs == ["error: theta' = 0 and ell vanishes at inflection points near t = [0.]; "
+                            "the pointwise solve blows up there\n"] * 2
 
     def test_residual_error(self, monkeypatch, capsys):
         def failing(pair, config, extent=1.0):
             raise mates.ResidualError("lambda residual 1 exceeds 1e-07 at t = 0")
 
-        monkeypatch.setattr(mates, "solve_lambda", failing)
+        monkeypatch.setattr(cli, "solve_lambda", failing)
         assert main(["involute", "--curve", "astroid", "--lambda0", "0.75", "--samples", "64"]) == 1
         assert capsys.readouterr().err == "error: lambda residual 1 exceeds 1e-07 at t = 0\n"
 

@@ -26,7 +26,6 @@ from frontals.legendre import (
     CUSP_5_2,
     CUSP_5_3,
     INCONCLUSIVE,
-    REGULAR,
 )
 from frontals.planar import rotate_j
 
@@ -194,7 +193,7 @@ def test_circle_has_no_singularities():
     pair = legendre_curvature(circle_frontal(1.0))
     assert classify_singularities(pair) == []
     [w] = legendre._witnesses(pair, [1.234])
-    assert legendre._classify_witness(w, legendre._scales(pair)) == REGULAR
+    assert legendre._classify_witness(w, legendre._scales(pair)) == INCONCLUSIVE
 
 
 def test_synthetic_5_3_cusp():
@@ -271,6 +270,17 @@ def test_sign_change_across_periodic_seam():
     reports = classify_singularities(pair)
     assert [r.kind for r in reports] == [CUSP_3_2, CUSP_3_2]
     assert np.allclose([r.t0 for r in reports], [math.pi - h / 2, TWO_PI - h / 2], rtol=0.0, atol=1e-9)
+
+
+def test_zero_pair_across_periodic_seam_merges():
+    # beta = sin(t)^2 - s^2 vanishes at +-s and pi +- s, s = 0.2 h: each pair
+    # lies within half a cell, so the pair at pi merges into one event and the
+    # pair across the seam, at s and 2 pi - s, merges into one as well.
+    h = TWO_PI / 64
+    pair = periodic_pair(lambda t: np.ones_like(t), lambda t: np.sin(t) ** 2 - (0.2 * h) ** 2, n=64)
+    reports = classify_singularities(pair)
+    assert len(reports) == 2
+    assert abs(reports[0].t0 + reports[1].t0 - math.pi) <= 1e-12
 
 
 def test_beta_zero_on_a_grid_sample():

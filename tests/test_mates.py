@@ -497,23 +497,62 @@ class TestSpecialOperators:
         with pytest.raises(ValueError, match="needs tau"):
             special_operator(lc, "involutoid")
 
-    def test_evolute_reports_inflections_on_failure(self):
-        # y = x^3 has its inflection on the middle sample of a symmetric grid
-        ts = np.linspace(-1.0, 1.0, 65)
+    @staticmethod
+    def _pointwise_refusals(lc, which, kw):
+        """The refusals of the named pointwise construction `which` on lc and
+        of its mate equivalent, theta from kw and tau = pi/2."""
+        pair = legendre_curvature(lc)
+        with pytest.raises(DenominatorError) as named:
+            special_operator(lc, which, **kw)
+        with pytest.raises(DenominatorError) as mate:
+            solve_lambda(pair, MateConfig(constant_fn(kw.get("theta", 0.0)), constant_fn(HALF_PI)))
+        return str(named.value), str(mate.value)
+
+    @pytest.mark.parametrize("which, kw", [("evolute", {}), ("evolutoid", {"theta": 0.3})])
+    @pytest.mark.parametrize("n", [65, 300, 301, 1000, 1001])
+    def test_evolute_reports_inflections_on_failure(self, n, which, kw):
+        # y = x^3 inflects at t = 0: on the middle sample when n is odd, else
+        # midway between two, where theta' + ell changes sign without a small
+        # sample; the symmetric grid places the zero at 0 either way.
+        ts = -1.0 + 2.0 * np.arange(n) / (n - 1)
         lc = from_regular(build_sampled(ts, np.stack((ts, ts**3), axis=-1)))
-        with pytest.raises(DenominatorError, match=r"^evolute needs ell != 0; inflection points near t = \[0\.\]$"):
-            special_operator(lc, "evolute")
+        message = "theta' = 0 and ell vanishes at inflection points near t = [0.]; the pointwise solve blows up there"
+        assert self._pointwise_refusals(lc, which, kw) == (message, message)
 
     @pytest.mark.parametrize("which, kw", [("evolute", {}), ("evolutoid", {"theta": 0.3})])
     @pytest.mark.parametrize("sampled", [False, True])
     def test_pointwise_solve_names_a_straight_curve(self, which, kw, sampled):
-        # A sampled line's ell is rounding noise, not 0: the denominator gate alone would pass it.
+        # A sampled line's ell is rounding noise, not 0: the sample test alone would pass it.
         line = build_builtin(BuiltinSpec("line", {"x0": 0.1, "dx": 2.0, "dy": 0.3}, ParamInterval(0.0, 1.0, 512)))
         lc = from_regular(build_sampled(line.interval.grid, line.on_grid("position")) if sampled else line)
         assert legendre_curvature(lc).straight
-        with pytest.raises(DenominatorError, match=f"^{which} needs ell != 0; the curve is straight: "
-                                                   "ell vanishes on every grid sample$"):
-            special_operator(lc, which, **kw)
+        message = "theta' = 0 and the curve is straight: ell vanishes on every grid sample"
+        assert self._pointwise_refusals(lc, which, kw) == (message, message)
+
+    @pytest.mark.parametrize("theta, where", [
+        # theta' + ell = 1 + 4 cos 4t vanishes 8 times a period.
+        (ScalarFn(lambda t: np.sin(4.0 * t), lambda t: 4.0 * np.cos(4.0 * t)),
+         "[0.455869 1.114927 2.026665 2.685724 3.597462 4.25652 ] and 2 more"),
+        # theta' + ell = c - t, c half a step before 2 pi, changes sign only
+        # between the last sample and the period end: no grid cell brackets it.
+        (ScalarFn(lambda t: (TWO_PI - math.pi / 1024 - 1.0) * t - t * t / 2.0,
+                  lambda t: TWO_PI - math.pi / 1024 - 1.0 - t), "[6.283185]"),
+    ], ids=["eight_zeros", "period_end"])
+    def test_turning_denominator_names_each_zero(self, theta, where):
+        pair = legendre_curvature(circle_frontal(1.0))  # ell = 1 on a periodic grid
+        assert len(pair.grid) == 1024
+        with pytest.raises(DenominatorError) as exc:
+            solve_lambda(pair, MateConfig(theta, constant_fn(HALF_PI)))
+        assert str(exc.value) == f"theta' + ell vanishes near t = {where}; the pointwise solve blows up there"
+
+    def test_passing_pointwise_solve_locates_nothing(self, monkeypatch):
+        # Only a refusal reads CurvaturePair.straight and places zeros.
+        def fail(*args):
+            raise AssertionError("a passing pointwise solve located zeros")
+
+        monkeypatch.setattr(mates, "_zeros", fail)
+        monkeypatch.setattr(legendre.CurvaturePair, "straight", property(fail))
+        assert special_operator(astroid_frontal(256), "evolute").lam.mode == "algebraic"
 
 
 def inverse_fixture_cases():
@@ -878,9 +917,9 @@ class TestConstantAnglesAreNumbers:
              ("ode", {"theta": 0.7, "tau": -0.4, "lambda0": 0.3})]
 
     @staticmethod
-    def _outputs(lc, config, which):
+    def _outputs(lc, config):
         pair = legendre_curvature(lc)
-        mp = mates.solve_mate(lc, config, pair, which)
+        mp = build_mate(lc, config, solve_lambda(pair, config, extent=lc.gamma.extent), pair)
         inv = inverse_mate(mp)
         arrays = [mp.lam.lam, mp.lam.lam_d1, mp.lam.residual, mp.lam.tolerance, mp.mate.gamma.on_grid("position"),
                   mp.mate.on_grid("nu"), mp.mate_curvature.ell, mp.mate_curvature.beta, mp.direction,
@@ -902,7 +941,7 @@ class TestConstantAnglesAreNumbers:
             cfg = mates.operator_config(which, **kw)
         arrays = MateConfig(_array_path(cfg.theta), _array_path(cfg.tau), cfg.lambda0)
         assert cfg.theta.const is not None and arrays.theta.const is None
-        assert self._outputs(lc, cfg, which) == self._outputs(lc, arrays, which)
+        assert self._outputs(lc, cfg) == self._outputs(lc, arrays)
 
     def test_sums_and_negations_of_constants_stay_numbers(self):
         a, b, c = constant_fn(0.3), constant_fn(-1.1), constant_fn(0.7)
