@@ -1,8 +1,9 @@
 """Parametrized plane curves with derivatives up to second order.
 
 Closed-form builtins (line, circle, ellipse, astroid), uniformly sampled
-curves differentiated with a 4th-order scheme, cumulative integrals of grid
-samples (arc length), and the determinant curvature formula.
+curves differentiated at their samples by their local quintics (6th order),
+cumulative integrals of grid samples (arc length), and the determinant
+curvature formula.
 """
 
 from __future__ import annotations
@@ -91,66 +92,54 @@ class ParamInterval:
         return self._cos_sin
 
 
-# 4th-order one-sided second-derivative stencils (times 12 h^2) of the
-# first six samples, at samples 0 and 1.
-_D2_END = np.array([[45.0, -154.0, 214.0, -156.0, 61.0, -10.0],
-                    [10.0, -15.0, -4.0, 14.0, -6.0, 1.0]])
+# The first derivative (times 60 h) at samples 0, 1 and 2 of the quintic
+# through the first six samples of an open grid; its last three samples take
+# the rows mirrored and negated.  Each row sums to 0.
+_D_END = np.array([[-137.0, 300.0, -300.0, 200.0, -75.0, 12.0],
+                   [-12.0, -65.0, 120.0, -60.0, 20.0, -3.0],
+                   [3.0, -30.0, -20.0, 60.0, -15.0, 2.0]])
 
 
-def fd_d1(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    """4th-order first derivative of uniformly spaced samples (axis 0).
+def _central(f: np.ndarray, out: np.ndarray, h: float) -> None:
+    """out[i] = (45 (f[i+4] - f[i+2]) - 9 (f[i+5] - f[i+1]) + (f[i+6] - f[i])) / 60h,
+    accumulated in place: a temporary per term of a (16384, 2) grid page-faults."""
+    np.subtract(f[4:-2], f[2:-4], out=out)
+    out *= 45.0
+    term = np.subtract(f[5:-1], f[1:-5])
+    term *= 9.0
+    out -= term
+    out += np.subtract(f[6:], f[:-6], out=term)
+    out /= 60.0 * h
 
-    Periodic grids use the central stencil with wraparound; open grids fall
-    back to 4th-order one-sided stencils at the two samples on each end.
-    """
+
+def node_d(values, h: float, periodic: bool) -> np.ndarray:
+    """First derivative of uniformly spaced samples (axis 0) at each sample:
+    the mean of the derivatives there of the two local_quintic cells that
+    meet at it, which is the 6th-order central difference with weights
+    (-1, 9, -45, 0, 45, -9, 1) / 60h, taken across the seam of a periodic
+    grid.  Samples 0-2 and the last three of an open grid lie on cells that
+    read one quintic, the first or last six samples', and take its rows of
+    _D_END.  Every rule sums differences of samples, so constant samples
+    give exact zeros."""
     f = np.asarray(values, dtype=float)
     if len(f) < 7:
         raise ValueError("need at least 7 samples for the difference scheme")
-    # The central stencil ((f[i-2] - 8 f[i-1]) + 8 f[i+1]) - f[i+2], then / 12h,
-    # accumulated in place: a temporary per term of a (16384, 2) grid page-faults.
     out = np.empty_like(f)
-    inner = out[2:-2]
-    np.subtract(f[:-4], 8.0 * f[1:-3], out=inner)
-    inner += 8.0 * f[3:-1]
-    inner -= f[4:]
-    inner /= 12.0 * h
-    if periodic:  # the same stencil on the eight samples around the seam
-        seam = np.concatenate((f[-4:], f[:4]))
-        ends = (seam[:-4] - 8.0 * seam[1:-3] + 8.0 * seam[3:-1] - seam[4:]) / (12.0 * h)
-        out[-2:], out[:2] = ends[:2], ends[2:]
+    _central(f, out[3:-3], h)
+    if periodic:  # the same stencil on the twelve samples around the seam
+        ends = np.empty_like(f[:6])
+        _central(np.concatenate((f[-6:], f[:6])), ends, h)
+        out[-3:], out[:3] = ends[:3], ends[3:]
         return out
-    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-    out[-2] = -(-3.0 * f[-1] - 10.0 * f[-2] + 18.0 * f[-3] - 6.0 * f[-4] + f[-5]) / (12.0 * h)
-    out[-1] = -(-25.0 * f[-1] + 48.0 * f[-2] - 36.0 * f[-3] + 16.0 * f[-4] - 3.0 * f[-5]) / (
-        12.0 * h
-    )
+    for sign, ends, six in ((1.0, out[:3], f[:6]), (-1.0, out[:-4:-1], f[:-7:-1])):  # the last six reversed
+        ends[...] = np.einsum("ij,ij...->i...", sign * _D_END, six - six[:3, None]) / (60.0 * h)
     return out
-
-
-def fd_chain(values: np.ndarray, h: float, periodic: bool):
-    """(d1, d2) of fd_d1 and fd_d2."""
-    d1 = fd_d1(values, h, periodic)
-    return d1, fd_d2(values, d1, h, periodic)
-
-
-def fd_d2(values: np.ndarray, d1: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    """Second derivative of samples whose fd_d1 is d1: fd_d1 of d1, except at
-    the two samples on each end of an open grid, where fd_d1 twice would
-    difference one-sided first derivatives, so d2 takes 4th-order one-sided
-    stencils of the samples themselves."""
-    d2 = fd_d1(d1, h, periodic)
-    if not periodic:
-        f = np.asarray(values, dtype=float)
-        d2[:2] = _D2_END @ f[:6] / (12.0 * h * h)
-        d2[:-3:-1] = _D2_END @ f[:-7:-1] / (12.0 * h * h)
-    return d2
 
 
 def fd_mismatch(vals: np.ndarray, dv: np.ndarray, h: float) -> float:
     """Max relative mismatch between derivative samples dv and the samples
     vals of a function on a grid of step h, differenced as an open grid."""
-    approx = fd_d1(vals, h, periodic=False)
+    approx = node_d(vals, h, periodic=False)
     scale = max(1.0, float(np.max(np.abs(dv))))
     return float(np.max(np.abs(approx - dv))) / scale
 
@@ -181,13 +170,6 @@ def _weights(x, orders, h: float) -> np.ndarray:
         _SLOPES[k].shape + ones)).sum(axis=1) / h**k for k in orders])
 
 
-# The first derivative at a sample on a grid of unit step, as weights of the
-# nodes -2, ..., 3 around it, and as local_quintic's matrix rows of the six
-# samples that the first two and last three samples of an open grid read.
-_D1_AT_NODE = _weights(0.0, (1,), 1.0)[0]
-_D1_OPEN_ENDS = np.ascontiguousarray(np.moveaxis(_weights(np.array([-2.0, -1.0, 1.0, 2.0, 3.0]), (1,), 1.0), 1, 2))
-
-
 def local_quintic(values, cells, x, periodic: bool, nu=0, h: float = 1.0) -> np.ndarray:
     """The nu-th derivative (nu <= 5; a tuple of orders adds a leading axis),
     on a grid of step h, of the Lagrange quintic through the samples (axis 0
@@ -211,28 +193,6 @@ def local_quintic(values, cells, x, periodic: bool, nu=0, h: float = 1.0) -> np.
         near = np.take(f, base[s, None] + np.arange(-2, 4), axis=0).reshape(len(s), 6, -1)
         out[:, s] = np.matmul(ws[..., None, :], near)[..., 0, :].reshape(out[:, s].shape)
     return out if isinstance(nu, tuple) else out[0]
-
-
-def node_d1(values, h: float, periodic: bool) -> np.ndarray:
-    """local_quintic(values, np.arange(len(values)), 0.0, periodic, 1, h), bit
-    for bit: the first derivative at every sample, summed in node order from
-    slices of the samples (padded across the seam of a periodic grid); the
-    first two and last three samples of an open grid take local_quintic's
-    matrix product of their inward-shifted stencils."""
-    f = np.asarray(values, dtype=float)
-    n = len(f)
-    w = _D1_AT_NODE / h
-    padded = np.concatenate((f[-2:], f, f[:3])) if periodic else f
-    out = np.zeros_like(f)  # local_quintic's sum starts from 0, which turns a -0.0 first term into 0.0
-    inner = out if periodic else out[2:-3]
-    term = np.empty_like(inner)
-    for j in range(6):
-        inner += np.multiply(w[j], padded[j : len(padded) - 5 + j], out=term)
-    if not periodic:
-        near = np.take(f, np.array([2, 2, n - 4, n - 4, n - 4])[:, None] + np.arange(-2, 4), axis=0)
-        ends = np.matmul((_D1_OPEN_ENDS / h)[..., None, :], near.reshape(5, 6, -1))[..., 0, :]
-        out[[0, 1, -3, -2, -1]] = ends.reshape((5,) + f.shape[1:])
-    return out
 
 
 def quintic_fn(grid: np.ndarray, values: np.ndarray, periodic: bool, t_end: float) -> Callable:
@@ -450,7 +410,11 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
     """Analytic CurveModel with exact closed-form derivatives.  Its grid
     samples read the interval's cos_sin; d2's are computed on first read.
     A t0 or t1 in spec.params must be the interval's end."""
-    fields = builtin_fields(spec)
+    return _builtin_model(spec, builtin_fields(spec))
+
+
+def _builtin_model(spec: BuiltinSpec, fields: dict) -> CurveModel:
+    """build_builtin's model of spec from its builtin_fields."""
     (position, position_samples), (d1, d1_samples), (d2, d2_samples) = (fields[k] for k in ("position", "d1", "d2"))
     for key, end in (("t0", spec.interval.t_start), ("t1", spec.interval.t_end)):
         if spec.params.get(key, end) != end:
@@ -472,8 +436,8 @@ def build_builtin(spec: BuiltinSpec) -> CurveModel:
 
 
 def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
-    """CurveModel from uniform samples; derivatives come from fd_d1, and d2's
-    samples only when they are first read.
+    """CurveModel from uniform samples; derivatives come from node_d, and d2's
+    samples (node_d of d1's) only when they are first read.
 
     Periodic input covers one period without the closing sample, so the
     implied full interval is [ts[0], ts[-1] + h).  Evaluation between
@@ -496,8 +460,8 @@ def build_sampled(ts, points, periodic: bool = False) -> CurveModel:
 
 def sampled_model(ts: np.ndarray, points: np.ndarray, h: float, periodic: bool) -> CurveModel:
     """build_sampled's model of (n, 2) samples on a grid ts that is already
-    known to be uniform, of mean step h; it holds both arrays without copies."""
-    d1g = fd_d1(points, h, periodic)
+    known to be uniform, of step h; it holds both arrays without copies."""
+    d1g = node_d(points, h, periodic)
     t_end = ts[-1] + h if periodic else ts[-1]
     interval = ParamInterval(float(ts[0]), float(t_end), len(ts), periodic)
 
@@ -506,7 +470,7 @@ def sampled_model(ts: np.ndarray, points: np.ndarray, h: float, periodic: bool) 
 
     model = CurveModel("sampled", quintic_fn(ts, points, periodic, t_end), quintic_fn(ts, d1g, periodic, t_end), d2,
                        interval, _bbox_diagonal(points))
-    return model._seed(position=points, d1=d1g, d2=lambda: fd_d2(points, d1g, h, periodic))
+    return model._seed(position=points, d1=d1g, d2=lambda: node_d(d1g, h, periodic))
 
 
 def speed_derivatives(g1, g2):

@@ -20,13 +20,12 @@ from .curves import (
     ParamInterval,
     SingularCurveError,
     BuiltinSpec,
-    build_builtin,
     builtin_fields,
+    _builtin_model,
     builtin_spec,
     determinant_curvature,
-    fd_chain,
-    fd_d1,
     local_quintic,
+    node_d,
     quintic_fn,
     speed_derivatives,
 )
@@ -105,7 +104,7 @@ def frontal_from_normal(gamma: CurveModel, nu_samples) -> LegendreCurve:
 
     lc = LegendreCurve(gamma=gamma, nu=quintic_fn(interval.grid, nu, interval.periodic, interval.t_end), nu_d1=nu_d1,
                        interval=interval)
-    return lc._seed(nu=nu, nu_d1=lambda: fd_d1(nu, interval.step, interval.periodic))
+    return lc._seed(nu=nu, nu_d1=lambda: node_d(nu, interval.step, interval.periodic))
 
 
 def frontal_from_samples(gamma: CurveModel, nu_samples) -> LegendreCurve:
@@ -278,7 +277,8 @@ def _witnesses(cp: CurvaturePair, ts) -> list[dict]:
 
 
 def _scales(cp: CurvaturePair) -> dict:
-    (ell_d1, ell_d2), (beta_d1, beta_d2) = (fd_chain(v, cp.step, cp.periodic) for v in (cp.ell, cp.beta))
+    d1 = node_d(np.stack((cp.ell, cp.beta), axis=-1), cp.step, cp.periodic)
+    (ell_d1, beta_d1), (ell_d2, beta_d2) = d1.T, node_d(d1, cp.step, cp.periodic).T
     wr = ell_d2 * beta_d1 - ell_d1 * beta_d2
     return {
         "beta": float(np.max(np.abs(cp.beta))),
@@ -453,8 +453,8 @@ def builtin_frontal(spec: BuiltinSpec) -> LegendreCurve:
     """The builtin curve of spec with its normal field from the table (circle
     and astroid), seeded from the interval's cos_sin; from_regular's lift of
     a curve the table gives no normal."""
-    gamma = build_builtin(spec)
     fields = builtin_fields(spec)
+    gamma = _builtin_model(spec, fields)
     if "nu" not in fields:
         return from_regular(gamma)
     (nu, nu_samples), (nu_d1, nu_d1_samples) = fields["nu"], fields["nu_d1"]

@@ -29,9 +29,8 @@ from .curves import (
     SingularCurveError,
     _bbox_diagonal,
     cumulative_integral,
-    fd_d1,
     fd_mismatch,
-    node_d1,
+    node_d,
     sampled_model,
     FD_TOL,
     REG_TOL_SCALE,
@@ -267,10 +266,10 @@ def solve_lambda(pair: CurvaturePair, config: MateConfig, extent: float = 1.0) -
         y = e * (config.lambda0 + cumulative_integral(coef_b / e, h, periodic=False))
     lam, wrap = y[:n], (float(y[n]) if pair.periodic else None)
     # A nonconstant theta can break the period even on a periodic pair, so the
-    # stencil wraps only where lambda closes.  The ODE's lambda' differences
-    # lambda's own local quintic: the residual measures the solve.
+    # stencil wraps only where lambda closes; where it does not, the period
+    # end's sample extends the open grid.
     closes = _closes(lam, wrap)
-    lam_d1 = fd_d1(lam, h, periodic=closes) if mode == "algebraic" else node_d1(lam if closes else y, h, closes)[:n]
+    lam_d1 = node_d(lam if closes else y, h, closes)[:n]
     return _gate(_solution(pair, a, lam, lam_d1, mode, wrap, _near_zero(lam, extent)))
 
 
@@ -343,7 +342,7 @@ def build_mate(
     # build_sampled's model without its copies and grid checks: the pair's grid
     # is uniform, and read-only when it is an interval's.
     grid = ts.copy() if ts.flags.writeable else ts
-    mate_gamma = sampled_model(grid, positions, float(np.mean(np.diff(ts))), mcurv.periodic)
+    mate_gamma = sampled_model(grid, positions, pair.step, mcurv.periodic)
     mate_lc = frontal_from_normal(mate_gamma, frame_field(nu, a.th - a.ta))
 
     dir_tol = mate_tol(lc.gamma.extent, lc.gamma.kind)

@@ -19,10 +19,8 @@ from frontals.curves import (
     cumulative_integral,
     determinant_curvature,
     fd_mismatch,
-    fd_chain,
-    fd_d1,
     local_quintic,
-    node_d1,
+    node_d,
     quintic_fn,
 )
 from frontals.legendre import builtin_frontal, from_regular, frontal_from_samples, legendre_curvature
@@ -110,7 +108,7 @@ def test_analytic_derivatives_match_differences(name, params):
     for dk, order in ((c.d1, 1), (c.d2, 2)):
         vals = c.position(ts)
         for _ in range(order):
-            vals = fd_d1(vals, h, periodic=True)
+            vals = node_d(vals, h, periodic=True)
         scale = max(1.0, float(np.max(np.abs(dk(ts)))))
         assert np.max(np.abs(vals - dk(ts))) <= 1e-5 * scale
 
@@ -125,9 +123,11 @@ def test_fd_fourth_order_convergence(name, params):
     for n in (256, 512):
         c = build_builtin(BuiltinSpec(name, params, closed_interval(n)))
         ts = c.interval.grid
-        approx = fd_d1(c.position(ts), c.interval.step, periodic=True)
+        approx = node_d(c.position(ts), c.interval.step, periodic=True)
         errs.append(np.max(np.abs(approx - c.d1(ts))))
-    assert errs[0] / errs[1] >= 15.0
+    # Above 2^4: node_d's periodic rule is 6th order (2^6 = 64); the circle
+    # and ellipse reach 39.5, where rounding holds their n = 512 error.
+    assert errs[0] / errs[1] >= 30.0
 
 
 def test_build_sampled_circle_derivative():
@@ -236,23 +236,44 @@ def test_cumulative_integral_equals_its_concatenating_formula(n, periodic):
 
 @pytest.mark.parametrize("n", [16, 17, 1024, 8193])
 @pytest.mark.parametrize("periodic", [False, True])
-def test_node_d1_equals_local_quintic_at_the_samples(n, periodic):
+def test_node_d_is_the_mean_of_the_two_cell_quintics(n, periodic):
+    """At every sample, the open ends' six rows included: cell i - 1 read at
+    its end and cell i at its start (both the same quintic next to an open end)."""
     rng = np.random.default_rng(n + periodic)
     h = TWO_PI / n
-    for f in (rng.normal(size=n), _with_signed_zeros(rng.normal(size=n), curves._D1_AT_NODE), rng.normal(size=(n, 2))):
-        got = node_d1(f, h, periodic)
-        assert got.tobytes() == local_quintic(f, np.arange(n), 0.0, periodic, 1, h).tobytes()
+    cells = np.arange(n)
+    for f in (rng.normal(size=n), 1e3 * rng.normal(size=(n, 2))):
+        mean = (local_quintic(f, cells - 1, 1.0, periodic, 1, h) + local_quintic(f, cells, 0.0, periodic, 1, h)) / 2
+        assert np.max(np.abs(node_d(f, h, periodic) - mean)) <= 8 * np.finfo(float).eps * np.max(np.abs(f)) / h
 
 
 @pytest.mark.parametrize("shape", [(8192,), (8192, 2), (7,), (33, 2)])
-def test_fd_d1_matches_the_roll_formula_bit_for_bit(shape):
+def test_node_d_interior_is_the_seven_point_pair_formula_bit_for_bit(shape):
     f = np.random.default_rng(shape[0]).normal(size=shape)
     h = 0.37
-    want = (np.roll(f, 2, axis=0) - 8.0 * np.roll(f, 1, axis=0) + 8.0 * np.roll(f, -1, axis=0)
-            - np.roll(f, -2, axis=0)) / (12.0 * h)
-    assert np.array_equal(fd_d1(f, h, periodic=True).view(np.uint64), want.view(np.uint64))
-    inner = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    assert np.array_equal(fd_d1(f, h, periodic=False)[2:-2].view(np.uint64), inner.view(np.uint64))
+    pairs = [np.roll(f, -m, axis=0) - np.roll(f, m, axis=0) for m in (1, 2, 3)]
+    want = (45.0 * pairs[0] - 9.0 * pairs[1] + pairs[2]) / (60.0 * h)
+    assert np.array_equal(node_d(f, h, periodic=True).view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(node_d(f, h, periodic=False)[3:-3].view(np.uint64), want[3:-3].view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(16,), (1024, 2)])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_node_d_of_constant_samples_is_exactly_zero(shape, periodic):
+    for c in (0.3, -7.1e5, 1e-300):
+        assert not np.any(node_d(np.full(shape, c), 0.01, periodic))
+
+
+def test_node_d_converges_at_sixth_order_inside_and_fifth_at_open_ends():
+    errs = []
+    for n in (64, 128):
+        t = np.linspace(0.0, 1.0, n)
+        err = np.abs(node_d(np.exp(t) * np.sin(3.0 * t), t[1] - t[0], False)
+                     - np.exp(t) * (np.sin(3.0 * t) + 3.0 * np.cos(3.0 * t)))
+        errs.append((np.max(err[3:-3]), max(np.max(err[:3]), np.max(err[-3:]))))
+    (inner_64, ends_64), (inner_128, ends_128) = errs
+    assert inner_64 / inner_128 >= 50.0  # 2^6 = 64
+    assert ends_64 / ends_128 >= 25.0  # 2^5 = 32
 
 
 def test_bbox_diagonal_matches_the_axis_reduction():
@@ -328,7 +349,8 @@ def test_sampled_model_holds_its_samples(periodic):
     ts = np.arange(n) * (TWO_PI / n) if periodic else np.linspace(0.0, 3.0, n)
     pts = np.stack((2.0 * np.cos(ts), np.sin(ts)), axis=-1)
     c = build_sampled(ts, pts, periodic=periodic)
-    d1g, d2g = fd_chain(pts, ts[1] - ts[0], periodic)
+    d1g = node_d(pts, ts[1] - ts[0], periodic)
+    d2g = node_d(d1g, ts[1] - ts[0], periodic)
     for name, want in (("position", pts), ("d1", d1g), ("d2", d2g)):
         got = c.on_grid(name)
         assert np.array_equal(got, want)
@@ -341,14 +363,14 @@ def test_sampled_model_holds_its_samples(periodic):
     lc = frontal_from_samples(c, nus)
     nus /= np.linalg.norm(nus, axis=-1)[:, None]  # frontal_from_samples normalizes once more
     assert np.array_equal(lc.on_grid("nu"), nus)
-    assert np.array_equal(lc.on_grid("nu_d1"), fd_d1(nus, ts[1] - ts[0], periodic))
+    assert np.array_equal(lc.on_grid("nu_d1"), node_d(nus, ts[1] - ts[0], periodic))
     assert not lc.on_grid("nu").flags.writeable
 
 
 def test_sampled_model_interpolates_off_grid():
     # The local quintic's error is O(h^6) on the positions (h = 0.024 here);
-    # the velocity samples carry the O(h^4) error of the difference scheme,
-    # 6.2e-8 at worst on this grid.
+    # the velocity samples carry node_d's O(h^5) error at the open ends,
+    # 2.3e-10 at worst on this grid.
     ts = np.linspace(0.0, 3.0, 128)
     pts = np.stack((ts**2, np.sin(ts)), axis=-1)
     c = build_sampled(ts, pts)
@@ -429,14 +451,24 @@ def test_builtin_grid_samples_equal_its_callables(name, params):
         assert np.array_equal(getattr(c, field)(float(grid[7])), on_grid[7])
 
 
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_framed_builtin_reads_its_table_row_once(monkeypatch, name):
+    row, calls = BUILTINS[name], []
+    monkeypatch.setitem(BUILTINS, name, row._replace(fields=lambda **p: calls.append(p) or row.fields(**p)))
+    lc = builtin_frontal(builtin_spec(name, {}, 64))
+    legendre_curvature(lc)
+    assert len(calls) == 1
+
+
 def test_sampled_model_differences_d2_on_first_read(monkeypatch):
     ts = np.arange(256) * (TWO_PI / 256)
     pts = np.stack((2.0 * np.cos(ts), np.sin(ts)), axis=-1)
     differenced = Counter()
-    monkeypatch.setattr(curves, "fd_d1", lambda f, *args, _f=fd_d1: differenced.update([len(f)]) or _f(f, *args))
+    monkeypatch.setattr(curves, "node_d", lambda f, *args, _f=node_d: differenced.update([len(f)]) or _f(f, *args))
     c = build_sampled(ts, pts, periodic=True)
     assert differenced == {256: 1}
     off = ts[:3] + 0.5 * (ts[1] - ts[0])
     d2 = c.d2(off)
     assert differenced == {256: 2} and c.on_grid("d2") is c.on_grid("d2")
-    assert np.array_equal(d2, quintic_fn(ts, fd_chain(pts, ts[1] - ts[0], True)[1], True, TWO_PI)(off))
+    h = ts[1] - ts[0]
+    assert np.array_equal(d2, quintic_fn(ts, node_d(node_d(pts, h, True), h, True), True, TWO_PI)(off))

@@ -139,9 +139,9 @@ def test_from_regular_normal_derivatives_consistent():
     lc = from_regular(ellipse)
     ts = lc.interval.grid
     h = lc.interval.step
-    from frontals.curves import fd_d1
+    from frontals.curves import node_d
 
-    fd1 = fd_d1(lc.nu(ts), h, periodic=True)
+    fd1 = node_d(lc.nu(ts), h, periodic=True)
     assert np.max(np.abs(fd1 - lc.nu_d1(ts))) <= 1e-6
 
 

@@ -168,7 +168,7 @@ class TestSolveLambda:
         cfg = MateConfig(constant_fn(HALF_PI), constant_fn(1.0), lambda0=1.0)
         lam = solve_lambda(pair, cfg)
         bad = lam.lam * (1.0 + 1e-5 * np.sin(pair.grid))
-        wrong = mates._solution(pair, cfg.angles(pair.grid), bad, curves.fd_d1(bad, pair.grid[1] - pair.grid[0], periodic=False),
+        wrong = mates._solution(pair, cfg.angles(pair.grid), bad, curves.node_d(bad, pair.grid[1] - pair.grid[0], periodic=False),
                                 "prescribed", None, False)
         with pytest.raises(mates.ResidualError, match="lambda residual .* exceeds"):
             build_mate(lc, cfg, wrong, pair)
@@ -296,6 +296,18 @@ class TestVerifyMateCurvature:
         rep = verify_mate_curvature(mp)
         assert rep.passed
         assert max(rep.max_ell_discrepancy, rep.max_beta_discrepancy) <= 1e-6
+
+    def test_coarse_circle_passes_and_a_wrong_formula_pair_fails(self):
+        # 64 samples: the sampled mate's differenced pair meets the formulas
+        # well inside CROSS_TOL, and a formula pair off by 1e-4 is still caught.
+        lc = circle_frontal(1.0, 64)
+        pair = legendre_curvature(lc)
+        cfg = MateConfig(constant_fn(0.0), constant_fn(0.0))
+        mp = build_mate(lc, cfg, solve_lambda(pair, cfg), pair)
+        rep = verify_mate_curvature(mp)
+        assert rep.passed and max(rep.max_ell_discrepancy, rep.max_beta_discrepancy) <= 1e-8
+        wrong = mp.mate_curvature._replace(beta=mp.mate_curvature.beta * (1.0 + 1e-4))
+        assert not verify_mate_curvature(mp._replace(mate_curvature=wrong)).passed
 
     def test_random_fixture(self):
         from conftest import random_frontal
@@ -764,9 +776,9 @@ class TestGridQuantitiesOnce:
         from frontals import planar
 
         n, fields, turns, allclose = 1024, [], [], []
-        fd_d1, turn = curves.fd_d1, planar.turn
+        node_d, turn = curves.node_d, planar.turn
         for module in (curves, legendre, mates):
-            monkeypatch.setattr(module, "fd_d1", lambda f, *a, **k: fields.append(np.shape(f)) or fd_d1(f, *a, **k))
+            monkeypatch.setattr(module, "node_d", lambda f, *a, **k: fields.append(np.shape(f)) or node_d(f, *a, **k))
         for module in (planar, mates):
             monkeypatch.setattr(module, "turn", lambda *a: turns.append(1) or turn(*a))
         lc = self._named_source(curve, n)

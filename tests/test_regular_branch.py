@@ -325,7 +325,7 @@ def test_inverse_pair_reads_the_pair_it_was_built_on():
     # formula pair the scale function was solved on.  The reference divides
     # that pair's lambda' by the differenced speed of the sampled mate, and
     # agrees with the formula pair only to the difference scheme's truncation
-    # error: its condition 1 reads 4.6e-7, above ODE_TOL_SCALE.
+    # error: its condition 1 reads 1.4e-7, above ODE_TOL_SCALE.
     mp = inverse_mate(_ellipse_pairs()["involute"])
     data = regular_to_legendre_mates(mp)
     rep = data.report
